@@ -192,27 +192,10 @@ def mul(a, b):
     return _record(out, tuple(p for p in (a, b) if isinstance(p, Var)), pullback)
 
 
-def neg(a):
-    out = Var(-a.value)
-
-    def pullback(g):
-        a.add_grad(-g)
-
-    return _record(out, (a,), pullback)
-
-
 def matmul(a, b):
-    """Matrix product for 2-D x 2-D, 2-D x 1-D, and 1-D x 2-D operands."""
+    """Matrix product for 2-D x 2-D and 2-D x 1-D operands."""
     av, bv = _value(a), _value(b)
-    if av.ndim == 2 and bv.ndim == 2:
-        ok = av.shape[1] == bv.shape[0]
-    elif av.ndim == 2 and bv.ndim == 1:
-        ok = av.shape[1] == bv.shape[0]
-    elif av.ndim == 1 and bv.ndim == 2:
-        ok = av.shape[0] == bv.shape[0]
-    else:
-        ok = False
-    if not ok:
+    if av.ndim != 2 or bv.ndim not in (1, 2) or av.shape[1] != bv.shape[0]:
         raise DimensionError(f"matmul: incompatible shapes {av.shape} x {bv.shape}")
     out = Var(av @ bv)
     a_var, b_var = isinstance(a, Var), isinstance(b, Var)
@@ -220,21 +203,10 @@ def matmul(a, b):
         return out
 
     def pullback(g):
-        if av.ndim == 2 and bv.ndim == 2:
-            if a_var:
-                a.add_grad(g @ bv.T)
-            if b_var:
-                b.add_grad(av.T @ g)
-        elif av.ndim == 2 and bv.ndim == 1:
-            if a_var:
-                a.add_grad(np.outer(g, bv))
-            if b_var:
-                b.add_grad(av.T @ g)
-        else:  # 1-D @ 2-D
-            if a_var:
-                a.add_grad(bv @ g)
-            if b_var:
-                b.add_grad(np.outer(av, g))
+        if a_var:
+            a.add_grad(g @ bv.T if bv.ndim == 2 else np.outer(g, bv))
+        if b_var:
+            b.add_grad(av.T @ g)
 
     return _record(out, tuple(p for p in (a, b) if isinstance(p, Var)), pullback)
 
@@ -289,18 +261,6 @@ def relu(x):
         x.add_grad(g * mask)
 
     return _record(out, (x,), pullback)
-
-
-_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
-
-
-def activation(x, kind):
-    """Elementwise nonlinearity; `kind` is one of sigmoid, tanh, relu."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ParameterError(f"unknown activation kind {kind!r}") from None
-    return fn(x)
 
 
 def log(x):
@@ -399,16 +359,6 @@ def asum(x):
 
     def pullback(g):
         x.add_grad(np.broadcast_to(g, x.value.shape))
-
-    return _record(out, (x,), pullback)
-
-
-def mean(x):
-    n = x.value.size
-    out = Var(x.value.mean())
-
-    def pullback(g):
-        x.add_grad(np.broadcast_to(g / n, x.value.shape))
 
     return _record(out, (x,), pullback)
 
@@ -513,23 +463,15 @@ def gather_rows(table, ids, row_grad_mask=None):
 
 
 def attend(alpha, acts):
-    """Weighted sum of per-position activations: sum_k alpha_k * acts_k.
-
-    alpha [T] with acts [T x D], or alpha [N x T] with acts [N x T x D].
-    """
+    """Batched weighted sum of per-position activations:
+    out[n] = sum_t alpha[n, t] * acts[n, t], for alpha [N x T] and acts
+    [N x T x D]."""
     av, xv = alpha.value, acts.value
-    if av.ndim == 1:
-        out = Var(av @ xv)
-    else:
-        out = Var(np.einsum("nt,ntd->nd", av, xv))
+    out = Var(np.einsum("nt,ntd->nd", av, xv))
 
     def pullback(g):
-        if av.ndim == 1:
-            alpha.add_grad(xv @ g)
-            acts.add_grad(np.outer(av, g))
-        else:
-            alpha.add_grad(np.einsum("nd,ntd->nt", g, xv))
-            acts.add_grad(av[:, :, None] * g[:, None, :])
+        alpha.add_grad(np.einsum("nd,ntd->nt", g, xv))
+        acts.add_grad(av[:, :, None] * g[:, None, :])
 
     return _record(out, (alpha, acts), pullback)
 

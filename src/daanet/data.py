@@ -57,8 +57,7 @@ class Example:
     event_id: str
     text: str
     tokens: list
-    labels: dict  # task -> {0, 1}; tasks without a label are absent
-    split_tag: str = "labeled"  # or "unlabeled"
+    labels: dict  # task -> {0, 1}; tasks without a label are absent, so unlabeled is {}
     domain_idx: int | None = None
 
 
@@ -213,8 +212,7 @@ def read_corpus(path):
             if not tokens:
                 dropped += 1
                 continue
-            tag = "labeled" if labels else "unlabeled"
-            examples.append(Example(event_id, text, tokens, labels, split_tag=tag))
+            examples.append(Example(event_id, text, tokens, labels))
     if dropped:
         log.info("dropped %d examples with empty tokenization from %s", dropped, path)
     return examples, task_names
@@ -260,7 +258,7 @@ def leave_one_out_split(examples, target_event):
     test = [ex for ex in examples if ex.event_id == target_event and ex.labels]
     train_labeled = [ex for ex in examples if ex.event_id != target_event and ex.labels]
     domain_examples = [
-        replace(ex, labels={}, split_tag="unlabeled", domain_idx=domain_index[ex.event_id])
+        replace(ex, labels={}, domain_idx=domain_index[ex.event_id])
         for ex in examples
         if ex.event_id != target_event
     ]
@@ -280,8 +278,7 @@ def leave_one_out_split(examples, target_event):
 @dataclass
 class Batch:
     ids: np.ndarray  # [N x T_x] int
-    mask: np.ndarray  # [N x T_x] float, prefix-of-ones rows
-    lengths: np.ndarray  # [N]
+    mask: np.ndarray  # [N x T_x] float, prefix-of-ones rows; mask.sum(1) is the lengths
     labels: dict  # task -> (y [N], present [N]) float arrays
     domain_onehot: np.ndarray | None = None  # [N x n_domains]
 
@@ -304,12 +301,10 @@ def make_batches(examples, vocab, t_x, batch_size=32, rng=None, tasks=None, n_do
         n = len(chunk)
         ids = np.zeros((n, t_x), dtype=np.int64)
         mask = np.zeros((n, t_x))
-        lengths = np.zeros(n, dtype=np.int64)
         for r, ex in enumerate(chunk):
             row, length = vocab.encode(ex.tokens, t_x)
             ids[r] = row
             mask[r, :length] = 1.0
-            lengths[r] = length
         labels = {}
         for task in tasks:
             y = np.zeros(n)
@@ -325,5 +320,5 @@ def make_batches(examples, vocab, t_x, batch_size=32, rng=None, tasks=None, n_do
             for r, ex in enumerate(chunk):
                 if ex.domain_idx is not None:
                     onehot[r, ex.domain_idx] = 1.0
-        batches.append(Batch(ids=ids, mask=mask, lengths=lengths, labels=labels, domain_onehot=onehot))
+        batches.append(Batch(ids=ids, mask=mask, labels=labels, domain_onehot=onehot))
     return batches

@@ -1,14 +1,15 @@
 """Neural building blocks: embedding lookup, BiLSTM encoder, per-task
 attention head, dense layers, and inverted dropout.
 
-All forward functions accept either a single example (2-D activations,
-1-D mask) or a batch (3-D activations, 2-D mask) and run on whatever
-Tape is active; with no tape they are plain evaluations.
+The layers take batches only: the encoder and attention head read
+[N x T x d] activations with an [N x T] mask, and dense layers read
+[N x in] rows; a single example is a batch of one. Every forward function
+runs on whatever Tape is active; with no tape it is a plain evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +79,7 @@ def random_embedding(vocab_size, dim, rng, scale=0.25):
 
 
 def embed(matrix, ids):
-    """Gather rows for `ids` ([T] or [N x T]); gradients scatter only into
+    """Gather rows for `ids` (e.g. [N x T]); gradients scatter only into
     unlocked rows."""
     return ad.gather_rows(matrix.table, np.asarray(ids), row_grad_mask=matrix.unlocked_mask())
 
@@ -182,27 +183,21 @@ def _run_direction(cell, x3, mask2, reverse):
 
 
 def bilstm(params, x, mask):
-    """Run both directions over [T x d] or [N x T x d] inputs and return
-    per-position concatenated states [.. x T x 2h].
+    """Run both directions over [N x T x d] inputs and return per-position
+    concatenated states [N x T x 2h].
 
-    The mask must be right-padding (a prefix of ones); padded positions
-    emit zero activations and do not advance the recurrent state.
+    The [N x T] mask must be right-padding (a prefix of ones per row);
+    padded positions emit zero activations and do not advance the
+    recurrent state.
     """
-    single = x.value.ndim == 2
-    x3 = ad.reshape(x, (1,) + x.value.shape) if single else x
     mask2 = np.asarray(mask, dtype=np.float64)
-    if single:
-        mask2 = mask2.reshape(1, -1)
-    if mask2.shape != x3.value.shape[:2]:
-        raise DimensionError(f"mask shape {mask2.shape} does not match input {x3.value.shape}")
+    if mask2.shape != x.value.shape[:2]:
+        raise DimensionError(f"mask shape {mask2.shape} does not match input {x.value.shape}")
     _check_prefix_mask(mask2)
 
-    fwd_acts = _run_direction(params.fwd, x3, mask2, reverse=False)
-    bwd_acts = _run_direction(params.bwd, x3, mask2, reverse=True)
-    acts = ad.concat([ad.stack_time(fwd_acts), ad.stack_time(bwd_acts)], axis=2)
-    if single:
-        return ad.reshape(acts, acts.value.shape[1:])
-    return acts
+    fwd_acts = _run_direction(params.fwd, x, mask2, reverse=False)
+    bwd_acts = _run_direction(params.bwd, x, mask2, reverse=True)
+    return ad.concat([ad.stack_time(fwd_acts), ad.stack_time(bwd_acts)], axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -230,26 +225,20 @@ def init_attention(rng, act_dim, score_dim):
 
 
 def attention_head(params, acts, mask):
-    """Score positions, normalize with the padding mask, and reduce.
+    """Score positions of [N x T x 2h] activations, normalize with the
+    [N x T] padding mask, and reduce.
 
-    Returns (context, alpha): the attention-weighted sum of activations
-    and the per-position weights used to build it.
+    Returns (context [N x 2h], alpha [N x T]): the attention-weighted sum
+    of activations and the per-position weights used to build it.
     """
-    single = acts.value.ndim == 2
-    a3 = ad.reshape(acts, (1,) + acts.value.shape) if single else acts
     mask2 = np.asarray(mask, dtype=np.float64)
-    if single:
-        mask2 = mask2.reshape(1, -1)
-    n, t_x, act_dim = a3.value.shape
+    n, t_x, act_dim = acts.value.shape
 
-    flat = ad.reshape(a3, (n * t_x, act_dim))
+    flat = ad.reshape(acts, (n * t_x, act_dim))
     hidden = ad.tanh(ad.add(ad.matmul(flat, ad.transpose(params.w)), params.b))
     scores = ad.reshape(ad.matmul(hidden, params.v), (n, t_x))
     alpha = ad.masked_softmax(scores, mask2)
-    context = ad.attend(alpha, a3)
-    if single:
-        return ad.reshape(context, (act_dim,)), ad.reshape(alpha, (t_x,))
-    return context, alpha
+    return ad.attend(alpha, acts), alpha
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +259,15 @@ def init_dense(rng, n_in, n_out):
 
 
 def dense(params, x, activation=None):
-    """Affine map plus optional activation ('softmax' for output heads)."""
-    single = x.value.ndim == 1
-    x2 = ad.reshape(x, (1,) + x.value.shape) if single else x
-    out = ad.add(ad.matmul(x2, ad.transpose(params.w)), params.b)
+    """Affine map of [N x in] rows, then 'relu', 'softmax' (output heads)
+    or no activation."""
+    if activation not in (None, "relu", "softmax"):
+        raise ParameterError(f"unknown activation kind {activation!r}")
+    out = ad.add(ad.matmul(x, ad.transpose(params.w)), params.b)
+    if activation == "relu":
+        return ad.relu(out)
     if activation == "softmax":
-        out = ad.softmax(out)
-    elif activation is not None:
-        out = ad.activation(out, activation)
-    if single:
-        return ad.reshape(out, (out.value.shape[1],))
+        return ad.softmax(out)
     return out
 
 

@@ -15,12 +15,20 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from dataclasses import asdict, dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import Vocab
-from .errors import ContractError, DataError, DimensionError, LabelError, ParameterError
+from .errors import (
+    ContractError,
+    DataError,
+    DegenerateMaskError,
+    DimensionError,
+    LabelError,
+    ParameterError,
+)
 from .layers import (
     AttentionHeadParams,
     BiLstmParams,
@@ -38,7 +46,7 @@ from .layers import (
 )
 
 PROB_CLIP = 1e-7
-ARCHIVE_FORMAT = 1
+ARCHIVE_FORMAT = 2
 
 ParamSlot = namedtuple("ParamSlot", ["name", "var", "update_mask"])
 
@@ -61,9 +69,6 @@ class ModelSpec:
     attn_size: int = 32
     head_hidden: int = 10
     domain_hidden: int = 64
-    domain_pooling: str = "mean"  # or "attention": the branch gets its own head
-    dropout_on_acts: bool = True
-    dropout_on_context: bool = True
 
     def __post_init__(self):
         self.task_names = tuple(self.task_names)
@@ -84,8 +89,6 @@ class ModelSpec:
             raise ParameterError("loss weights and reversal strength must be >= 0")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ParameterError("dropout rate must be in [0, 1)")
-        if self.domain_pooling not in ("mean", "attention"):
-            raise ParameterError(f"unknown domain pooling {self.domain_pooling!r}")
 
     @property
     def m(self):
@@ -108,15 +111,13 @@ class TaskHead:
 
 @dataclass
 class DomainBranch:
+    """Domain classifier over the masked mean of the encoder states."""
+
     hidden: DenseParams
     out: DenseParams
-    attention: AttentionHeadParams | None = None  # when the branch pools by attention
 
     def variables(self, prefix="domain"):
-        out = self.hidden.variables(f"{prefix}.hidden") + self.out.variables(f"{prefix}.out")
-        if self.attention is not None:
-            out += self.attention.variables(f"{prefix}.attn")
-        return out
+        return self.hidden.variables(f"{prefix}.hidden") + self.out.variables(f"{prefix}.out")
 
 
 @dataclass
@@ -170,13 +171,9 @@ def build_model(spec, vocab, embedding=None, seed=0):
     domain = None
     if spec.adversarial:
         rng = np.random.default_rng([seed, 1000])
-        attn = None
-        if spec.domain_pooling == "attention":
-            attn = init_attention(rng, 2 * spec.h, spec.attn_size)
         domain = DomainBranch(
             hidden=init_dense(rng, 2 * spec.h, spec.domain_hidden),
             out=init_dense(rng, spec.domain_hidden, spec.n_domains),
-            attention=attn,
         )
     return TrainedModel(
         spec=spec, vocab=vocab, embedding=embedding, encoder=encoder, heads=heads, domain=domain
@@ -206,17 +203,17 @@ def _forward(
 ):
     spec = model.spec
     mask = np.asarray(mask, dtype=np.float64)
+    lengths = mask.sum(axis=-1, keepdims=True)
+    if np.any(lengths == 0):
+        raise DegenerateMaskError("mask keeps no position in at least one row")
     emb = embed(model.embedding, ids)
-    acts = bilstm(model.encoder, emb, mask)
-    if spec.dropout_on_acts:
-        acts = dropout(acts, spec.dropout_rate, rng, training)
+    acts = dropout(bilstm(model.encoder, emb, mask), spec.dropout_rate, rng, training)
 
     task_probs, alphas = [], []
     if want_tasks:
         for head in model.heads:
             context, alpha = attention_head(head.attention, acts, mask)
-            if spec.dropout_on_context:
-                context = dropout(context, spec.dropout_rate, rng, training)
+            context = dropout(context, spec.dropout_rate, rng, training)
             hidden = dense(head.hidden, context, "relu")
             probs = dense(head.out, hidden, "softmax")
             task_probs.append(ad.column(probs, 1))
@@ -224,7 +221,6 @@ def _forward(
 
     domain_probs = None
     if want_domain and model.domain is not None:
-        lengths = mask.sum(axis=-1, keepdims=True)
         pooled = ad.mul(ad.sum_axis(acts, 1), 1.0 / lengths)  # pads emit zeros, so this is a masked mean
         if reverse_domain:
             pooled = ad.gradient_reversal(pooled, spec.lam)
@@ -308,43 +304,18 @@ def domain_cce_loss(y_hat, y_onehot):
     return ad.mul(ad.asum(ad.mul(ad.log(p), y)), -1.0 / y.shape[0])
 
 
-def _lift_combine(parts):
-    """Sum Vars/floats; stays a float when no Var is involved."""
-    total = None
-    for part in parts:
-        if total is None:
-            total = part
-        elif isinstance(total, ad.Var) or isinstance(part, ad.Var):
-            total = ad.add(total, part) if isinstance(total, ad.Var) else ad.add(part, total)
-        else:
-            total = total + part
-    return total
-
-
-def _scale(x, w):
-    if isinstance(x, ad.Var):
-        return ad.mul(x, float(w))
-    return float(w) * x
-
-
-def st_daan_loss(task_loss, domain_loss, w_domain):
-    """Task loss plus weighted domain loss (the reversal lives inside the
-    domain forward graph, not here)."""
-    if w_domain < 0:
-        raise ParameterError("domain loss weight must be >= 0")
-    return _lift_combine([task_loss, _scale(domain_loss, w_domain)])
-
-
 def mt_daan_loss(task_losses, w_tasks, domain_loss=None, w_domain=0.0):
-    """Weighted sum of per-task losses plus the weighted domain loss."""
+    """Weighted sum of per-task losses plus the weighted domain loss; with
+    one task this is the ST-DAAN loss (the reversal lives inside the domain
+    forward graph, not here)."""
     if len(task_losses) != len(w_tasks):
         raise DimensionError(f"{len(task_losses)} losses vs {len(w_tasks)} weights")
     if any(w < 0 for w in w_tasks) or w_domain < 0:
         raise ParameterError("loss weights must be >= 0")
-    parts = [_scale(loss, w) for loss, w in zip(task_losses, w_tasks)]
+    parts = [ad.mul(loss, float(w)) for loss, w in zip(task_losses, w_tasks)]
     if domain_loss is not None:
-        parts.append(_scale(domain_loss, w_domain))
-    return _lift_combine(parts)
+        parts.append(ad.mul(domain_loss, float(w_domain)))
+    return reduce(ad.add, parts)
 
 
 def covid_relevance(priority_pred, irrelevant_pred):
@@ -378,14 +349,22 @@ def save_model(model, path):
 
 
 def load_model(path):
+    """Rebuild a model from a `save_model` archive; a malformed archive
+    raises DataError naming the path."""
     with np.load(path, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["meta.json"]))
+        try:
+            meta = json.loads(str(archive["meta.json"]))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"corrupt meta.json: {exc}", path=str(path)) from None
         if meta.get("format") != ARCHIVE_FORMAT:
             raise DataError(f"unsupported archive format {meta.get('format')}", path=str(path))
         spec_dict = meta["spec"]
         spec_dict["task_names"] = tuple(spec_dict["task_names"])
         spec_dict["w_tasks"] = tuple(spec_dict["w_tasks"])
-        spec = ModelSpec(**spec_dict)
+        try:
+            spec = ModelSpec(**spec_dict)
+        except TypeError as exc:
+            raise DataError(f"bad model spec: {exc}", path=str(path)) from None
         vocab = Vocab(meta["vocab_tokens"])
         if vocab.sha256() != meta["vocab_sha256"]:
             raise DataError("vocabulary hash mismatch in archive", path=str(path))
@@ -401,13 +380,16 @@ def load_model(path):
     for slot in model.parameters():
         if slot.name == "embedding.table":
             continue
-        if slot.name not in params:
+        value = params.pop(slot.name, None)
+        if value is None:
             raise DataError(f"archive is missing parameter {slot.name}", path=str(path))
-        if params[slot.name].shape != slot.var.value.shape:
+        if value.shape != slot.var.value.shape:
             raise DataError(
-                f"parameter {slot.name} has shape {params[slot.name].shape}, "
+                f"parameter {slot.name} has shape {value.shape}, "
                 f"expected {slot.var.value.shape}",
                 path=str(path),
             )
-        slot.var.value = params[slot.name]
+        slot.var.value = value
+    if params:
+        raise DataError(f"archive has unexpected parameters {sorted(params)}", path=str(path))
     return model

@@ -23,11 +23,7 @@ class TrainConfig:
     batch_size: int = 32
     val_split: float = 0.15
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
-    f1_mode: str = "positive"  # or "macro"
 
     def __post_init__(self):
         if min(self.max_epochs, self.patience, self.batch_size) < 1:
@@ -38,8 +34,6 @@ class TrainConfig:
             raise ParameterError("validation split must be in (0, 1)")
         if self.learning_rate <= 0:
             raise ParameterError("learning rate must be positive")
-        if self.f1_mode not in ("positive", "macro"):
-            raise ParameterError(f"unknown f1 mode {self.f1_mode!r}")
 
 
 class Adam:
@@ -128,17 +122,12 @@ def stratified_val_split(examples, val_split, rng):
     return train, val
 
 
-def _label_slice(batch, task):
-    y, present = batch.labels[task]
-    return y, present
-
-
 def _batch_losses(model, batch, training, rng):
     out = _forward(model, batch.ids, batch.mask, training=training, rng=rng, want_tasks=True)
     losses = []
     counts = []
     for k, task in enumerate(model.spec.task_names):
-        y, present = _label_slice(batch, task)
+        y, present = batch.labels[task]
         losses.append(bce_loss(out.task_probs[k], y, present))
         counts.append(present.sum())
     return losses, counts
@@ -214,9 +203,7 @@ def train(model, split, cfg):
             )
         return domain_batches.pop(0)
 
-    optimizer = Adam(
-        model.parameters(), lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps
-    )
+    optimizer = Adam(model.parameters(), lr=cfg.learning_rate)
     stopper = EarlyStopper(cfg.patience)
     history = History(val_task_loss={t: [] for t in spec.task_names})
     best_params = _snapshot(model)
@@ -298,7 +285,6 @@ class TaskMetrics:
 @dataclass
 class Metrics:
     per_task: dict  # task -> TaskMetrics
-    domain_accuracy: float | None = None
 
     def task(self, name):
         return self.per_task[name]

@@ -1,8 +1,9 @@
 """Gradient verification harness.
 
 Builds a micro multi-task adversarial model (T_x=5, d=8, h=4, 3 tasks,
-3 domains, dropout off) and checks its full loss gradient against
-central finite differences over every parameter entry.
+3 domains, dropout off), a batch for it, and its full training loss, so
+that the loss gradient can be checked against central finite differences
+over every parameter entry (`autodiff.grad_check`).
 
 Parameters are redrawn at a larger scale than training initialization:
 at tiny training-scale activations the attention score bias has a
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from .data import Batch, Vocab
 from .models import (
     ModelSpec,
@@ -60,12 +60,10 @@ def make_verification_batch(model, n=6, seed=0):
     spec = model.spec
     ids = np.zeros((n, spec.t_x), dtype=np.int64)
     mask = np.zeros((n, spec.t_x))
-    lengths = np.zeros(n, dtype=np.int64)
     for r in range(n):
         length = int(rng.integers(2, spec.t_x + 1))
         ids[r, :length] = rng.integers(1, len(model.vocab), size=length)
         mask[r, :length] = 1.0
-        lengths[r] = length
     labels = {
         task: (rng.integers(0, 2, size=n).astype(float), np.ones(n))
         for task in spec.task_names
@@ -75,7 +73,7 @@ def make_verification_batch(model, n=6, seed=0):
         onehot = np.zeros((n, spec.n_domains))
         for r in range(n):
             onehot[r, int(rng.integers(0, spec.n_domains))] = 1.0
-    return Batch(ids=ids, mask=mask, lengths=lengths, labels=labels, domain_onehot=onehot)
+    return Batch(ids=ids, mask=mask, labels=labels, domain_onehot=onehot)
 
 
 def full_loss(model, batch, reverse_domain=False):
@@ -105,14 +103,3 @@ def full_loss(model, batch, reverse_domain=False):
     if out.domain_probs is not None:
         domain_term = domain_cce_loss(out.domain_probs, batch.domain_onehot)
     return mt_daan_loss(task_losses, spec.w_tasks, domain_term, spec.w_domain)
-
-
-def micro_gradcheck(eps=1e-5, seed=0, m=3, adversarial=True, n_domains=3):
-    """Max relative finite-difference error over all parameters of the
-    micro model's full loss. Returns (error, parameter_entry_count)."""
-    model = make_verification_model(m=m, adversarial=adversarial, n_domains=n_domains, seed=seed)
-    batch = make_verification_batch(model, seed=seed)
-    params = [slot.var for slot in model.parameters()]
-    err = ad.grad_check(lambda: full_loss(model, batch), params, eps=eps)
-    n_entries = int(sum(p.value.size for p in params))
-    return err, n_entries

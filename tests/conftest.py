@@ -37,12 +37,10 @@ def make_micro_batch(model, n=4, seed=0, with_domain=False):
     t_x = spec.t_x
     ids = np.zeros((n, t_x), dtype=np.int64)
     mask = np.zeros((n, t_x))
-    lengths = np.zeros(n, dtype=np.int64)
     for r in range(n):
         length = int(rng.integers(2, t_x + 1))
         ids[r, :length] = rng.integers(1, len(model.vocab), size=length)
         mask[r, :length] = 1.0
-        lengths[r] = length
     labels = {
         task: (rng.integers(0, 2, size=n).astype(float), np.ones(n))
         for task in spec.task_names
@@ -52,7 +50,7 @@ def make_micro_batch(model, n=4, seed=0, with_domain=False):
         onehot = np.zeros((n, spec.n_domains))
         for r in range(n):
             onehot[r, int(rng.integers(0, spec.n_domains))] = 1.0
-    return Batch(ids=ids, mask=mask, lengths=lengths, labels=labels, domain_onehot=onehot)
+    return Batch(ids=ids, mask=mask, labels=labels, domain_onehot=onehot)
 
 
 @pytest.fixture

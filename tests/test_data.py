@@ -132,7 +132,7 @@ class TestCorpusIO:
         examples = [
             Example("quake", "ground shaking", tokenize("ground shaking"), {"priority": 1}),
             Example("flood", "river rising", tokenize("river rising"), {"priority": 0, "factoid": 1}),
-            Example("flood", "no labels here", tokenize("no labels here"), {}, split_tag="unlabeled"),
+            Example("flood", "no labels here", tokenize("no labels here"), {}),
         ]
         path = tmp_path / "corpus.tsv"
         write_corpus(path, examples, ["priority", "factoid"])
@@ -141,7 +141,7 @@ class TestCorpusIO:
         assert len(loaded) == 3
         assert loaded[0].labels == {"priority": 1}
         assert loaded[1].labels == {"priority": 0, "factoid": 1}
-        assert loaded[2].labels == {} and loaded[2].split_tag == "unlabeled"
+        assert loaded[2].labels == {}
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -203,7 +203,6 @@ class TestLeaveOneOutSplit:
         assert split.domain_examples
         for dex in split.domain_examples:
             assert dex.labels == {}
-            assert dex.split_tag == "unlabeled"
             assert dex.domain_idx == split.domain_index[dex.event_id]
             assert dex.event_id != "ev00"
 
@@ -224,7 +223,7 @@ class TestMakeBatches:
         examples = [ex("e", text, {"t": 1})]
         vocab = build_vocab(examples)
         batches = make_batches(examples, vocab, t_x=30, batch_size=4)
-        assert batches[0].lengths[0] == 30
+        assert batches[0].mask[0].sum() == 30
         assert np.all(batches[0].ids[0] != 0)
 
     def test_round_trip_decoding(self):
@@ -237,9 +236,11 @@ class TestMakeBatches:
     def test_ids_below_vocab_size_and_padding(self):
         examples, vocab = self.build(10)
         batches = make_batches(examples, vocab, t_x=6, batch_size=4)
-        for b in batches:
+        for bi, b in enumerate(batches):
             assert b.ids.max() < len(vocab)
-            for row_mask, row_ids, length in zip(b.mask, b.ids, b.lengths):
+            chunk = examples[4 * bi : 4 * bi + 4]
+            for row_mask, row_ids, example in zip(b.mask, b.ids, chunk):
+                length = min(len(example.tokens), 6)
                 assert np.array_equal(row_mask[:length], np.ones(length))
                 assert np.array_equal(row_mask[length:], np.zeros(6 - length))
                 assert np.all(row_ids[length:] == 0)
@@ -260,8 +261,8 @@ class TestMakeBatches:
 
     def test_domain_onehot(self):
         examples = [
-            Example("a", "x y", ["x", "y"], {}, "unlabeled", domain_idx=0),
-            Example("b", "y z", ["y", "z"], {}, "unlabeled", domain_idx=2),
+            Example("a", "x y", ["x", "y"], {}, domain_idx=0),
+            Example("b", "y z", ["y", "z"], {}, domain_idx=2),
         ]
         vocab = build_vocab(examples)
         batches = make_batches(examples, vocab, t_x=3, batch_size=4, tasks=(), n_domains=3)

@@ -3,7 +3,7 @@ import pytest
 
 from daanet import autodiff as ad
 from daanet import layers
-from daanet.errors import ContractError, ParameterError
+from daanet.errors import ContractError, DimensionError, ParameterError
 from daanet.models import ParamSlot
 from daanet.training import Adam
 
@@ -49,53 +49,58 @@ class TestEmbed:
 class TestBiLstm:
     def test_zero_input_zero_biases_gives_zero_activations(self, rng):
         params = layers.init_bilstm(rng, 3, 4)
-        x = ad.Var(np.zeros((5, 3)))
-        acts = layers.bilstm(params, x, np.ones(5))
-        assert np.array_equal(acts.value, np.zeros((5, 8)))
+        x = ad.Var(np.zeros((1, 5, 3)))
+        acts = layers.bilstm(params, x, np.ones((1, 5)))
+        assert np.array_equal(acts.value, np.zeros((1, 5, 8)))
 
     def test_single_position_shapes(self, rng):
         params = layers.init_bilstm(rng, 3, 4)
-        x = ad.Var(rng.normal(size=(1, 3)))
-        acts = layers.bilstm(params, x, np.ones(1))
-        assert acts.value.shape == (1, 8)
+        x = ad.Var(rng.normal(size=(1, 1, 3)))
+        acts = layers.bilstm(params, x, np.ones((1, 1)))
+        assert acts.value.shape == (1, 1, 8)
+
+    def test_single_example_without_batch_axis_rejected(self, rng):
+        params = layers.init_bilstm(rng, 3, 4)
+        with pytest.raises(DimensionError):
+            layers.bilstm(params, ad.Var(rng.normal(size=(5, 3))), np.ones(5))
 
     def test_masked_positions_emit_zeros(self, rng):
         params = layers.init_bilstm(rng, 3, 4)
-        x = ad.Var(rng.normal(size=(5, 3)))
-        acts = layers.bilstm(params, x, np.array([1, 1, 1, 0, 0]))
-        assert np.array_equal(acts.value[3:], np.zeros((2, 8)))
-        assert not np.allclose(acts.value[:3], 0.0)
+        x = ad.Var(rng.normal(size=(1, 5, 3)))
+        acts = layers.bilstm(params, x, np.array([[1, 1, 1, 0, 0]]))
+        assert np.array_equal(acts.value[0, 3:], np.zeros((2, 8)))
+        assert not np.allclose(acts.value[0, :3], 0.0)
 
     def test_masked_equals_shorter_sequence(self, rng):
         params = layers.init_bilstm(rng, 3, 4)
-        raw = rng.normal(size=(6, 3))
-        full = layers.bilstm(params, ad.Var(raw), np.array([1, 1, 1, 0, 0, 0])).value
-        short = layers.bilstm(params, ad.Var(raw[:3]), np.ones(3)).value
-        assert np.allclose(full[:3], short, atol=1e-12)
+        raw = rng.normal(size=(1, 6, 3))
+        full = layers.bilstm(params, ad.Var(raw), np.array([[1, 1, 1, 0, 0, 0]])).value
+        short = layers.bilstm(params, ad.Var(raw[:, :3]), np.ones((1, 3))).value
+        assert np.allclose(full[:, :3], short, atol=1e-12)
 
     def test_non_prefix_mask_rejected(self, rng):
         params = layers.init_bilstm(rng, 3, 4)
-        x = ad.Var(rng.normal(size=(4, 3)))
+        x = ad.Var(rng.normal(size=(1, 4, 3)))
         with pytest.raises(ContractError):
-            layers.bilstm(params, x, np.array([1, 0, 1, 0]))
+            layers.bilstm(params, x, np.array([[1, 0, 1, 0]]))
 
     def test_forward_direction_causality(self, rng):
         params = layers.init_bilstm(rng, 3, 4)
-        base = rng.normal(size=(6, 3))
+        base = rng.normal(size=(1, 6, 3))
         changed = base.copy()
-        changed[4:] = rng.normal(size=(2, 3))
-        mask = np.ones(6)
-        a1 = layers.bilstm(params, ad.Var(base), mask).value
-        a2 = layers.bilstm(params, ad.Var(changed), mask).value
+        changed[0, 4:] = rng.normal(size=(2, 3))
+        mask = np.ones((1, 6))
+        a1 = layers.bilstm(params, ad.Var(base), mask).value[0]
+        a2 = layers.bilstm(params, ad.Var(changed), mask).value[0]
         # forward half (first 4 dims) at positions <= 3 ignores later tokens
         assert np.array_equal(a1[:4, :4], a2[:4, :4])
         assert not np.allclose(a1[:4, 4:], a2[:4, 4:])
 
     def test_five_step_unroll_matches_finite_differences(self, rng):
         params = layers.init_bilstm(rng, 2, 3)
-        x = ad.Var(rng.normal(size=(5, 2)))
-        mask = np.array([1, 1, 1, 1, 0])
-        weights = rng.normal(size=(5, 6))
+        x = ad.Var(rng.normal(size=(1, 5, 2)))
+        mask = np.array([[1, 1, 1, 1, 0]])
+        weights = rng.normal(size=(1, 5, 6))
 
         def f():
             return ad.asum(ad.mul(layers.bilstm(params, x, mask), weights))
@@ -108,41 +113,41 @@ class TestAttentionHead:
     def test_identical_activations_give_uniform_alpha(self, rng):
         params = layers.init_attention(rng, 6, 4)
         row = rng.normal(size=6)
-        acts = ad.Var(np.tile(row, (5, 1)))
-        _, alpha = layers.attention_head(params, acts, np.ones(5))
-        assert np.allclose(alpha.value, np.full(5, 0.2), atol=1e-12)
+        acts = ad.Var(np.tile(row, (1, 5, 1)))
+        _, alpha = layers.attention_head(params, acts, np.ones((1, 5)))
+        assert np.allclose(alpha.value, np.full((1, 5), 0.2), atol=1e-12)
 
     def test_single_survivor_context_equals_activation(self, rng):
         params = layers.init_attention(rng, 6, 4)
-        acts_v = rng.normal(size=(4, 6))
+        acts_v = rng.normal(size=(1, 4, 6))
         context, alpha = layers.attention_head(
-            params, ad.Var(acts_v), np.array([1, 0, 0, 0])
+            params, ad.Var(acts_v), np.array([[1, 0, 0, 0]])
         )
-        assert np.array_equal(alpha.value, [1.0, 0.0, 0.0, 0.0])
-        assert np.allclose(context.value, acts_v[0], atol=1e-15)
+        assert np.array_equal(alpha.value, [[1.0, 0.0, 0.0, 0.0]])
+        assert np.allclose(context.value, acts_v[:, 0], atol=1e-15)
 
     def test_context_matches_brute_force(self, rng):
         params = layers.init_attention(rng, 6, 4)
-        acts_v = rng.normal(size=(7, 6))
-        mask = np.array([1, 1, 1, 1, 1, 0, 0])
+        acts_v = rng.normal(size=(1, 7, 6))
+        mask = np.array([[1, 1, 1, 1, 1, 0, 0]])
         context, alpha = layers.attention_head(params, ad.Var(acts_v), mask)
         brute = np.zeros(6)
         for k in range(7):
-            brute += alpha.value[k] * acts_v[k]
-        assert np.max(np.abs(context.value - brute)) < 1e-12
+            brute += alpha.value[0, k] * acts_v[0, k]
+        assert np.max(np.abs(context.value[0] - brute)) < 1e-12
 
     def test_context_in_convex_hull(self, rng):
         params = layers.init_attention(rng, 8, 4)
         for trial in range(25):
             t_x = int(rng.integers(2, 9))
             length = int(rng.integers(1, t_x + 1))
-            mask = np.zeros(t_x)
-            mask[:length] = 1
-            acts_v = rng.normal(size=(t_x, 8))
+            mask = np.zeros((1, t_x))
+            mask[0, :length] = 1
+            acts_v = rng.normal(size=(1, t_x, 8))
             context, _ = layers.attention_head(params, ad.Var(acts_v), mask)
-            kept = acts_v[:length]
-            assert np.all(context.value >= kept.min(axis=0) - 1e-12)
-            assert np.all(context.value <= kept.max(axis=0) + 1e-12)
+            kept = acts_v[0, :length]
+            assert np.all(context.value[0] >= kept.min(axis=0) - 1e-12)
+            assert np.all(context.value[0] <= kept.max(axis=0) + 1e-12)
 
     def test_alpha_contract_batched(self, rng):
         params = layers.init_attention(rng, 6, 4)
@@ -155,9 +160,9 @@ class TestAttentionHead:
 
     def test_grad_check(self, rng):
         params = layers.init_attention(rng, 4, 3)
-        acts = ad.Var(rng.normal(size=(5, 4)))
-        mask = np.array([1, 1, 1, 1, 0])
-        weights = rng.normal(size=4)
+        acts = ad.Var(rng.normal(size=(1, 5, 4)))
+        mask = np.array([[1, 1, 1, 1, 0]])
+        weights = rng.normal(size=(1, 4))
 
         def f():
             context, _ = layers.attention_head(params, acts, mask)
@@ -175,8 +180,13 @@ class TestDense:
 
     def test_softmax_head_on_zero_logits(self):
         params = layers.DenseParams(w=ad.Var(np.zeros((2, 3))), b=ad.Var(np.zeros(2)))
-        out = layers.dense(params, ad.Var(np.ones(3)), activation="softmax")
-        assert np.allclose(out.value, [0.5, 0.5])
+        out = layers.dense(params, ad.Var(np.ones((1, 3))), activation="softmax")
+        assert np.allclose(out.value, [[0.5, 0.5]])
+
+    def test_unknown_kind(self, rng):
+        params = layers.init_dense(rng, 3, 2)
+        with pytest.raises(ParameterError):
+            layers.dense(params, ad.Var(np.ones((1, 3))), activation="gelu")
 
     def test_grad_check(self, rng):
         params = layers.init_dense(rng, 4, 3)

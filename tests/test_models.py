@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +8,14 @@ from conftest import make_micro_batch, make_micro_model, micro_spec, micro_vocab
 
 from daanet import autodiff as ad
 from daanet import models
-from daanet.errors import ContractError, DimensionError, LabelError, ParameterError
+from daanet.errors import (
+    ContractError,
+    DataError,
+    DegenerateMaskError,
+    DimensionError,
+    LabelError,
+    ParameterError,
+)
 from daanet.models import (
     ModelSpec,
     bce_loss,
@@ -17,7 +26,6 @@ from daanet.models import (
     mt_daan_forward,
     mt_daan_loss,
     save_model,
-    st_daan_loss,
     st_forward,
 )
 from daanet.verify import full_loss, make_verification_batch, make_verification_model
@@ -132,15 +140,19 @@ class TestStForward:
 
 
 class TestStDaanLoss:
+    """The ST-DAAN loss is `mt_daan_loss` with one unit-weight task."""
+
     def test_zero_weight_equals_task_loss(self):
-        assert st_daan_loss(0.7, 1.2, 0.0) == 0.7
+        total = mt_daan_loss([ad.Var(0.7)], (1.0,), ad.Var(1.2), 0.0)
+        assert float(total.value) == 0.7
 
     def test_arithmetic(self):
-        assert st_daan_loss(0.7, 1.2, 0.5) == pytest.approx(1.3, abs=1e-15)
+        total = mt_daan_loss([ad.Var(0.7)], (1.0,), ad.Var(1.2), 0.5)
+        assert float(total.value) == pytest.approx(1.3, abs=1e-15)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ParameterError):
-            st_daan_loss(0.7, 1.2, -0.5)
+            mt_daan_loss([ad.Var(0.7)], (1.0,), ad.Var(1.2), -0.5)
 
     def test_encoder_grad_decomposes_into_task_minus_domain(self):
         w_domain = 0.5
@@ -167,7 +179,10 @@ class TestStDaanLoss:
                 if want_domain:
                     dl = domain_cce_loss(out.domain_probs, batch.domain_onehot)
                     parts.append(ad.mul(dl, w_domain) if not want_tasks else dl)
-                loss = parts[0] if len(parts) == 1 else st_daan_loss(parts[0], parts[1], w_domain)
+                if len(parts) == 1:
+                    loss = parts[0]
+                else:
+                    loss = mt_daan_loss([parts[0]], (1.0,), parts[1], w_domain)
                 ad.backward(tape, loss)
             return [v.grad.copy() for v in encoder_vars]
 
@@ -199,6 +214,25 @@ class TestMtDaanForward:
         for alpha in alphas:
             assert np.allclose(alpha.value.sum(axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("want_tasks", [False, True], ids=["domain_only", "tasks"])
+    def test_all_padding_row_rejected(self, want_tasks):
+        model = make_micro_model(m=2, adversarial=True, n_domains=3)
+        batch = make_micro_batch(model, n=4, with_domain=True)
+        batch.ids[2] = 0
+        batch.mask[2] = 0.0
+        with pytest.raises(DegenerateMaskError):
+            models._forward(
+                model, batch.ids, batch.mask, want_tasks=want_tasks, want_domain=True
+            )
+
+    def test_every_parameter_gets_a_gradient_with_reversal(self):
+        model = make_verification_model()
+        batch = make_verification_batch(model)
+        with ad.Tape() as tape:
+            ad.backward(tape, full_loss(model, batch, reverse_domain=True))
+        dead = [slot.name for slot in model.parameters() if not np.any(slot.var.grad)]
+        assert dead == []
+
     def test_missing_task_labels_rejected(self):
         model = make_micro_model(m=2)
         batch = make_micro_batch(model)
@@ -217,11 +251,12 @@ class TestMtDaanForward:
 
 class TestMtDaanLoss:
     def test_unit_weights(self):
-        assert mt_daan_loss([0.3, 0.5], (1.0, 1.0), None, 0.0) == pytest.approx(0.8)
+        total = mt_daan_loss([ad.Var(0.3), ad.Var(0.5)], (1.0, 1.0), None, 0.0)
+        assert float(total.value) == pytest.approx(0.8)
 
     def test_single_task_reduces_to_composition(self):
-        direct = st_daan_loss(0.42, 0.9, 0.25)
-        viaM = mt_daan_loss([0.42], (1.0,), 0.9, 0.25)
+        direct = 0.42 + 0.25 * 0.9
+        viaM = float(mt_daan_loss([ad.Var(0.42)], (1.0,), ad.Var(0.9), 0.25).value)
         assert viaM == pytest.approx(direct, abs=1e-15)
 
     def test_random_weights_match_dot_product(self):
@@ -232,7 +267,9 @@ class TestMtDaanLoss:
             weights = rng.uniform(0, 2, size=m)
             d_loss = float(rng.uniform(0, 2))
             w_d = float(rng.uniform(0, 1))
-            got = mt_daan_loss(list(losses), tuple(weights), d_loss, w_d)
+            got = float(
+                mt_daan_loss([ad.Var(x) for x in losses], tuple(weights), ad.Var(d_loss), w_d).value
+            )
             want = float(np.dot(losses, weights)) + w_d * d_loss
             assert abs(got - want) < 1e-12
 
@@ -288,7 +325,7 @@ class TestHeadIsolationAndDetachment:
                 loss = bce_loss(out.task_probs[0], y, present)
                 if with_domain:
                     d_loss = domain_cce_loss(out.domain_probs, batch.domain_onehot)
-                    loss = st_daan_loss(loss, d_loss, model.spec.w_domain)
+                    loss = mt_daan_loss([loss], (1.0,), d_loss, model.spec.w_domain)
                 ad.backward(tape, loss)
             return [var.grad.copy() for _, var in shared]
 
@@ -333,6 +370,53 @@ class TestPersistence:
         probs_after, _, _ = mt_daan_forward(loaded, batch)
         for a, b in zip(probs_before, probs_after):
             assert np.array_equal(a.value, b.value)
+
+
+def rewrite_archive(src, dst, meta=None, raw_meta=None, extra=None):
+    """Copy a saved archive, replacing its meta (as a dict or raw text)
+    and adding arrays."""
+    with np.load(src) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    if meta is not None:
+        raw_meta = json.dumps(meta)
+    if raw_meta is not None:
+        arrays["meta.json"] = np.array(raw_meta)
+    arrays.update(extra or {})
+    np.savez(dst, **arrays)
+
+
+class TestArchiveErrors:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(make_micro_model(m=2, adversarial=True, n_domains=3, seed=5), path)
+        with np.load(path) as archive:
+            meta = json.loads(str(archive["meta.json"]))
+        return path, meta
+
+    def load_rewritten(self, saved, tmp_path, **kwargs):
+        bad = tmp_path / "bad.npz"
+        rewrite_archive(saved[0], bad, **kwargs)
+        with pytest.raises(DataError, match=re.escape(str(bad))) as excinfo:
+            load_model(bad)
+        return str(excinfo.value)
+
+    def test_unknown_spec_key(self, saved, tmp_path):
+        meta = saved[1]
+        meta["spec"]["domain_pooling"] = "mean"
+        assert "spec" in self.load_rewritten(saved, tmp_path, meta=meta)
+
+    def test_corrupt_meta_json(self, saved, tmp_path):
+        assert "meta.json" in self.load_rewritten(saved, tmp_path, raw_meta='{"format": 2,')
+
+    def test_leftover_parameter(self, saved, tmp_path):
+        extra = {"param/domain.attn.w": np.zeros((4, 8))}
+        assert "domain.attn.w" in self.load_rewritten(saved, tmp_path, extra=extra)
+
+    def test_earlier_format_rejected(self, saved, tmp_path):
+        meta = saved[1]
+        meta["format"] = 1
+        assert "format 1" in self.load_rewritten(saved, tmp_path, meta=meta)
 
 
 class TestModelSpecValidation:
