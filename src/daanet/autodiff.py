@@ -233,16 +233,6 @@ def reshape(a, shape):
 # activations
 
 
-def sigmoid(x):
-    out = Var(1.0 / (1.0 + np.exp(-x.value)))
-    ov = out.value
-
-    def pullback(g):
-        x.add_grad(g * ov * (1.0 - ov))
-
-    return _record(out, (x,), pullback)
-
-
 def tanh(x):
     out = Var(np.tanh(x.value))
     ov = out.value
@@ -391,42 +381,6 @@ def concat(parts, axis=-1):
     return _record(out, var_parents, pullback)
 
 
-def stack_time(parts):
-    """Stack a list of [N x h] Vars into [N x T x h] along a new axis 1."""
-    out = Var(np.stack([_value(p) for p in parts], axis=1))
-    var_idx = [(t, p) for t, p in enumerate(parts) if isinstance(p, Var)]
-
-    def pullback(g):
-        for t, p in var_idx:
-            p.add_grad(g[:, t])
-
-    return _record(out, tuple(p for _, p in var_idx), pullback)
-
-
-def slice_time(x, t):
-    """Select position `t` along axis 1 of an [N x T x ...] Var."""
-    out = Var(x.value[:, t])
-
-    def pullback(g):
-        buf = np.zeros_like(x.value)
-        buf[:, t] = g
-        x.add_grad(buf)
-
-    return _record(out, (x,), pullback)
-
-
-def slice_cols(x, j0, j1):
-    """Select columns [j0:j1) along the last axis."""
-    out = Var(x.value[..., j0:j1])
-
-    def pullback(g):
-        buf = np.zeros_like(x.value)
-        buf[..., j0:j1] = g
-        x.add_grad(buf)
-
-    return _record(out, (x,), pullback)
-
-
 def column(x, j):
     """Select one column of a 2-D Var, dropping the axis."""
     out = Var(x.value[:, j])
@@ -474,6 +428,94 @@ def attend(alpha, acts):
         acts.add_grad(av[:, :, None] * g[:, None, :])
 
     return _record(out, (alpha, acts), pullback)
+
+
+# ---------------------------------------------------------------------------
+# recurrence
+
+
+def lstm(x, mask, w, b, reverse=False):
+    """One LSTM direction over [N x T x d] inputs, recorded as a single node;
+    returns the hidden states [N x T x h].
+
+    The gates are stacked row-wise in i, f, o, c order: `w` is
+    [4h x (d+h)] and acts on the concatenation [x_t, h_{t-1}], and `b` is
+    [4h]. Each step computes
+        i, f, o = sigmoid(rows 0:h, h:2h, 2h:3h);  c~ = tanh(rows 3h:4h)
+        c_t = f * c_{t-1} + i * c~;                h_t = o * tanh(c_t)
+    from a zero initial state, visiting t = 0..T-1, or T-1..0 when
+    `reverse` is set.
+
+    `mask` is a {0, 1} array [N x T]. Where it is 0 the position emits a
+    zero state and the carried (h, c) pass through unchanged, so a row
+    with right padding reads exactly like the shorter sequence in either
+    direction.
+
+    The pullback is backpropagation through time over the per-step values
+    the forward loop saved; they are kept only while a tape is recording.
+    """
+    xv, wv, bv = x.value, w.value, b.value
+    mv = np.asarray(mask, dtype=np.float64)
+    if xv.ndim != 3 or mv.shape != xv.shape[:2]:
+        raise DimensionError(f"lstm: mask shape {mv.shape} does not match input {xv.shape}")
+    n, t_x, d = xv.shape
+    h = bv.shape[0] // 4
+    if bv.shape != (4 * h,) or wv.shape != (4 * h, d + h):
+        raise DimensionError(
+            f"lstm: gate weights {wv.shape} and biases {bv.shape} do not fit input dim {d}"
+        )
+    recording = _tape() is not None
+    saved = []
+    out_v = np.empty((n, t_x, h))
+    h_prev = np.zeros((n, h))
+    c_prev = np.zeros((n, h))
+    for t in range(t_x - 1, -1, -1) if reverse else range(t_x):
+        inp = np.concatenate([xv[:, t], h_prev], axis=1)
+        pre = inp @ wv.T + bv
+        gi = 1.0 / (1.0 + np.exp(-pre[:, :h]))
+        gf = 1.0 / (1.0 + np.exp(-pre[:, h : 2 * h]))
+        go = 1.0 / (1.0 + np.exp(-pre[:, 2 * h : 3 * h]))
+        gc = np.tanh(pre[:, 3 * h :])
+        c_new = gf * c_prev + gi * gc
+        tc = np.tanh(c_new)
+        m = mv[:, t : t + 1]
+        inv = 1.0 - m
+        out_v[:, t] = act = go * tc * m
+        if recording:
+            saved.append((t, inp, gi, gf, go, gc, c_prev, tc))
+        h_prev = act + h_prev * inv
+        c_prev = c_new * m + c_prev * inv
+    out = Var(out_v)
+    if not recording:
+        return out
+
+    def pullback(g):
+        dx = np.zeros_like(xv)
+        dw_t = np.zeros((d + h, 4 * h))
+        db = np.zeros(4 * h)
+        dh = np.zeros((n, h))  # gradient reaching the carried state
+        dc = np.zeros((n, h))
+        dpre = np.empty((n, 4 * h))
+        for t, inp, gi, gf, go, gc, c_prev, tc in reversed(saved):
+            m = mv[:, t : t + 1]
+            inv = 1.0 - m
+            dh_new = (g[:, t] + dh) * m
+            dc_new = dc * m + dh_new * go * (1.0 - tc * tc)
+            dpre[:, :h] = dc_new * gc * gi * (1.0 - gi)
+            dpre[:, h : 2 * h] = dc_new * c_prev * gf * (1.0 - gf)
+            dpre[:, 2 * h : 3 * h] = dh_new * tc * go * (1.0 - go)
+            dpre[:, 3 * h :] = dc_new * gi * (1.0 - gc * gc)
+            dw_t += inp.T @ dpre
+            db += dpre.sum(axis=0)
+            dinp = dpre @ wv
+            dx[:, t] = dinp[:, :d]
+            dh = dh * inv + dinp[:, d:]
+            dc = dc * inv + dc_new * gf
+        x.add_grad(dx)
+        w.add_grad(dw_t.T)
+        b.add_grad(db)
+
+    return _record(out, (x, w, b), pullback)
 
 
 # ---------------------------------------------------------------------------

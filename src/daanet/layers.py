@@ -5,6 +5,13 @@ The layers take batches only: the encoder and attention head read
 [N x T x d] activations with an [N x T] mask, and dense layers read
 [N x in] rows; a single example is a batch of one. Every forward function
 runs on whatever Tape is active; with no tape it is a plain evaluation.
+
+Each encoder direction is one `autodiff.lstm` node. Its four gates are
+stacked row-wise in i, f, o, c order into one weight w [4h x (d+h)],
+applied to [x_t, h_{t-1}], and one bias b [4h]. The mask must be right
+padding (a prefix of ones per row): a padded position emits zeros and
+leaves the recurrent state as it was, so in both directions a padded row
+gives the same states as its unpadded sequence.
 """
 
 from __future__ import annotations
@@ -89,50 +96,31 @@ def embed(matrix, ids):
 
 
 @dataclass
-class LstmCellParams:
-    """One direction's gate weights; each W is [h x (d+h)], each b is [h]."""
+class LstmParams:
+    """One direction's stacked gates in i, f, o, c row order: w is
+    [4h x (d+h)] and b is [4h] (see `autodiff.lstm`)."""
 
-    w_i: ad.Var
-    w_f: ad.Var
-    w_o: ad.Var
-    w_c: ad.Var
-    b_i: ad.Var
-    b_f: ad.Var
-    b_o: ad.Var
-    b_c: ad.Var
-
-    @property
-    def hidden(self):
-        return self.w_i.value.shape[0]
+    w: ad.Var
+    b: ad.Var
 
     def variables(self, prefix):
-        return [
-            (f"{prefix}.{name}", getattr(self, name))
-            for name in ("w_i", "w_f", "w_o", "w_c", "b_i", "b_f", "b_o", "b_c")
-        ]
+        return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
 
 
 @dataclass
 class BiLstmParams:
-    fwd: LstmCellParams
-    bwd: LstmCellParams
-
-    @property
-    def hidden(self):
-        return self.fwd.hidden
+    fwd: LstmParams
+    bwd: LstmParams
 
     def variables(self, prefix="bilstm"):
         return self.fwd.variables(f"{prefix}.fwd") + self.bwd.variables(f"{prefix}.bwd")
 
 
 def init_lstm_cell(rng, input_dim, hidden):
-    def w():
-        return ad.Var(uniform_init(rng, (hidden, input_dim + hidden)))
-
-    def b():
-        return ad.Var(np.zeros(hidden))
-
-    return LstmCellParams(w_i=w(), w_f=w(), w_o=w(), w_c=w(), b_i=b(), b_f=b(), b_o=b(), b_c=b())
+    return LstmParams(
+        w=ad.Var(uniform_init(rng, (4 * hidden, input_dim + hidden))),
+        b=ad.Var(np.zeros(4 * hidden)),
+    )
 
 
 def init_bilstm(rng, input_dim, hidden):
@@ -142,62 +130,22 @@ def init_bilstm(rng, input_dim, hidden):
     )
 
 
-def _check_prefix_mask(mask2):
-    if np.any(np.diff(mask2, axis=1) > 0):
-        raise ContractError("mask must be a prefix of ones followed by zeros")
-
-
-def _run_direction(cell, x3, mask2, reverse):
-    n, t_x, _ = x3.value.shape
-    h = cell.hidden
-    w_all_t = ad.transpose(ad.concat([cell.w_i, cell.w_f, cell.w_o, cell.w_c], axis=0))
-    b_all = ad.concat([cell.b_i, cell.b_f, cell.b_o, cell.b_c], axis=0)
-
-    h_prev = np.zeros((n, h))
-    c_prev = np.zeros((n, h))
-    acts = [None] * t_x
-    order = range(t_x - 1, -1, -1) if reverse else range(t_x)
-    for t in order:
-        x_t = ad.slice_time(x3, t)
-        inp = ad.concat([x_t, h_prev], axis=1)
-        pre = ad.add(ad.matmul(inp, w_all_t), b_all)
-        gi = ad.sigmoid(ad.slice_cols(pre, 0, h))
-        gf = ad.sigmoid(ad.slice_cols(pre, h, 2 * h))
-        go = ad.sigmoid(ad.slice_cols(pre, 2 * h, 3 * h))
-        gc = ad.tanh(ad.slice_cols(pre, 3 * h, 4 * h))
-        c_new = ad.add(ad.mul(gf, c_prev), ad.mul(gi, gc))
-        h_new = ad.mul(go, ad.tanh(c_new))
-
-        m = mask2[:, t : t + 1]
-        if m.all():
-            acts[t] = h_new
-            h_prev, c_prev = h_new, c_new
-        else:
-            # padded rows carry state through unchanged and emit zeros
-            act = ad.mul(h_new, m)
-            acts[t] = act
-            inv = 1.0 - m
-            h_prev = ad.add(act, ad.mul(h_prev, inv))
-            c_prev = ad.add(ad.mul(c_new, m), ad.mul(c_prev, inv))
-    return acts
-
-
 def bilstm(params, x, mask):
     """Run both directions over [N x T x d] inputs and return per-position
-    concatenated states [N x T x 2h].
+    concatenated states [N x T x 2h], forward half first.
 
     The [N x T] mask must be right-padding (a prefix of ones per row);
     padded positions emit zero activations and do not advance the
-    recurrent state.
+    recurrent state, so each row reads like its unpadded sequence.
     """
     mask2 = np.asarray(mask, dtype=np.float64)
     if mask2.shape != x.value.shape[:2]:
         raise DimensionError(f"mask shape {mask2.shape} does not match input {x.value.shape}")
-    _check_prefix_mask(mask2)
-
-    fwd_acts = _run_direction(params.fwd, x, mask2, reverse=False)
-    bwd_acts = _run_direction(params.bwd, x, mask2, reverse=True)
-    return ad.concat([ad.stack_time(fwd_acts), ad.stack_time(bwd_acts)], axis=2)
+    if np.any(np.diff(mask2, axis=1) > 0):
+        raise ContractError("mask must be a prefix of ones followed by zeros")
+    fwd = ad.lstm(x, mask2, params.fwd.w, params.fwd.b)
+    bwd = ad.lstm(x, mask2, params.bwd.w, params.bwd.b, reverse=True)
+    return ad.concat([fwd, bwd], axis=2)
 
 
 # ---------------------------------------------------------------------------

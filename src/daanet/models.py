@@ -46,7 +46,7 @@ from .layers import (
 )
 
 PROB_CLIP = 1e-7
-ARCHIVE_FORMAT = 2
+ARCHIVE_FORMAT = 3
 
 ParamSlot = namedtuple("ParamSlot", ["name", "var", "update_mask"])
 

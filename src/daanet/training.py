@@ -296,32 +296,24 @@ class Metrics:
         return float(np.mean([tm.f1 for tm in self.per_task.values()]))
 
 
-def binary_f1(y_true, y_pred, mode="positive"):
-    """Positive-class F1 (or macro over both classes); degenerate cases
-    (no positives present or predicted) score 0 and are flagged."""
+def binary_f1(y_true, y_pred):
+    """Positive-class F1; degenerate cases (no positives present or
+    predicted) score 0 and are flagged."""
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
-
-    def one_class(pos):
-        tp = np.sum((y_pred == pos) & (y_true == pos))
-        fp = np.sum((y_pred == pos) & (y_true != pos))
-        fn = np.sum((y_pred != pos) & (y_true == pos))
-        if tp + fp == 0 or tp + fn == 0:
-            return 0.0, True
-        precision = tp / (tp + fp)
-        recall = tp / (tp + fn)
-        if precision + recall == 0:
-            return 0.0, True
-        return 2 * precision * recall / (precision + recall), False
-
-    f1_pos, degen_pos = one_class(1)
-    if mode == "positive":
-        return f1_pos, degen_pos
-    f1_neg, degen_neg = one_class(0)
-    return (f1_pos + f1_neg) / 2.0, degen_pos or degen_neg
+    tp = np.sum((y_pred == 1) & (y_true == 1))
+    fp = np.sum((y_pred == 1) & (y_true != 1))
+    fn = np.sum((y_pred != 1) & (y_true == 1))
+    if tp + fp == 0 or tp + fn == 0:
+        return 0.0, True
+    precision = tp / (tp + fp)
+    recall = tp / (tp + fn)
+    if precision + recall == 0:
+        return 0.0, True
+    return 2 * precision * recall / (precision + recall), False
 
 
-def evaluate(model, examples, batch_size=256, f1_mode="positive"):
+def evaluate(model, examples, batch_size=256):
     """Accuracy and F1 at threshold 0.5 on the positive-class probability,
     per task, over the examples where that task is labeled."""
     spec = model.spec
@@ -345,7 +337,7 @@ def evaluate(model, examples, batch_size=256, f1_mode="positive"):
         if y_true.size == 0:
             continue
         acc = float(np.mean(y_true == y_pred))
-        f1, degenerate = binary_f1(y_true, y_pred, mode=f1_mode)
+        f1, degenerate = binary_f1(y_true, y_pred)
         if degenerate:
             log.warning("degenerate F1 for task %r (no positives predicted or present)", task)
         per_task[task] = TaskMetrics(accuracy=acc, f1=float(f1), n=int(y_true.size), degenerate=degenerate)
@@ -403,7 +395,6 @@ def lr_baseline(
     lr=1.0,
     max_epochs=500,
     tol=1e-6,
-    f1_mode="positive",
 ):
     """Binary logistic regression over mean token embeddings, trained by
     full-batch gradient descent until the loss moves less than `tol`."""
@@ -430,7 +421,7 @@ def lr_baseline(
     y_true = np.array([ex.labels[task] for ex in test_examples], dtype=int)
     y_pred = ((xt @ w + b) >= 0.0).astype(int)
     acc = float(np.mean(y_true == y_pred)) if y_true.size else 0.0
-    f1, degenerate = binary_f1(y_true, y_pred, mode=f1_mode)
+    f1, degenerate = binary_f1(y_true, y_pred)
     if degenerate:
         log.warning("degenerate F1 for LR baseline on task %r", task)
     return Metrics(

@@ -73,10 +73,21 @@ class TestBiLstm:
 
     def test_masked_equals_shorter_sequence(self, rng):
         params = layers.init_bilstm(rng, 3, 4)
-        raw = rng.normal(size=(1, 6, 3))
-        full = layers.bilstm(params, ad.Var(raw), np.array([[1, 1, 1, 0, 0, 0]])).value
-        short = layers.bilstm(params, ad.Var(raw[:, :3]), np.ones((1, 3))).value
-        assert np.allclose(full[:, :3], short, atol=1e-12)
+        raw = rng.normal(size=(3, 6, 3))
+        lengths = (6, 3, 1)
+        mask = np.array([[1.0] * n + [0.0] * (6 - n) for n in lengths])
+        full = layers.bilstm(params, ad.Var(raw), mask).value
+        for r, n in enumerate(lengths):
+            alone = layers.bilstm(params, ad.Var(raw[r : r + 1, :n]), np.ones((1, n))).value
+            # both halves: forward states [:4] and backward states [4:]
+            assert np.allclose(full[r, :n], alone[0], atol=1e-12)
+
+    def test_forward_records_three_nodes(self, rng):
+        params = layers.init_bilstm(rng, 3, 4)
+        x = ad.Var(rng.normal(size=(2, 5, 3)))
+        with ad.Tape() as tape:
+            layers.bilstm(params, x, np.array([[1, 1, 1, 1, 1], [1, 1, 0, 0, 0]]))
+        assert len(tape.nodes) == 3
 
     def test_non_prefix_mask_rejected(self, rng):
         params = layers.init_bilstm(rng, 3, 4)

@@ -415,8 +415,9 @@ class TestArchiveErrors:
 
     def test_earlier_format_rejected(self, saved, tmp_path):
         meta = saved[1]
-        meta["format"] = 1
-        assert "format 1" in self.load_rewritten(saved, tmp_path, meta=meta)
+        meta["format"] = models.ARCHIVE_FORMAT - 1
+        message = self.load_rewritten(saved, tmp_path, meta=meta)
+        assert f"format {models.ARCHIVE_FORMAT - 1}" in message
 
 
 class TestModelSpecValidation:

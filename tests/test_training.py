@@ -233,13 +233,6 @@ class TestMetrics:
         recall = tp / (tp + fn)
         assert f1 == pytest.approx(2 * precision * recall / (precision + recall), abs=1e-12)
 
-    def test_macro_mode(self):
-        y_true = [1, 1, 0, 0, 1]
-        y_pred = [1, 0, 0, 1, 1]
-        pos, _ = binary_f1(y_true, y_pred, mode="positive")
-        macro, _ = binary_f1(y_true, y_pred, mode="macro")
-        assert macro != pos
-
     def test_evaluate_invariant_to_ordering(self):
         split, vocab, tasks = tiny_split(per_event=20)
         model = build_model(tiny_spec(vocab, tasks), vocab, seed=6)
