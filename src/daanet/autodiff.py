@@ -73,8 +73,10 @@ class Var:
 
     @property
     def grad(self):
+        """The gradient, allocated as zeros on first use; `np.zeros` leaves
+        the pages of a large table untouched until rows are written."""
         if self._grad is None:
-            self._grad = np.zeros_like(self.value)
+            self._grad = np.zeros(self.value.shape)
         return self._grad
 
     def add_grad(self, g):
@@ -396,8 +398,11 @@ def column(x, j):
 def gather_rows(table, ids, row_grad_mask=None):
     """Row lookup `table[ids]`; the backward pass scatter-adds into the table.
 
-    `row_grad_mask`, when given, is a {0,1} vector over rows; rows with 0
-    receive no gradient (locked embedding rows).
+    The pullback sums the incoming rows per distinct id into a block of
+    only the touched rows, in `ids` order, and adds that block into the
+    table's gradient rows; untouched rows are never written. `row_grad_mask`,
+    when given, is a {0,1} vector over rows; rows with 0 receive no gradient
+    (locked embedding rows).
     """
     ids = np.asarray(ids)
     if ids.size and ids.max() >= table.value.shape[0]:
@@ -407,11 +412,12 @@ def gather_rows(table, ids, row_grad_mask=None):
     out = Var(table.value[ids])
 
     def pullback(g):
-        buf = np.zeros_like(table.value)
-        np.add.at(buf, ids.reshape(-1), g.reshape(-1, table.value.shape[1]))
+        rows, slots = np.unique(ids, return_inverse=True)
+        block = np.zeros((rows.size, table.value.shape[1]))
+        np.add.at(block, slots.reshape(-1), g.reshape(-1, table.value.shape[1]))
         if row_grad_mask is not None:
-            buf *= row_grad_mask[:, None]
-        table.add_grad(buf)
+            block *= row_grad_mask[rows, None]
+        table.grad[rows] += block
 
     return _record(out, (table,), pullback)
 

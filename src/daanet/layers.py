@@ -225,5 +225,7 @@ def dropout(x, rate, rng, training):
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
+    if rng is None:
+        raise ContractError("training-mode dropout needs a random generator (rng)")
     keep = (rng.random(x.value.shape) >= rate) / (1.0 - rate)
     return ad.mul(x, keep)

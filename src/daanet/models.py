@@ -13,9 +13,9 @@ branch behind a gradient-reversal layer.
 from __future__ import annotations
 
 import json
-from collections import namedtuple
 from dataclasses import asdict, dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +48,18 @@ from .layers import (
 PROB_CLIP = 1e-7
 ARCHIVE_FORMAT = 3
 
-ParamSlot = namedtuple("ParamSlot", ["name", "var", "update_mask"])
+
+class ParamSlot(NamedTuple):
+    """A named trainable tensor as the optimizer sees it.
+
+    `update_mask` is None, or a {0,1} column [rows x 1] over a 2-D
+    parameter: rows marked 0 are locked, and `training.Adam` neither
+    updates them nor keeps moments for them.
+    """
+
+    name: str
+    var: ad.Var
+    update_mask: np.ndarray | None
 
 
 @dataclass
@@ -348,17 +359,30 @@ def save_model(model, path):
     np.savez(path, **arrays)
 
 
+def _require(entries, names, what, path):
+    missing = [name for name in names if name not in entries]
+    if missing:
+        raise DataError(f"{what} is missing {', '.join(missing)}", path=str(path))
+
+
 def load_model(path):
     """Rebuild a model from a `save_model` archive; a malformed archive
     raises DataError naming the path."""
     with np.load(path, allow_pickle=False) as archive:
+        _require(
+            archive.files, ("meta.json", "embedding.locked", "param/embedding.table"), "archive", path
+        )
         try:
             meta = json.loads(str(archive["meta.json"]))
         except json.JSONDecodeError as exc:
             raise DataError(f"corrupt meta.json: {exc}", path=str(path)) from None
+        if not isinstance(meta, dict) or not isinstance(meta.get("spec", {}), dict):
+            raise DataError("meta.json and its spec must be JSON objects", path=str(path))
         if meta.get("format") != ARCHIVE_FORMAT:
             raise DataError(f"unsupported archive format {meta.get('format')}", path=str(path))
+        _require(meta, ("spec", "vocab_tokens", "vocab_sha256"), "meta.json", path)
         spec_dict = meta["spec"]
+        _require(spec_dict, ("task_names", "w_tasks"), "model spec", path)
         spec_dict["task_names"] = tuple(spec_dict["task_names"])
         spec_dict["w_tasks"] = tuple(spec_dict["w_tasks"])
         try:
@@ -375,8 +399,11 @@ def load_model(path):
         }
         locked = archive["embedding.locked"].astype(bool)
 
-    embedding = EmbeddingMatrix(table=ad.Var(params.pop("embedding.table")), locked=locked)
-    model = build_model(spec, vocab, embedding=embedding, seed=0)
+    try:
+        embedding = EmbeddingMatrix(table=ad.Var(params.pop("embedding.table")), locked=locked)
+        model = build_model(spec, vocab, embedding=embedding, seed=0)
+    except DimensionError as exc:
+        raise DataError(f"embedding does not fit the model: {exc}", path=str(path)) from None
     for slot in model.parameters():
         if slot.name == "embedding.table":
             continue

@@ -36,9 +36,32 @@ class TrainConfig:
             raise ParameterError("learning rate must be positive")
 
 
+def _update_rows(slot):
+    """Row selector for a slot's updates: the unlocked rows of a masked
+    2-D parameter, or the whole array (`...`) when there is no mask."""
+    mask = slot.update_mask
+    if mask is None:
+        return ...
+    mask = np.asarray(mask)
+    value = slot.var.value
+    if value.ndim != 2 or mask.shape != (value.shape[0], 1):
+        raise ParameterError(
+            f"update mask for {slot.name} must be a [rows x 1] column over a 2-D "
+            f"parameter; got mask {mask.shape} for parameter {value.shape}"
+        )
+    if not np.all((mask == 0) | (mask == 1)):
+        raise ParameterError(f"update mask for {slot.name} must hold only 0 and 1")
+    return np.flatnonzero(mask[:, 0])
+
+
 class Adam:
-    """Bias-corrected Adam over ParamSlots; slots with an update mask
-    (locked embedding rows) multiply their step by it."""
+    """Bias-corrected Adam over ParamSlots, updating parameters in place.
+
+    A slot with an update mask (locked embedding rows) is updated only on
+    its unlocked rows, and its moments m and v hold those rows alone, so
+    locked rows cost neither memory nor time. Adam is elementwise, so this
+    gives the same numbers as a full-table step that zeroes locked rows.
+    """
 
     def __init__(self, slots, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.slots = list(slots)
@@ -47,25 +70,26 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(s.var.value) for s in self.slots]
-        self.v = [np.zeros_like(s.var.value) for s in self.slots]
+        self.rows = [_update_rows(s) for s in self.slots]
+        self.m = [np.zeros_like(s.var.value[r]) for s, r in zip(self.slots, self.rows)]
+        self.v = [np.zeros_like(m) for m in self.m]
 
     def step(self):
         self.t += 1
         correct1 = 1.0 - self.beta1**self.t
         correct2 = 1.0 - self.beta2**self.t
-        for i, slot in enumerate(self.slots):
+        for i, (slot, rows) in enumerate(zip(self.slots, self.rows)):
             g = slot.var._grad
             if g is None:
                 g = 0.0
             elif g.shape != slot.var.value.shape:
                 raise DimensionError(f"gradient shape mismatch for {slot.name}: {g.shape}")
+            else:
+                g = g[rows]
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
             delta = self.lr * (self.m[i] / correct1) / (np.sqrt(self.v[i] / correct2) + self.eps)
-            if slot.update_mask is not None:
-                delta = delta * slot.update_mask
-            slot.var.value = slot.var.value - delta
+            slot.var.value[rows] -= delta
 
     def zero_grad(self):
         for slot in self.slots:

@@ -296,6 +296,28 @@ class TestStructuralOps:
         assert np.array_equal(table.grad[0], [0.0, 0.0])
         assert np.array_equal(table.grad[1], [1.0, 1.0])
 
+    def test_gather_rows_two_calls_match_dense_scatter(self):
+        rng = np.random.default_rng(29)
+        table = ad.Var(rng.normal(size=(7, 3)))
+        keep = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
+        ids = [np.array([[2, 3, 2, 0], [5, 2, 3, 3]]), np.array([[4, 4, 3], [2, 0, 4]])]
+        weights = [rng.normal(size=i.shape + (3,)) for i in ids]
+        with ad.Tape() as tape:
+            parts = [
+                ad.asum(ad.mul(ad.gather_rows(table, i, row_grad_mask=keep), w))
+                for i, w in zip(ids, weights)
+            ]
+            ad.backward(tape, ad.add(parts[0], parts[1]))
+
+        # dense reference: scatter each call into a full-table buffer, then mask
+        ref = np.zeros((7, 3))
+        for i, w in zip(ids, weights):
+            buf = np.zeros((7, 3))
+            np.add.at(buf, i.reshape(-1), w.reshape(-1, 3))
+            ref += buf * keep[:, None]
+        assert np.array_equal(table.grad, ref)
+        assert np.array_equal(table.grad[[0, 1, 3, 6]], np.zeros((4, 3)))
+
     def test_gather_rows_out_of_range(self):
         table = ad.Var(np.ones((3, 2)))
         with pytest.raises(DimensionError):

@@ -225,6 +225,10 @@ class TestDropout:
         with pytest.raises(ParameterError):
             layers.dropout(ad.Var(np.ones(3)), 1.0, rng, training=True)
 
+    def test_training_mode_without_rng_rejected(self):
+        with pytest.raises(ContractError, match="rng"):
+            layers.dropout(ad.Var(np.ones(3)), 0.4, None, training=True)
+
     def test_survivor_fraction_and_mean(self, rng):
         x = ad.Var(np.ones(100_000))
         out = layers.dropout(x, 0.4, rng, training=True)

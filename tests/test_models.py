@@ -126,6 +126,12 @@ class TestStForward:
         with pytest.raises(DimensionError):
             st_forward(model, batch)
 
+    def test_training_dropout_without_rng_rejected(self):
+        model = make_micro_model(dropout=0.3)
+        batch = make_micro_batch(model)
+        with pytest.raises(ContractError, match="rng"):
+            st_forward(model, batch, training=True)
+
     def test_micro_loss_passes_grad_check(self):
         model = make_verification_model(m=1, adversarial=False, n_domains=0, seed=3)
         batch = make_verification_batch(model, n=3, seed=3)
@@ -372,11 +378,11 @@ class TestPersistence:
             assert np.array_equal(a.value, b.value)
 
 
-def rewrite_archive(src, dst, meta=None, raw_meta=None, extra=None):
-    """Copy a saved archive, replacing its meta (as a dict or raw text)
-    and adding arrays."""
+def rewrite_archive(src, dst, meta=None, raw_meta=None, extra=None, drop=()):
+    """Copy a saved archive, replacing its meta (as a dict or raw text),
+    adding arrays and leaving out the entries named in `drop`."""
     with np.load(src) as archive:
-        arrays = {name: archive[name] for name in archive.files}
+        arrays = {name: archive[name] for name in archive.files if name not in drop}
     if meta is not None:
         raw_meta = json.dumps(meta)
     if raw_meta is not None:
@@ -412,6 +418,41 @@ class TestArchiveErrors:
     def test_leftover_parameter(self, saved, tmp_path):
         extra = {"param/domain.attn.w": np.zeros((4, 8))}
         assert "domain.attn.w" in self.load_rewritten(saved, tmp_path, extra=extra)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "meta.json",
+            "embedding.locked",
+            "param/embedding.table",
+            "meta:spec",
+            "meta:vocab_tokens",
+            "meta:vocab_sha256",
+        ],
+    )
+    def test_missing_entry(self, saved, tmp_path, entry):
+        meta = saved[1]
+        if entry.startswith("meta:"):
+            entry = entry[len("meta:") :]
+            del meta[entry]
+            message = self.load_rewritten(saved, tmp_path, meta=meta)
+        else:
+            message = self.load_rewritten(saved, tmp_path, drop=(entry,))
+        assert f"missing {entry}" in message
+
+    @pytest.mark.parametrize("case", ["meta_not_object", "spec_not_object", "locked", "table"])
+    def test_malformed_entry(self, saved, tmp_path, case):
+        meta = saved[1]
+        with np.load(saved[0]) as archive:
+            rows, d = archive["param/embedding.table"].shape
+        rewrite = {
+            "meta_not_object": {"raw_meta": "[3]"},
+            "spec_not_object": {"meta": {**meta, "spec": []}},
+            "locked": {"extra": {"embedding.locked": np.zeros(rows - 1, dtype=np.uint8)}},
+            "table": {"extra": {"param/embedding.table": np.zeros((rows, d - 1))}},
+        }[case]
+        message = self.load_rewritten(saved, tmp_path, **rewrite)
+        assert ("JSON objects" if case.endswith("object") else "embedding") in message
 
     def test_earlier_format_rejected(self, saved, tmp_path):
         meta = saved[1]

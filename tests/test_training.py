@@ -80,6 +80,49 @@ class TestAdam:
         assert np.array_equal(w.value[1], [1.0, 1.0])
         assert not np.array_equal(w.value[0], [1.0, 1.0])
 
+    def test_masked_slot_matches_dense_reference_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        rows, d = 7, 3
+        locked = np.array([True, False, False, True, False, False, True])
+        mask = (~locked).astype(np.float64)[:, None]
+        w0 = rng.normal(size=(rows, d))
+        grads = rng.normal(size=(6, rows, d))
+        grads[1:, 2] = 0.0  # unlocked row 2: a gradient at step 1 only
+        grads[:, 5] = 0.0  # unlocked row 5: never a gradient
+        assert np.all(grads[:, 3] != 0.0)  # locked row 3 gets a gradient
+
+        # independent dense reference: moments over every row, step masked
+        lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+        ref = w0.copy()
+        m = np.zeros((rows, d))
+        v = np.zeros((rows, d))
+        for t in range(1, 7):
+            g = grads[t - 1]
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * (g * g)
+            ref = ref - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps) * mask
+
+        w = ad.Var(w0.copy())
+        opt = Adam([ParamSlot("table", w, mask)], lr=lr, beta1=b1, beta2=b2, eps=eps)
+        assert opt.m[0].shape == (np.count_nonzero(~locked), d)
+        for t in range(6):
+            w.add_grad(grads[t])
+            opt.step()
+            opt.zero_grad()
+        assert np.array_equal(w.value, ref)
+        assert np.array_equal(w.value[locked], w0[locked])
+        assert not np.array_equal(w.value[2], w0[2])  # momentum carried it on
+
+    @pytest.mark.parametrize(
+        "mask",
+        [np.array([[1.0], [0.5]]), np.array([1.0, 0.0]), np.ones((2, 2))],
+        ids=["fractional", "vector", "wide"],
+    )
+    def test_bad_update_mask_rejected(self, mask):
+        w = ad.Var(np.ones((2, 2)))
+        with pytest.raises(ParameterError, match="update mask"):
+            Adam([ParamSlot("w", w, mask)])
+
 
 class TestEarlyStopper:
     def test_worsening_from_epoch_two_stops_at_five(self):
