@@ -402,7 +402,7 @@ def gather_rows(table, ids, row_grad_mask=None):
     only the touched rows, in `ids` order, and adds that block into the
     table's gradient rows; untouched rows are never written. `row_grad_mask`,
     when given, is a {0,1} vector over rows; rows with 0 receive no gradient
-    (locked embedding rows).
+    (locked embedding rows), and their ids are dropped before the sum.
     """
     ids = np.asarray(ids)
     if ids.size and ids.max() >= table.value.shape[0]:
@@ -412,11 +412,14 @@ def gather_rows(table, ids, row_grad_mask=None):
     out = Var(table.value[ids])
 
     def pullback(g):
-        rows, slots = np.unique(ids, return_inverse=True)
-        block = np.zeros((rows.size, table.value.shape[1]))
-        np.add.at(block, slots.reshape(-1), g.reshape(-1, table.value.shape[1]))
+        flat_ids = ids.reshape(-1)
+        flat_g = g.reshape(-1, table.value.shape[1])
         if row_grad_mask is not None:
-            block *= row_grad_mask[rows, None]
+            kept = row_grad_mask[flat_ids] != 0
+            flat_ids, flat_g = flat_ids[kept], flat_g[kept]
+        rows, slots = np.unique(flat_ids, return_inverse=True)
+        block = np.zeros((rows.size, table.value.shape[1]))
+        np.add.at(block, slots, flat_g)
         table.grad[rows] += block
 
     return _record(out, (table,), pullback)
@@ -427,10 +430,10 @@ def attend(alpha, acts):
     out[n] = sum_t alpha[n, t] * acts[n, t], for alpha [N x T] and acts
     [N x T x D]."""
     av, xv = alpha.value, acts.value
-    out = Var(np.einsum("nt,ntd->nd", av, xv))
+    out = Var((av[:, None, :] @ xv)[:, 0])
 
     def pullback(g):
-        alpha.add_grad(np.einsum("nd,ntd->nt", g, xv))
+        alpha.add_grad((xv @ g[:, :, None])[:, :, 0])
         acts.add_grad(av[:, :, None] * g[:, None, :])
 
     return _record(out, (alpha, acts), pullback)
@@ -438,6 +441,9 @@ def attend(alpha, acts):
 
 # ---------------------------------------------------------------------------
 # recurrence
+
+
+LSTM_BLOCK = 3  # time steps per hoisted input-projection GEMM
 
 
 def lstm(x, mask, w, b, reverse=False):
@@ -452,13 +458,20 @@ def lstm(x, mask, w, b, reverse=False):
     from a zero initial state, visiting t = 0..T-1, or T-1..0 when
     `reverse` is set.
 
-    `mask` is a {0, 1} array [N x T]. Where it is 0 the position emits a
-    zero state and the carried (h, c) pass through unchanged, so a row
-    with right padding reads exactly like the shorter sequence in either
-    direction.
+    `mask` is a {0, 1} array [N x T] whose rows are each a prefix of ones
+    (right padding); any other mask raises `ContractError`. A padded
+    position emits a zero state and no state is carried through it, so a
+    padded row reads exactly like its unpadded sequence in either direction.
 
-    The pullback is backpropagation through time over the per-step values
-    the forward loop saved; they are kept only while a tape is recording.
+    The rows are packed once, stably sorted by length, so the rows still
+    inside their sequence at step t are a prefix of the packed batch and
+    each step runs over that prefix only. The input projection
+    x_t W_x^T + b runs as one GEMM per block of `LSTM_BLOCK` steps, which
+    leaves the recurrent GEMM h_{t-1} W_h^T inside the loop. The pullback
+    is backpropagation through time over the same prefixes; it collects the
+    gate gradients of every step and then forms the x, w and b gradients
+    with one GEMM or one sum each. The per-step values it needs are kept
+    only while a tape is recording.
     """
     xv, wv, bv = x.value, w.value, b.value
     mv = np.asarray(mask, dtype=np.float64)
@@ -470,56 +483,99 @@ def lstm(x, mask, w, b, reverse=False):
         raise DimensionError(
             f"lstm: gate weights {wv.shape} and biases {bv.shape} do not fit input dim {d}"
         )
+    lengths = np.count_nonzero(mv, axis=1)
+    if not np.array_equal(mv, np.arange(t_x) < lengths[:, None]):
+        raise ContractError("lstm: each mask row must be a prefix of ones followed by zeros")
+    order = np.argsort(-lengths, kind="stable")  # packed row r is caller row order[r]
+    live = np.count_nonzero(lengths[:, None] > np.arange(t_x), axis=0)  # rows inside at t
+    t_max = int(lengths.max(initial=0))
+    step = -1 if reverse else 1
+    # Contiguous copies, since a strided slice of w would keep matmul off
+    # BLAS. The i, f, o columns are negated, which is exact, so the GEMMs
+    # give -pre for the sigmoid gates and one exp serves all three.
+    sign = np.where(np.arange(4 * h) < 3 * h, -1.0, 1.0)
+    wx_t = np.ascontiguousarray(wv[:, :d].T * sign)
+    wh_t = np.ascontiguousarray(wv[:, d:].T * sign)
+    b_signed = bv * sign
     recording = _tape() is not None
-    saved = []
-    out_v = np.empty((n, t_x, h))
-    h_prev = np.zeros((n, h))
-    c_prev = np.zeros((n, h))
-    for t in range(t_x - 1, -1, -1) if reverse else range(t_x):
-        inp = np.concatenate([xv[:, t], h_prev], axis=1)
-        pre = inp @ wv.T + bv
-        gi = 1.0 / (1.0 + np.exp(-pre[:, :h]))
-        gf = 1.0 / (1.0 + np.exp(-pre[:, h : 2 * h]))
-        go = 1.0 / (1.0 + np.exp(-pre[:, 2 * h : 3 * h]))
-        gc = np.tanh(pre[:, 3 * h :])
-        c_new = gf * c_prev + gi * gc
-        tc = np.tanh(c_new)
-        m = mv[:, t : t + 1]
-        inv = 1.0 - m
-        out_v[:, t] = act = go * tc * m
-        if recording:
-            saved.append((t, inp, gi, gf, go, gc, c_prev, tc))
-        h_prev = act + h_prev * inv
-        c_prev = c_new * m + c_prev * inv
+
+    # Per-step values in packed row order. With a tape, slot t+1 holds time
+    # t for the pullback, and slots 0 and T+1 stay zero as the cell state
+    # before either end; a row that has not started yet also reads zeros,
+    # which is the initial state of a reverse pass. Without a tape one slot
+    # is overwritten at every step.
+    slots = t_x + 2 if recording else 1
+    gates = np.zeros((slots, n, 4 * h))  # sigmoid i, f, o, then tanh(c_t)
+    cand = np.zeros((slots, n, h))  # c~
+    cells = np.zeros((slots, n, h))
+    h_state = np.zeros((n, h))
+    out_v = np.zeros((n, t_x, h))
+    proj = np.empty(n * LSTM_BLOCK * 4 * h)  # one block's input projection
+    starts = range(0, t_max, LSTM_BLOCK)
+    with np.errstate(over="ignore"):  # exp(-pre) = inf is a saturated gate, 0
+        for t0 in reversed(starts) if reverse else starts:
+            t1 = min(t0 + LSTM_BLOCK, t_max)
+            rows = live[t0]
+            xb = xv[order[:rows], t0:t1].reshape(-1, d)
+            pb = proj[: xb.shape[0] * 4 * h].reshape(rows, t1 - t0, 4 * h)
+            np.matmul(xb, wx_t, out=pb.reshape(-1, 4 * h))
+            pb += b_signed
+            for t in range(t1 - 1, t0 - 1, -1) if reverse else range(t0, t1):
+                lv = live[t]
+                cur, prev = (t + 1, t + 1 - step) if recording else (0, 0)
+                z = gates[cur, :lv]
+                np.matmul(h_state[:lv], wh_t, out=z)
+                z += pb[:lv, t - t0]
+                gc = np.tanh(z[:, 3 * h :], out=cand[cur, :lv])
+                np.exp(z, out=z)  # its c~ block is scratch until tanh(c_t) lands there
+                z += 1.0
+                np.reciprocal(z, out=z)
+                c = np.multiply(z[:, h : 2 * h], cells[prev, :lv], out=cells[cur, :lv])
+                c += z[:, :h] * gc
+                tc = np.tanh(c, out=z[:, 3 * h :])
+                out_v[order[:lv], t] = np.multiply(z[:, 2 * h : 3 * h], tc, out=h_state[:lv])
     out = Var(out_v)
     if not recording:
         return out
 
     def pullback(g):
-        dx = np.zeros_like(xv)
-        dw_t = np.zeros((d + h, 4 * h))
-        db = np.zeros(4 * h)
-        dh = np.zeros((n, h))  # gradient reaching the carried state
+        dpre = np.zeros((n, t_x, 4 * h))  # gate gradients, caller's row order
+        dh = np.zeros((n, h))  # gradient reaching the carried state, packed rows
         dc = np.zeros((n, h))
-        dpre = np.empty((n, 4 * h))
-        for t, inp, gi, gf, go, gc, c_prev, tc in reversed(saved):
-            m = mv[:, t : t + 1]
-            inv = 1.0 - m
-            dh_new = (g[:, t] + dh) * m
-            dc_new = dc * m + dh_new * go * (1.0 - tc * tc)
-            dpre[:, :h] = dc_new * gc * gi * (1.0 - gi)
-            dpre[:, h : 2 * h] = dc_new * c_prev * gf * (1.0 - gf)
-            dpre[:, 2 * h : 3 * h] = dh_new * tc * go * (1.0 - go)
-            dpre[:, 3 * h :] = dc_new * gi * (1.0 - gc * gc)
-            dw_t += inp.T @ dpre
-            db += dpre.sum(axis=0)
-            dinp = dpre @ wv
-            dx[:, t] = dinp[:, :d]
-            dh = dh * inv + dinp[:, d:]
-            dc = dc * inv + dc_new * gf
-        x.add_grad(dx)
-        w.add_grad(dw_t.T)
-        b.add_grad(db)
+        for t in range(t_max) if reverse else range(t_max - 1, -1, -1):
+            lv = live[t]
+            rows = order[:lv]
+            sg = gates[t + 1, :lv]
+            gi, gf, go, tc = sg[:, :h], sg[:, h : 2 * h], sg[:, 2 * h : 3 * h], sg[:, 3 * h :]
+            gc = cand[t + 1, :lv]
+            dh_t = g[rows, t] + dh[:lv]
+            dc_t = dc[:lv] + dh_t * go * (1.0 - tc * tc)
+            dp = np.empty((lv, 4 * h))
+            np.multiply(dc_t, gc, out=dp[:, :h])
+            np.multiply(dc_t, cells[t + 1 - step, :lv], out=dp[:, h : 2 * h])
+            np.multiply(dh_t, tc, out=dp[:, 2 * h : 3 * h])
+            sig = sg[:, : 3 * h]
+            dp[:, : 3 * h] *= sig * (1.0 - sig)
+            np.multiply(dc_t, gi, out=dp[:, 3 * h :])
+            dp[:, 3 * h :] *= 1.0 - gc * gc
+            dpre[rows, t] = dp
+            np.matmul(dp, wv[:, d:], out=dh[:lv])
+            np.multiply(dc_t, gf, out=dc[:lv])
+        # h_{t-1} of every position is its neighbour in the direction of
+        # travel: zero past the end it starts from, and zero (padding) where
+        # a reverse pass starts a row. dpre is zero on padding, so what
+        # h_prev holds there adds nothing.
+        h_prev = np.zeros_like(out_v)
+        if reverse:
+            h_prev[:, :-1] = out_v[:, 1:]
+        else:
+            h_prev[:, 1:] = out_v[:, :-1]
+        dpre = dpre.reshape(-1, 4 * h)
+        dw_x = dpre.T @ xv.reshape(-1, d)
+        dw_h = dpre.T @ h_prev.reshape(-1, h)
+        x.add_grad((dpre @ wv[:, :d]).reshape(xv.shape))
+        w.add_grad(np.concatenate([dw_x, dw_h], axis=1))
+        b.add_grad(dpre.sum(axis=0))
 
     return _record(out, (x, w, b), pullback)
 

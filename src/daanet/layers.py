@@ -9,9 +9,9 @@ runs on whatever Tape is active; with no tape it is a plain evaluation.
 Each encoder direction is one `autodiff.lstm` node. Its four gates are
 stacked row-wise in i, f, o, c order into one weight w [4h x (d+h)],
 applied to [x_t, h_{t-1}], and one bias b [4h]. The mask must be right
-padding (a prefix of ones per row): a padded position emits zeros and
-leaves the recurrent state as it was, so in both directions a padded row
-gives the same states as its unpadded sequence.
+padding (a prefix of ones per row), which `autodiff.lstm` checks: a padded
+position emits zeros and no state is carried through it, so in both
+directions a padded row gives the same states as its unpadded sequence.
 """
 
 from __future__ import annotations
@@ -135,14 +135,10 @@ def bilstm(params, x, mask):
     concatenated states [N x T x 2h], forward half first.
 
     The [N x T] mask must be right-padding (a prefix of ones per row);
-    padded positions emit zero activations and do not advance the
-    recurrent state, so each row reads like its unpadded sequence.
+    padded positions emit zero activations and no state is carried through
+    them, so each row reads like its unpadded sequence.
     """
     mask2 = np.asarray(mask, dtype=np.float64)
-    if mask2.shape != x.value.shape[:2]:
-        raise DimensionError(f"mask shape {mask2.shape} does not match input {x.value.shape}")
-    if np.any(np.diff(mask2, axis=1) > 0):
-        raise ContractError("mask must be a prefix of ones followed by zeros")
     fwd = ad.lstm(x, mask2, params.fwd.w, params.fwd.b)
     bwd = ad.lstm(x, mask2, params.bwd.w, params.bwd.b, reverse=True)
     return ad.concat([fwd, bwd], axis=2)

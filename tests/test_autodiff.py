@@ -333,6 +333,101 @@ class TestStructuralOps:
             assert np.max(np.abs(out.value[n] - brute)) < 1e-12
 
 
+def reference_lstm(xv, mask, wv, bv, reverse, g_out):
+    """One LSTM direction step by step, with the arithmetic of the earlier
+    per-step op: concat [x_t, h], one GEMM, and a masked carry through
+    padded positions. Returns the states and the x, w, b gradients of
+    sum(states * g_out)."""
+    n, t_x, d = xv.shape
+    h = bv.shape[0] // 4
+    out = np.empty((n, t_x, h))
+    saved = []
+    h_prev = np.zeros((n, h))
+    c_prev = np.zeros((n, h))
+    for t in range(t_x - 1, -1, -1) if reverse else range(t_x):
+        inp = np.concatenate([xv[:, t], h_prev], axis=1)
+        pre = inp @ wv.T + bv
+        gi = 1.0 / (1.0 + np.exp(-pre[:, :h]))
+        gf = 1.0 / (1.0 + np.exp(-pre[:, h : 2 * h]))
+        go = 1.0 / (1.0 + np.exp(-pre[:, 2 * h : 3 * h]))
+        gc = np.tanh(pre[:, 3 * h :])
+        c_new = gf * c_prev + gi * gc
+        tc = np.tanh(c_new)
+        m = mask[:, t : t + 1]
+        out[:, t] = act = go * tc * m
+        saved.append((t, inp, gi, gf, go, gc, c_prev, tc))
+        h_prev = act + h_prev * (1.0 - m)
+        c_prev = c_new * m + c_prev * (1.0 - m)
+
+    dx = np.zeros_like(xv)
+    dw_t = np.zeros((d + h, 4 * h))
+    db = np.zeros(4 * h)
+    dh = np.zeros((n, h))
+    dc = np.zeros((n, h))
+    dpre = np.empty((n, 4 * h))
+    for t, inp, gi, gf, go, gc, c_prev, tc in reversed(saved):
+        m = mask[:, t : t + 1]
+        dh_new = (g_out[:, t] + dh) * m
+        dc_new = dc * m + dh_new * go * (1.0 - tc * tc)
+        dpre[:, :h] = dc_new * gc * gi * (1.0 - gi)
+        dpre[:, h : 2 * h] = dc_new * c_prev * gf * (1.0 - gf)
+        dpre[:, 2 * h : 3 * h] = dh_new * tc * go * (1.0 - go)
+        dpre[:, 3 * h :] = dc_new * gi * (1.0 - gc * gc)
+        dw_t += inp.T @ dpre
+        db += dpre.sum(axis=0)
+        dinp = dpre @ wv
+        dx[:, t] = dinp[:, :d]
+        dh = dh * (1.0 - m) + dinp[:, d:]
+        dc = dc * (1.0 - m) + dc_new * gf
+    return out, dx, dw_t.T, db
+
+
+def assert_lstm_matches_reference(lengths, t_x, d, h, reverse, seed):
+    rng = np.random.default_rng(seed)
+    n = len(lengths)
+    mask = (np.arange(t_x) < np.asarray(lengths)[:, None]).astype(np.float64)
+    xv = rng.normal(size=(n, t_x, d))
+    wv = rng.normal(scale=0.5, size=(4 * h, d + h))
+    bv = rng.normal(scale=0.5, size=4 * h)
+    g_out = rng.normal(size=(n, t_x, h))
+    x, w, b = ad.Var(xv.copy()), ad.Var(wv.copy()), ad.Var(bv.copy())
+    with ad.Tape() as tape:
+        states = ad.lstm(x, mask, w, b, reverse=reverse)
+        ad.backward(tape, ad.asum(ad.mul(states, g_out)))
+    expected = reference_lstm(xv, mask, wv, bv, reverse, g_out)
+    got_all = (states.value, x.grad, w.grad, b.grad)
+    for name, got, ref in zip(("states", "dx", "dw", "db"), got_all, expected):
+        scale = np.max(np.abs(ref), initial=0.0)
+        err = np.max(np.abs(got - ref), initial=0.0)
+        assert err <= 1e-12 * scale, f"{name}: max error {err} against max |value| {scale}"
+
+
+class TestLstm:
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_unsorted_ragged_batch_matches_per_step_reference(self, reverse):
+        lengths = (3, 9, 1, 5, 9, 2, 7)
+        assert_lstm_matches_reference(lengths, t_x=9, d=4, h=3, reverse=reverse, seed=5)
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_random_lengths_match_per_step_reference(self, data):
+        n = data.draw(st.integers(1, 6))
+        t_x = data.draw(st.integers(1, 7))
+        lengths = data.draw(st.lists(st.integers(0, t_x), min_size=n, max_size=n))
+        reverse = data.draw(st.booleans())
+        seed = data.draw(st.integers(0, 2**31))
+        assert_lstm_matches_reference(lengths, t_x, d=3, h=2, reverse=reverse, seed=seed)
+
+    @pytest.mark.parametrize("mask", [[[1, 0, 1, 0]], [[1, 0.5, 0, 0]]], ids=["gap", "fractional"])
+    def test_non_prefix_mask_rejected(self, mask):
+        rng = np.random.default_rng(2)
+        x = ad.Var(rng.normal(size=(1, 4, 3)))
+        w = ad.Var(rng.normal(size=(8, 5)))
+        b = ad.Var(np.zeros(8))
+        with pytest.raises(ContractError):
+            ad.lstm(x, np.array(mask, dtype=np.float64), w, b)
+
+
 def test_forward_determinism():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(4, 4))
