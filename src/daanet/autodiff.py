@@ -162,22 +162,6 @@ def add(a, b):
     return _record(out, tuple(p for p in (a, b) if isinstance(p, Var)), pullback)
 
 
-def sub(a, b):
-    av, bv = _value(a), _value(b)
-    out = Var(av - bv)
-    a_var, b_var = isinstance(a, Var), isinstance(b, Var)
-    if not (a_var or b_var):
-        return out
-
-    def pullback(g):
-        if a_var:
-            a.add_grad(_unbroadcast(g, av.shape))
-        if b_var:
-            b.add_grad(_unbroadcast(-g, bv.shape))
-
-    return _record(out, tuple(p for p in (a, b) if isinstance(p, Var)), pullback)
-
-
 def mul(a, b):
     av, bv = _value(a), _value(b)
     out = Var(av * bv)
@@ -213,13 +197,22 @@ def matmul(a, b):
     return _record(out, tuple(p for p in (a, b) if isinstance(p, Var)), pullback)
 
 
-def transpose(a):
-    out = Var(a.value.T)
+def affine(x, w, b):
+    """Affine map x @ w.T + b of [N x in] rows, for weights w [out x in]
+    and bias b [out]."""
+    xv, wv, bv = x.value, w.value, b.value
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[1] or bv.shape != wv.shape[:1]:
+        raise DimensionError(
+            f"affine: input {xv.shape} does not fit weights {wv.shape} and bias {bv.shape}"
+        )
+    out = Var(xv @ wv.T + bv)
 
     def pullback(g):
-        a.add_grad(g.T)
+        x.add_grad(g @ wv)
+        w.add_grad(g.T @ xv)
+        b.add_grad(g.sum(axis=0))
 
-    return _record(out, (a,), pullback)
+    return _record(out, (x, w, b), pullback)
 
 
 def reshape(a, shape):
@@ -251,28 +244,6 @@ def relu(x):
 
     def pullback(g):
         x.add_grad(g * mask)
-
-    return _record(out, (x,), pullback)
-
-
-def log(x):
-    xv = x.value
-    out = Var(np.log(xv))
-
-    def pullback(g):
-        x.add_grad(g / xv)
-
-    return _record(out, (x,), pullback)
-
-
-def clip(x, lo, hi):
-    """Clamp values to [lo, hi]; gradient passes only where unclipped."""
-    xv = x.value
-    out = Var(np.clip(xv, lo, hi))
-    inside = (xv > lo) & (xv < hi)
-
-    def pullback(g):
-        x.add_grad(g * inside)
 
     return _record(out, (x,), pullback)
 
@@ -309,18 +280,32 @@ def masked_softmax(scores, mask):
     return _record(out, (scores,), pullback)
 
 
-def softmax(x):
-    """Row-wise softmax over the last axis (no masking)."""
-    shifted = x.value - x.value.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_v = e / e.sum(axis=-1, keepdims=True)
-    out = Var(out_v)
+def softmax_cross_entropy(logits, targets, weights):
+    """Weighted cross entropy of [N x K] logits against [N x K] targets:
+    the scalar -sum_n weights[n] * sum_k targets[n, k] * log_softmax(logits)[n, k].
+
+    The log-sum-exp subtracts each row's max, so saturated logits give a
+    finite loss and a gradient of full size. The gradient of row n is
+    weights[n] * (softmax * sum_k targets[n, k] - targets[n]); for targets
+    that sum to 1 that is weights[n] * (softmax - targets[n]), and a row of
+    zero targets gets none.
+    """
+    zv = logits.value
+    tv = np.asarray(targets, dtype=np.float64)
+    wv = np.asarray(weights, dtype=np.float64)
+    if zv.ndim != 2 or tv.shape != zv.shape or wv.shape != zv.shape[:1]:
+        raise DimensionError(
+            f"softmax_cross_entropy: logits {zv.shape}, targets {tv.shape}, weights {wv.shape}"
+        )
+    shifted = zv - zv.max(axis=1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    out = Var(-(wv @ (tv * log_p).sum(axis=1)))
 
     def pullback(g):
-        dot = (g * out_v).sum(axis=-1, keepdims=True)
-        x.add_grad(out_v * (g - dot))
+        p = np.exp(log_p) * tv.sum(axis=1, keepdims=True)
+        logits.add_grad((g * wv)[:, None] * (p - tv))
 
-    return _record(out, (x,), pullback)
+    return _record(out, (logits,), pullback)
 
 
 def gradient_reversal(x, lam):
@@ -381,18 +366,6 @@ def concat(parts, axis=-1):
                 p.add_grad(np.moveaxis(gm[j0:j1], 0, axis))
 
     return _record(out, var_parents, pullback)
-
-
-def column(x, j):
-    """Select one column of a 2-D Var, dropping the axis."""
-    out = Var(x.value[:, j])
-
-    def pullback(g):
-        buf = np.zeros_like(x.value)
-        buf[:, j] = g
-        x.add_grad(buf)
-
-    return _record(out, (x,), pullback)
 
 
 def gather_rows(table, ids, row_grad_mask=None):

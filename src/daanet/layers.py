@@ -179,7 +179,7 @@ def attention_head(params, acts, mask):
     n, t_x, act_dim = acts.value.shape
 
     flat = ad.reshape(acts, (n * t_x, act_dim))
-    hidden = ad.tanh(ad.add(ad.matmul(flat, ad.transpose(params.w)), params.b))
+    hidden = ad.tanh(ad.affine(flat, params.w, params.b))
     scores = ad.reshape(ad.matmul(hidden, params.v), (n, t_x))
     alpha = ad.masked_softmax(scores, mask2)
     return ad.attend(alpha, acts), alpha
@@ -203,16 +203,12 @@ def init_dense(rng, n_in, n_out):
 
 
 def dense(params, x, activation=None):
-    """Affine map of [N x in] rows, then 'relu', 'softmax' (output heads)
-    or no activation."""
-    if activation not in (None, "relu", "softmax"):
+    """Affine map x W^T + b of [N x in] rows, then 'relu' or no activation;
+    the output layers use none and return logits."""
+    if activation not in (None, "relu"):
         raise ParameterError(f"unknown activation kind {activation!r}")
-    out = ad.add(ad.matmul(x, ad.transpose(params.w)), params.b)
-    if activation == "relu":
-        return ad.relu(out)
-    if activation == "softmax":
-        return ad.softmax(out)
-    return out
+    out = ad.affine(x, params.w, params.b)
+    return ad.relu(out) if activation == "relu" else out
 
 
 def dropout(x, rate, rng, training):

@@ -2,8 +2,9 @@
 
 Three variants share one skeleton: an embedding layer and BiLSTM encoder
 feed per-task attention heads (context -> dropout -> dense relu -> dense
-softmax) and, when adversarial training is enabled, a domain classifier
-branch behind a gradient-reversal layer.
+two-class logits) and, when adversarial training is enabled, a domain
+classifier branch behind a gradient-reversal layer. The losses read the
+logits directly (`autodiff.softmax_cross_entropy`).
 
     st       one task head, no domain branch
     st-daan  one task head + domain branch
@@ -45,7 +46,6 @@ from .layers import (
     random_embedding,
 )
 
-PROB_CLIP = 1e-7
 ARCHIVE_FORMAT = 3
 
 
@@ -197,9 +197,9 @@ def build_model(spec, vocab, embedding=None, seed=0):
 
 @dataclass
 class ForwardResult:
-    task_probs: list  # per task: Var [N], positive-class probability
+    task_logits: list  # per task: Var [N x 2], negative class first
     alphas: list  # per task: Var [N x T_x]
-    domain_probs: object = None  # Var [N x n_domains] or None
+    domain_logits: object = None  # Var [N x n_domains] or None
 
 
 def _forward(
@@ -220,24 +220,23 @@ def _forward(
     emb = embed(model.embedding, ids)
     acts = dropout(bilstm(model.encoder, emb, mask), spec.dropout_rate, rng, training)
 
-    task_probs, alphas = [], []
+    task_logits, alphas = [], []
     if want_tasks:
         for head in model.heads:
             context, alpha = attention_head(head.attention, acts, mask)
             context = dropout(context, spec.dropout_rate, rng, training)
             hidden = dense(head.hidden, context, "relu")
-            probs = dense(head.out, hidden, "softmax")
-            task_probs.append(ad.column(probs, 1))
+            task_logits.append(dense(head.out, hidden))
             alphas.append(alpha)
 
-    domain_probs = None
+    domain_logits = None
     if want_domain and model.domain is not None:
         pooled = ad.mul(ad.sum_axis(acts, 1), 1.0 / lengths)  # pads emit zeros, so this is a masked mean
         if reverse_domain:
             pooled = ad.gradient_reversal(pooled, spec.lam)
         hidden = dense(model.domain.hidden, pooled, "relu")
-        domain_probs = dense(model.domain.out, hidden, "softmax")
-    return ForwardResult(task_probs=task_probs, alphas=alphas, domain_probs=domain_probs)
+        domain_logits = dense(model.domain.out, hidden)
+    return ForwardResult(task_logits=task_logits, alphas=alphas, domain_logits=domain_logits)
 
 
 def _check_batch(model, batch, need_labels):
@@ -252,17 +251,19 @@ def _check_batch(model, batch, need_labels):
 
 
 def st_forward(model, batch, training=False, rng=None):
-    """Single-task forward: returns (probs [N], alpha [N x T_x]) as Vars."""
+    """Single-task forward: returns (logits [N x 2], alpha [N x T_x]) as
+    Vars; the logits put the negative class first."""
     if model.spec.m != 1:
         raise ContractError(f"st_forward requires a single-task model, got m={model.spec.m}")
     _check_batch(model, batch, need_labels=False)
     out = _forward(model, batch.ids, batch.mask, training=training, rng=rng, want_tasks=True)
-    return out.task_probs[0], out.alphas[0]
+    return out.task_logits[0], out.alphas[0]
 
 
 def mt_daan_forward(model, batch, training=False, rng=None):
-    """Multi-task forward: per-task probabilities and attention vectors from
-    the shared encoder, plus domain probabilities when the branch exists."""
+    """Multi-task forward: per-task [N x 2] logits and attention vectors
+    from the shared encoder, plus [N x n_domains] domain logits when the
+    branch exists."""
     _check_batch(model, batch, need_labels=True)
     out = _forward(
         model,
@@ -273,46 +274,40 @@ def mt_daan_forward(model, batch, training=False, rng=None):
         want_tasks=True,
         want_domain=model.domain is not None,
     )
-    return out.task_probs, out.alphas, out.domain_probs
+    return out.task_logits, out.alphas, out.domain_logits
 
 
 # ---------------------------------------------------------------------------
 # losses
 
 
-def bce_loss(y_hat, y, present=None):
-    """Mean binary cross entropy with probabilities clipped to
-    [1e-7, 1 - 1e-7]; rows with `present` == 0 contribute nothing."""
+def bce_loss(logits, y, present=None):
+    """Mean binary cross entropy of [N x 2] logits (negative class first)
+    against labels y [N]; rows with `present` == 0 contribute nothing.
+
+    It is the two-class softmax cross entropy against [1 - y, y], which
+    equals the binary cross entropy on the logit difference."""
     y = np.asarray(y, dtype=np.float64)
-    if y_hat.value.shape != y.shape:
-        raise DimensionError(f"predictions {y_hat.value.shape} vs labels {y.shape}")
-    if present is not None:
-        present = np.asarray(present, dtype=np.float64)
-        n = present.sum()
-        if n == 0:
-            return ad.Var(0.0)
-    else:
-        n = y.size
-    p = ad.clip(y_hat, PROB_CLIP, 1.0 - PROB_CLIP)
-    per = ad.add(ad.mul(ad.log(p), y), ad.mul(ad.log(ad.sub(1.0, p)), 1.0 - y))
-    if present is not None:
-        per = ad.mul(per, present)
-    return ad.mul(ad.asum(per), -1.0 / n)
+    if y.ndim != 1 or logits.value.shape != (y.size, 2):
+        raise DimensionError(f"logits {logits.value.shape} vs labels {y.shape}")
+    present = np.ones(y.size) if present is None else np.asarray(present, dtype=np.float64)
+    n = present.sum()
+    if n == 0:
+        return ad.Var(0.0)
+    return ad.softmax_cross_entropy(logits, np.stack([1.0 - y, y], axis=1), present / n)
 
 
-def domain_cce_loss(y_hat, y_onehot):
-    """Mean categorical cross entropy against one-hot domain labels."""
+def domain_cce_loss(logits, y_onehot):
+    """Mean categorical cross entropy of [N x n_domains] logits against
+    one-hot domain labels."""
     y = np.asarray(y_onehot, dtype=np.float64)
-    if y_hat.value.shape != y.shape:
-        raise DimensionError(f"predictions {y_hat.value.shape} vs labels {y.shape}")
+    if logits.value.shape != y.shape:
+        raise DimensionError(f"logits {logits.value.shape} vs labels {y.shape}")
     if not np.array_equal(y.sum(axis=-1), np.ones(y.shape[0])) or not np.all(
         (y == 0.0) | (y == 1.0)
     ):
         raise LabelError("domain labels must be one-hot rows")
-    if np.any(np.abs(y_hat.value.sum(axis=-1) - 1.0) > 1e-6):
-        raise ContractError("predicted domain rows must sum to 1")
-    p = ad.clip(y_hat, PROB_CLIP, 1.0 - PROB_CLIP)
-    return ad.mul(ad.asum(ad.mul(ad.log(p), y)), -1.0 / y.shape[0])
+    return ad.softmax_cross_entropy(logits, y, np.full(y.shape[0], 1.0 / y.shape[0]))
 
 
 def mt_daan_loss(task_losses, w_tasks, domain_loss=None, w_domain=0.0):

@@ -152,7 +152,7 @@ def _batch_losses(model, batch, training, rng):
     counts = []
     for k, task in enumerate(model.spec.task_names):
         y, present = batch.labels[task]
-        losses.append(bce_loss(out.task_probs[k], y, present))
+        losses.append(bce_loss(out.task_logits[k], y, present))
         counts.append(present.sum())
     return losses, counts
 
@@ -253,7 +253,7 @@ def train(model, split, cfg):
                         want_tasks=False,
                         want_domain=True,
                     )
-                    domain_term = domain_cce_loss(dout.domain_probs, dbatch.domain_onehot)
+                    domain_term = domain_cce_loss(dout.domain_logits, dbatch.domain_onehot)
                 total = mt_daan_loss(task_losses, spec.w_tasks, domain_term, spec.w_domain)
                 total_val = float(total.value)
                 if not np.isfinite(total_val):
@@ -338,8 +338,9 @@ def binary_f1(y_true, y_pred):
 
 
 def evaluate(model, examples, batch_size=256):
-    """Accuracy and F1 at threshold 0.5 on the positive-class probability,
-    per task, over the examples where that task is labeled."""
+    """Accuracy and F1 per task, over the examples where that task is
+    labeled; an example is predicted positive when its positive-class logit
+    is at least its negative-class one (probability >= 0.5)."""
     spec = model.spec
     batches = make_batches(
         examples, model.vocab, spec.t_x, batch_size, rng=None, tasks=spec.task_names
@@ -350,9 +351,9 @@ def evaluate(model, examples, batch_size=256):
         out = _forward(model, batch.ids, batch.mask, training=False, want_tasks=True)
         for k, task in enumerate(spec.task_names):
             y, present = batch.labels[task]
-            p = out.task_probs[k].value
             keep = present > 0
-            preds[task].extend((p[keep] >= 0.5).astype(int))
+            z = out.task_logits[k].value[keep]
+            preds[task].extend((z[:, 1] >= z[:, 0]).astype(int))
             truths[task].extend(y[keep].astype(int))
     per_task = {}
     for task in spec.task_names:
@@ -387,7 +388,7 @@ def domain_discriminator_accuracy(model, split, batch_size=256):
         out = _forward(
             model, batch.ids, batch.mask, training=False, want_tasks=False, want_domain=True
         )
-        pred = out.domain_probs.value.argmax(axis=1)
+        pred = out.domain_logits.value.argmax(axis=1)
         truth = batch.domain_onehot.argmax(axis=1)
         correct += int(np.sum(pred == truth))
         total += batch.size

@@ -96,10 +96,10 @@ def full_loss(model, batch, reverse_domain=False):
         reverse_domain=reverse_domain,
     )
     task_losses = [
-        bce_loss(out.task_probs[k], *batch.labels[task])
+        bce_loss(out.task_logits[k], *batch.labels[task])
         for k, task in enumerate(spec.task_names)
     ]
     domain_term = None
-    if out.domain_probs is not None:
-        domain_term = domain_cce_loss(out.domain_probs, batch.domain_onehot)
+    if out.domain_logits is not None:
+        domain_term = domain_cce_loss(out.domain_logits, batch.domain_onehot)
     return mt_daan_loss(task_losses, spec.w_tasks, domain_term, spec.w_domain)

@@ -432,8 +432,9 @@ def test_forward_determinism():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(4, 4))
     a = ad.Var(x)
-    r1 = ad.softmax(ad.tanh(ad.matmul(a, a))).value
-    r2 = ad.softmax(ad.tanh(ad.matmul(ad.Var(x), ad.Var(x)))).value
+    mask = np.ones((4, 4))
+    r1 = ad.masked_softmax(ad.tanh(ad.matmul(a, a)), mask).value
+    r2 = ad.masked_softmax(ad.tanh(ad.matmul(ad.Var(x), ad.Var(x))), mask).value
     assert np.array_equal(r1, r2)
 
 
@@ -452,28 +453,31 @@ def test_every_op_passes_grad_check_on_random_shapes():
     lstm_b = ad.Var(rng.normal(size=8))
     lstm_mask = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
     lstm_weights = rng.normal(size=(3, 4, 2))
+    aff_w = ad.Var(rng.normal(size=(2, 4)))
+    aff_b = ad.Var(rng.normal(size=2))
+    aff_weights = rng.normal(size=(3, 2))
+    # soft, one-hot and all-zero (a masked-out task row) target rows
+    xent_targets = np.array([[0.1, 0.2, 0.3, 0.4], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    xent_weights = np.array([0.7, 1.9, 0.4])
 
     cases = {
         "matmul": lambda: ad.asum(ad.matmul(a, b)),
-        "add": lambda: ad.asum(ad.add(a, ad.transpose(b))),
-        "sub": lambda: ad.asum(ad.sub(a, ad.transpose(b))),
-        "mul": lambda: ad.asum(ad.mul(a, ad.transpose(b))),
+        "add": lambda: ad.asum(ad.add(a, ad.reshape(b, (3, 4)))),
+        "mul": lambda: ad.asum(ad.mul(a, ad.reshape(b, (3, 4)))),
+        "affine": lambda: ad.asum(ad.mul(ad.affine(a, aff_w, aff_b), aff_weights)),
         "lstm": lambda: ad.asum(ad.mul(ad.lstm(seq, lstm_mask, lstm_w, lstm_b), lstm_weights)),
         "lstm_reverse": lambda: ad.asum(
             ad.mul(ad.lstm(seq, lstm_mask, lstm_w, lstm_b, reverse=True), lstm_weights)
         ),
         "tanh": lambda: ad.asum(ad.tanh(a)),
         "relu": lambda: ad.asum(ad.relu(a)),
-        "softmax": lambda: ad.asum(ad.mul(ad.softmax(a), np.arange(12.0).reshape(3, 4))),
+        "softmax_cross_entropy": lambda: ad.softmax_cross_entropy(a, xent_targets, xent_weights),
         "masked_softmax": lambda: ad.asum(
             ad.mul(ad.masked_softmax(square, np.tile(mask, (3, 1))), 7.0)
         ),
-        "log": lambda: ad.asum(ad.log(ad.add(ad.mul(a, a), 1.0))),
-        "clip": lambda: ad.asum(ad.clip(a, -0.5, 0.5)),
         "attend": lambda: ad.asum(ad.mul(ad.attend(alpha, acts), v)),
-        "column": lambda: ad.asum(ad.column(a, 1)),
         "sum_axis": lambda: ad.asum(ad.mul(ad.sum_axis(a, 0), np.array([1.0, 2.0, 3.0, 4.0]))),
     }
     for name, f in cases.items():
-        err = ad.grad_check(f, [a, b, v, alpha, acts, square, seq, lstm_w, lstm_b])
+        err = ad.grad_check(f, [a, b, v, alpha, acts, square, seq, lstm_w, lstm_b, aff_w, aff_b])
         assert err < 1e-4, f"{name}: grad check error {err}"

@@ -31,20 +31,42 @@ from daanet.models import (
 from daanet.verify import full_loss, make_verification_batch, make_verification_model
 
 
+def log_softmax(z):
+    shifted = z - z.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def loss_and_grad(loss_fn, logits, *args):
+    z = ad.Var(logits)
+    with ad.Tape() as tape:
+        loss = loss_fn(z, *args)
+        ad.backward(tape, loss)
+    return float(loss.value), z.grad
+
+
 class TestBceLoss:
     def test_half_probability_gives_ln2(self):
-        loss = bce_loss(ad.Var([0.5]), [1.0])
+        # equal logits for both classes are a probability of 0.5
+        loss = bce_loss(ad.Var([[0.0, 0.0]]), [1.0])
         assert abs(float(loss.value) - math.log(2)) < 1e-12
 
-    def test_near_perfect_prediction_hits_clip_floor(self):
-        loss = bce_loss(ad.Var([1.0 - 1e-7]), [1.0])
-        assert float(loss.value) == pytest.approx(1e-7, rel=1e-6)
+    def test_confidently_wrong_row_keeps_full_gradient(self):
+        loss, grad = loss_and_grad(bce_loss, [[0.0, 40.0]], [0.0])
+        assert loss == pytest.approx(40.0, rel=1e-12)
+        assert np.allclose(grad, [[-1.0, 1.0]], rtol=0, atol=1e-12)
+
+    def test_extreme_logits_stay_finite(self):
+        loss, grad = loss_and_grad(bce_loss, [[1000.0, -1000.0], [-1000.0, 1000.0]], [1.0, 0.0])
+        assert loss == pytest.approx(2000.0, rel=1e-12)
+        assert np.allclose(grad, [[0.5, -0.5], [-0.5, 0.5]], rtol=0, atol=1e-12)
 
     def test_random_instance_matches_scalar_recomputation(self):
         rng = np.random.default_rng(5)
-        p = rng.uniform(0.01, 0.99, size=10)
+        z = rng.normal(scale=2.0, size=(10, 2))
         y = rng.integers(0, 2, size=10).astype(float)
-        loss = float(bce_loss(ad.Var(p), y).value)
+        loss = float(bce_loss(ad.Var(z), y).value)
+        # binary cross entropy on the logit difference
+        p = 1.0 / (1.0 + np.exp(z[:, 0] - z[:, 1]))
         brute = -sum(
             yi * math.log(pi) + (1 - yi) * math.log(1 - pi) for pi, yi in zip(p, y)
         ) / len(y)
@@ -52,15 +74,15 @@ class TestBceLoss:
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            bce_loss(ad.Var([0.5, 0.5]), [1.0])
+            bce_loss(ad.Var([[0.0, 0.0], [0.0, 0.0]]), [1.0])
 
     def test_presence_mask_drops_rows(self):
-        p = ad.Var([0.5, 0.9])
-        loss = float(bce_loss(p, [1.0, 0.0], present=[1.0, 0.0]).value)
+        z = ad.Var([[0.0, 0.0], [-1.0, 1.2]])
+        loss = float(bce_loss(z, [1.0, 0.0], present=[1.0, 0.0]).value)
         assert abs(loss - math.log(2)) < 1e-12
 
     def test_all_absent_contributes_zero(self):
-        loss = bce_loss(ad.Var([0.5, 0.9]), [1.0, 0.0], present=[0.0, 0.0])
+        loss = bce_loss(ad.Var([[0.0, 0.0], [-1.0, 1.2]]), [1.0, 0.0], present=[0.0, 0.0])
         assert float(loss.value) == 0.0
 
 
@@ -72,36 +94,45 @@ class TestDomainCceLoss:
         loss = float(domain_cce_loss(y_hat, y).value)
         assert abs(loss - math.log(4)) < 1e-12
 
-    def test_matching_onehot_hits_clip_floor(self):
-        y = np.array([[1.0, 0.0], [0.0, 1.0]])
-        loss = float(domain_cce_loss(ad.Var(y), y).value)
-        assert loss == pytest.approx(1e-7, rel=1e-5)
+    def test_confidently_wrong_row_keeps_full_gradient(self):
+        loss, grad = loss_and_grad(domain_cce_loss, [[0.0, 40.0]], np.array([[1.0, 0.0]]))
+        assert loss == pytest.approx(40.0, rel=1e-12)
+        assert np.allclose(grad, [[-1.0, 1.0]], rtol=0, atol=1e-12)
+
+    def test_extreme_logits_stay_finite(self):
+        y = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        loss, grad = loss_and_grad(
+            domain_cce_loss, [[-1000.0, 1000.0, 0.0], [1000.0, 0.0, -1000.0]], y
+        )
+        assert loss == pytest.approx(2000.0, rel=1e-12)
+        assert np.allclose(grad, [[-0.5, 0.5, 0.0], [0.5, 0.0, -0.5]], rtol=0, atol=1e-12)
 
     def test_random_instance_matches_brute_force(self):
         rng = np.random.default_rng(6)
-        raw = rng.uniform(0.1, 1.0, size=(6, 3))
-        p = raw / raw.sum(axis=1, keepdims=True)
+        z = rng.normal(scale=2.0, size=(6, 3))
         y = np.zeros((6, 3))
         for i in range(6):
             y[i, rng.integers(0, 3)] = 1.0
-        loss = float(domain_cce_loss(ad.Var(p), y).value)
-        brute = -np.sum(y * np.log(p)) / 6
+        loss = float(domain_cce_loss(ad.Var(z), y).value)
+        brute = -np.sum(y * log_softmax(z)) / 6
         assert abs(loss - brute) < 1e-12
 
     def test_non_onehot_rejected(self):
-        p = ad.Var(np.full((2, 2), 0.5))
+        z = ad.Var(np.zeros((2, 2)))
         with pytest.raises(LabelError):
-            domain_cce_loss(p, np.array([[0.5, 0.5], [1.0, 0.0]]))
+            domain_cce_loss(z, np.array([[0.5, 0.5], [1.0, 0.0]]))
 
 
 class TestStForward:
     def test_zero_output_weights_give_half_probability(self):
+        # equal logits for both classes are a probability of 0.5
         model = make_micro_model()
         model.heads[0].out.w.value = np.zeros_like(model.heads[0].out.w.value)
         model.heads[0].out.b.value = np.zeros_like(model.heads[0].out.b.value)
         batch = make_micro_batch(model, n=6)
-        probs, alpha = st_forward(model, batch)
-        assert np.allclose(probs.value, 0.5)
+        logits, alpha = st_forward(model, batch)
+        assert logits.value.shape == (6, 2)
+        assert np.array_equal(logits.value[:, 0], logits.value[:, 1])
         assert alpha.value.shape == (6, 5)
 
     def test_duplicated_example_rows_identical(self):
@@ -109,8 +140,8 @@ class TestStForward:
         batch = make_micro_batch(model, n=2)
         batch.ids[1] = batch.ids[0]
         batch.mask[1] = batch.mask[0]
-        probs, alpha = st_forward(model, batch)
-        assert probs.value[0] == probs.value[1]
+        logits, alpha = st_forward(model, batch)
+        assert np.array_equal(logits.value[0], logits.value[1])
         assert np.array_equal(alpha.value[0], alpha.value[1])
 
     def test_multi_task_model_rejected(self):
@@ -138,8 +169,8 @@ class TestStForward:
         y, present = batch.labels["task0"]
 
         def f():
-            probs, _ = st_forward(model, batch)
-            return bce_loss(probs, y, present)
+            logits, _ = st_forward(model, batch)
+            return bce_loss(logits, y, present)
 
         params = [slot.var for slot in model.parameters()]
         assert ad.grad_check(f, params) < 1e-4
@@ -181,9 +212,9 @@ class TestStDaanLoss:
                 )
                 parts = []
                 if want_tasks:
-                    parts.append(bce_loss(out.task_probs[0], y, present))
+                    parts.append(bce_loss(out.task_logits[0], y, present))
                 if want_domain:
-                    dl = domain_cce_loss(out.domain_probs, batch.domain_onehot)
+                    dl = domain_cce_loss(out.domain_logits, batch.domain_onehot)
                     parts.append(ad.mul(dl, w_domain) if not want_tasks else dl)
                 if len(parts) == 1:
                     loss = parts[0]
@@ -208,10 +239,10 @@ class TestMtDaanForward:
             for (_, sv), (_, dv) in zip(src.variables("a"), dst.variables("b")):
                 dv.value = sv.value.copy()
         batch = make_micro_batch(model, n=4, with_domain=True)
-        probs, alphas, domain_probs = mt_daan_forward(model, batch)
-        assert np.array_equal(probs[0].value, probs[1].value)
+        logits, alphas, domain_logits = mt_daan_forward(model, batch)
+        assert np.array_equal(logits[0].value, logits[1].value)
         assert np.array_equal(alphas[0].value, alphas[1].value)
-        assert domain_probs.value.shape == (4, 3)
+        assert domain_logits.value.shape == (4, 3)
 
     def test_alphas_sum_to_one_per_task(self):
         model = make_micro_model(m=3, adversarial=True, n_domains=2)
@@ -284,22 +315,21 @@ class TestMtDaanLoss:
         for _ in range(100):
             m = int(rng.integers(1, 5))
             n = int(rng.integers(2, 8))
-            probs = [ad.Var(rng.uniform(0.05, 0.95, size=n)) for _ in range(m)]
+            logits = [ad.Var(rng.normal(scale=2.0, size=(n, 2))) for _ in range(m)]
             ys = [rng.integers(0, 2, size=n).astype(float) for _ in range(m)]
             weights = tuple(rng.uniform(0, 2, size=m))
             nd = int(rng.integers(2, 5))
-            raw = rng.uniform(0.1, 1, size=(n, nd))
-            dp = ad.Var(raw / raw.sum(axis=1, keepdims=True))
+            dz = ad.Var(rng.normal(scale=2.0, size=(n, nd)))
             onehot = np.zeros((n, nd))
             for i in range(n):
                 onehot[i, rng.integers(0, nd)] = 1.0
             w_d = float(rng.uniform(0, 1))
-            task_losses = [bce_loss(p, y) for p, y in zip(probs, ys)]
-            total = float(mt_daan_loss(task_losses, weights, domain_cce_loss(dp, onehot), w_d).value)
+            task_losses = [bce_loss(z, y) for z, y in zip(logits, ys)]
+            total = float(mt_daan_loss(task_losses, weights, domain_cce_loss(dz, onehot), w_d).value)
             want = sum(
-                w * float(bce_loss(ad.Var(p.value), y).value)
-                for w, p, y in zip(weights, probs, ys)
-            ) + w_d * float(domain_cce_loss(ad.Var(dp.value), onehot).value)
+                w * float(bce_loss(ad.Var(z.value), y).value)
+                for w, z, y in zip(weights, logits, ys)
+            ) + w_d * float(domain_cce_loss(ad.Var(dz.value), onehot).value)
             assert abs(total - want) < 1e-12
 
 
@@ -308,8 +338,8 @@ class TestHeadIsolationAndDetachment:
         model = make_micro_model(m=3, seed=2)
         batch = make_micro_batch(model, n=4, seed=2)
         with ad.Tape() as tape:
-            probs, _, _ = mt_daan_forward(model, batch)
-            loss = bce_loss(probs[0], *batch.labels["task0"])
+            logits, _, _ = mt_daan_forward(model, batch)
+            loss = bce_loss(logits[0], *batch.labels["task0"])
             ad.backward(tape, loss)
         for k in (1, 2):
             for _, var in model.heads[k].variables(f"head{k}"):
@@ -328,9 +358,9 @@ class TestHeadIsolationAndDetachment:
                 out = models._forward(
                     model, batch.ids, batch.mask, want_tasks=True, want_domain=with_domain
                 )
-                loss = bce_loss(out.task_probs[0], y, present)
+                loss = bce_loss(out.task_logits[0], y, present)
                 if with_domain:
-                    d_loss = domain_cce_loss(out.domain_probs, batch.domain_onehot)
+                    d_loss = domain_cce_loss(out.domain_logits, batch.domain_onehot)
                     loss = mt_daan_loss([loss], (1.0,), d_loss, model.spec.w_domain)
                 ad.backward(tape, loss)
             return [var.grad.copy() for _, var in shared]
@@ -369,12 +399,12 @@ class TestPersistence:
     def test_forward_identical_after_round_trip(self, tmp_path):
         model = make_micro_model(m=2, adversarial=True, n_domains=2, seed=6)
         batch = make_micro_batch(model, n=4, seed=6, with_domain=True)
-        probs_before, _, _ = mt_daan_forward(model, batch)
+        logits_before, _, _ = mt_daan_forward(model, batch)
         path = tmp_path / "model.npz"
         save_model(model, path)
         loaded = load_model(path)
-        probs_after, _, _ = mt_daan_forward(loaded, batch)
-        for a, b in zip(probs_before, probs_after):
+        logits_after, _, _ = mt_daan_forward(loaded, batch)
+        for a, b in zip(logits_before, logits_after):
             assert np.array_equal(a.value, b.value)
 
 

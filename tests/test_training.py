@@ -64,7 +64,7 @@ class TestAdam:
         opt = Adam([slot(w)], lr=lr, beta1=b1, beta2=b2, eps=eps)
         for _ in range(3):
             with ad.Tape() as tape:
-                diff = ad.sub(w, b)
+                diff = ad.add(w, -b)
                 loss = ad.asum(ad.mul(ad.mul(diff, diff), a))
                 ad.backward(tape, loss)
             opt.step()
