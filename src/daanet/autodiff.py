@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over float64 numpy arrays.
+"""Reverse-mode automatic differentiation over float32 or float64 numpy arrays.
 
 Define-by-run: a fresh `Tape` is opened per forward pass and every
 operation executed inside the ``with`` block appends one node. Nodes are
@@ -12,6 +12,13 @@ the sweep. The optimizer is responsible for zeroing parameter grads.
 
 Ops accept plain numpy arrays or scalars anywhere a Var is allowed; such
 operands are treated as constants and receive no gradient.
+
+Dtype rule: a Var holds a float32 or float64 array as given and turns any
+other input into float64; its gradient has the value's dtype. Every op
+computes in the dtype of its Var operands (numpy's promotion when they
+differ), and constant operands such as masks, weights and targets are
+cast to that dtype first, so a float64 constant never promotes a float32
+graph.
 """
 
 from __future__ import annotations
@@ -59,12 +66,16 @@ class Tape:
 
 
 class Var:
-    """A differentiable value: float64 array plus a lazily allocated gradient."""
+    """A differentiable value: a float32 or float64 array (anything else
+    becomes float64) plus a lazily allocated gradient of the same dtype."""
 
     __slots__ = ("value", "_grad")
 
     def __init__(self, value):
-        self.value = np.asarray(value, dtype=np.float64)
+        value = np.asarray(value)
+        if value.dtype != np.float32:
+            value = np.asarray(value, dtype=np.float64)
+        self.value = value
         self._grad = None
 
     @property
@@ -76,7 +87,7 @@ class Var:
         """The gradient, allocated as zeros on first use; `np.zeros` leaves
         the pages of a large table untouched until rows are written."""
         if self._grad is None:
-            self._grad = np.zeros(self.value.shape)
+            self._grad = np.zeros(self.value.shape, dtype=self.value.dtype)
         return self._grad
 
     def add_grad(self, g):
@@ -85,7 +96,7 @@ class Var:
                 f"gradient shape {g.shape} does not match value shape {self.value.shape}"
             )
         if self._grad is None:
-            self._grad = np.array(g, dtype=np.float64)
+            self._grad = np.array(g, dtype=self.value.dtype)
         else:
             self._grad += g
 
@@ -96,8 +107,12 @@ class Var:
         return f"Var(shape={self.value.shape})"
 
 
-def _value(x):
-    return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
+def _values(*xs):
+    """The arrays of an op's operands; constants take the dtype of the Var
+    operands (float64 when there are none)."""
+    dtypes = [x.value.dtype for x in xs if isinstance(x, Var)]
+    dtype = np.result_type(*dtypes) if dtypes else np.float64
+    return [x.value if isinstance(x, Var) else np.asarray(x, dtype=dtype) for x in xs]
 
 
 def backward(tape, loss):
@@ -111,7 +126,7 @@ def backward(tape, loss):
     recorded = any(out is loss for out, _, _ in tape.nodes)
     if not recorded:
         raise ContractError("loss was not recorded on this tape")
-    loss.add_grad(np.ones((), dtype=np.float64))
+    loss.add_grad(np.ones_like(loss.value))
     for out, _parents, pullback in reversed(tape.nodes):
         g = out._grad
         if g is None:
@@ -147,7 +162,7 @@ def _record(out, var_parents, pullback):
 
 
 def add(a, b):
-    av, bv = _value(a), _value(b)
+    av, bv = _values(a, b)
     out = Var(av + bv)
     a_var, b_var = isinstance(a, Var), isinstance(b, Var)
     if not (a_var or b_var):
@@ -163,7 +178,7 @@ def add(a, b):
 
 
 def mul(a, b):
-    av, bv = _value(a), _value(b)
+    av, bv = _values(a, b)
     out = Var(av * bv)
     a_var, b_var = isinstance(a, Var), isinstance(b, Var)
     if not (a_var or b_var):
@@ -180,7 +195,7 @@ def mul(a, b):
 
 def matmul(a, b):
     """Matrix product for 2-D x 2-D and 2-D x 1-D operands."""
-    av, bv = _value(a), _value(b)
+    av, bv = _values(a, b)
     if av.ndim != 2 or bv.ndim not in (1, 2) or av.shape[1] != bv.shape[0]:
         raise DimensionError(f"matmul: incompatible shapes {av.shape} x {bv.shape}")
     out = Var(av @ bv)
@@ -259,8 +274,8 @@ def masked_softmax(scores, mask):
     `mask` is a {0,1} array of the same shape; every row must keep at
     least one position. Gradient flows only through unmasked positions.
     """
-    mv = np.asarray(mask, dtype=np.float64)
     sv = scores.value
+    mv = np.asarray(mask, dtype=sv.dtype)
     if mv.shape != sv.shape:
         raise DimensionError(f"mask shape {mv.shape} does not match scores shape {sv.shape}")
     if np.any(mv.sum(axis=-1) == 0):
@@ -291,8 +306,8 @@ def softmax_cross_entropy(logits, targets, weights):
     zero targets gets none.
     """
     zv = logits.value
-    tv = np.asarray(targets, dtype=np.float64)
-    wv = np.asarray(weights, dtype=np.float64)
+    tv = np.asarray(targets, dtype=zv.dtype)
+    wv = np.asarray(weights, dtype=zv.dtype)
     if zv.ndim != 2 or tv.shape != zv.shape or wv.shape != zv.shape[:1]:
         raise DimensionError(
             f"softmax_cross_entropy: logits {zv.shape}, targets {tv.shape}, weights {wv.shape}"
@@ -317,7 +332,7 @@ def gradient_reversal(x, lam):
     lam = float(lam)
     if lam < 0:
         raise ParameterError(f"gradient reversal strength must be >= 0, got {lam}")
-    out = Var(x.value)  # float64 in, same array object out: forward is bit-identical
+    out = Var(x.value)  # same array object out: forward is bit-identical
     if lam == 0.0:
         return out
 
@@ -351,7 +366,7 @@ def sum_axis(x, axis):
 
 def concat(parts, axis=-1):
     """Concatenate Vars (or constant arrays) along `axis`."""
-    values = [_value(p) for p in parts]
+    values = _values(*parts)
     out = Var(np.concatenate(values, axis=axis))
     sizes = [v.shape[axis] for v in values]
     offsets = np.cumsum([0] + sizes)
@@ -378,10 +393,10 @@ def gather_rows(table, ids, row_grad_mask=None):
     (locked embedding rows), and their ids are dropped before the sum.
     """
     ids = np.asarray(ids)
-    if ids.size and ids.max() >= table.value.shape[0]:
-        raise DimensionError(
-            f"row index {int(ids.max())} out of range for table with {table.value.shape[0]} rows"
-        )
+    n_rows = table.value.shape[0]
+    if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
+        bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
+        raise DimensionError(f"row index {bad} out of range for table with {n_rows} rows")
     out = Var(table.value[ids])
 
     def pullback(g):
@@ -391,7 +406,7 @@ def gather_rows(table, ids, row_grad_mask=None):
             kept = row_grad_mask[flat_ids] != 0
             flat_ids, flat_g = flat_ids[kept], flat_g[kept]
         rows, slots = np.unique(flat_ids, return_inverse=True)
-        block = np.zeros((rows.size, table.value.shape[1]))
+        block = np.zeros((rows.size, table.value.shape[1]), dtype=table.value.dtype)
         np.add.at(block, slots, flat_g)
         table.grad[rows] += block
 
@@ -444,9 +459,10 @@ def lstm(x, mask, w, b, reverse=False):
     is backpropagation through time over the same prefixes; it collects the
     gate gradients of every step and then forms the x, w and b gradients
     with one GEMM or one sum each. The per-step values it needs are kept
-    only while a tape is recording.
+    only while a tape is recording. Every buffer has the dtype of x, w and b.
     """
     xv, wv, bv = x.value, w.value, b.value
+    dtype = np.result_type(xv, wv, bv)
     mv = np.asarray(mask, dtype=np.float64)
     if xv.ndim != 3 or mv.shape != xv.shape[:2]:
         raise DimensionError(f"lstm: mask shape {mv.shape} does not match input {xv.shape}")
@@ -466,7 +482,7 @@ def lstm(x, mask, w, b, reverse=False):
     # Contiguous copies, since a strided slice of w would keep matmul off
     # BLAS. The i, f, o columns are negated, which is exact, so the GEMMs
     # give -pre for the sigmoid gates and one exp serves all three.
-    sign = np.where(np.arange(4 * h) < 3 * h, -1.0, 1.0)
+    sign = np.where(np.arange(4 * h) < 3 * h, -1.0, 1.0).astype(dtype)
     wx_t = np.ascontiguousarray(wv[:, :d].T * sign)
     wh_t = np.ascontiguousarray(wv[:, d:].T * sign)
     b_signed = bv * sign
@@ -478,12 +494,12 @@ def lstm(x, mask, w, b, reverse=False):
     # which is the initial state of a reverse pass. Without a tape one slot
     # is overwritten at every step.
     slots = t_x + 2 if recording else 1
-    gates = np.zeros((slots, n, 4 * h))  # sigmoid i, f, o, then tanh(c_t)
-    cand = np.zeros((slots, n, h))  # c~
-    cells = np.zeros((slots, n, h))
-    h_state = np.zeros((n, h))
-    out_v = np.zeros((n, t_x, h))
-    proj = np.empty(n * LSTM_BLOCK * 4 * h)  # one block's input projection
+    gates = np.zeros((slots, n, 4 * h), dtype)  # sigmoid i, f, o, then tanh(c_t)
+    cand = np.zeros((slots, n, h), dtype)  # c~
+    cells = np.zeros((slots, n, h), dtype)
+    h_state = np.zeros((n, h), dtype)
+    out_v = np.zeros((n, t_x, h), dtype)
+    proj = np.empty(n * LSTM_BLOCK * 4 * h, dtype)  # one block's input projection
     starts = range(0, t_max, LSTM_BLOCK)
     with np.errstate(over="ignore"):  # exp(-pre) = inf is a saturated gate, 0
         for t0 in reversed(starts) if reverse else starts:
@@ -512,9 +528,9 @@ def lstm(x, mask, w, b, reverse=False):
         return out
 
     def pullback(g):
-        dpre = np.zeros((n, t_x, 4 * h))  # gate gradients, caller's row order
-        dh = np.zeros((n, h))  # gradient reaching the carried state, packed rows
-        dc = np.zeros((n, h))
+        dpre = np.zeros((n, t_x, 4 * h), dtype)  # gate gradients, caller's row order
+        dh = np.zeros((n, h), dtype)  # gradient reaching the carried state, packed rows
+        dc = np.zeros((n, h), dtype)
         for t in range(t_max) if reverse else range(t_max - 1, -1, -1):
             lv = live[t]
             rows = order[:lv]
@@ -523,7 +539,7 @@ def lstm(x, mask, w, b, reverse=False):
             gc = cand[t + 1, :lv]
             dh_t = g[rows, t] + dh[:lv]
             dc_t = dc[:lv] + dh_t * go * (1.0 - tc * tc)
-            dp = np.empty((lv, 4 * h))
+            dp = np.empty((lv, 4 * h), dtype)
             np.multiply(dc_t, gc, out=dp[:, :h])
             np.multiply(dc_t, cells[t + 1 - step, :lv], out=dp[:, h : 2 * h])
             np.multiply(dh_t, tc, out=dp[:, 2 * h : 3 * h])

@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, LabelError, SplitError
-from .layers import EmbeddingMatrix
+from .errors import DataError, LabelError, ParameterError, SplitError
+from .layers import MODEL_DTYPE, EmbeddingMatrix
 from . import autodiff as ad
 
 log = logging.getLogger(__name__)
@@ -113,9 +113,11 @@ def load_embeddings(path, vocab, dim, seed=0):
 
     In-vocabulary tokens found in the file get their file vector and are
     locked; missing tokens get a seeded uniform(-0.25, 0.25) row and stay
-    tunable. Row 0 (padding) is zero and locked.
+    tunable. Row 0 (padding) is zero and locked. The table is float32, so a
+    component that is not finite in float32 (nan, inf, or beyond float32's
+    range) raises DataError with its line.
     """
-    vectors = {}
+    vectors = {}  # token -> (line number, components)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split(" ")
@@ -131,26 +133,34 @@ def load_embeddings(path, vocab, dim, seed=0):
                     f"expected {dim} components, found {len(values)}", path=str(path), line=lineno
                 )
             try:
-                vectors[token] = np.array([float(v) for v in values])
+                vectors[token] = (lineno, np.array([float(v) for v in values]))
             except ValueError as exc:
                 raise DataError(f"bad float: {exc}", path=str(path), line=lineno) from None
 
     v = len(vocab)
-    table = np.zeros((v, dim))
+    table = np.zeros((v, dim), dtype=MODEL_DTYPE)
     locked = np.zeros(v, dtype=bool)
     locked[PAD_ID] = True
     rng = np.random.default_rng(seed)
     matched = 0
     # row 0 stays zero/locked; the reserved <unk> row 1 stays zero but tunable
-    for idx in range(2, v):
-        token = vocab.tokens[idx]
-        vec = vectors.get(token)
-        if vec is None:
-            table[idx] = rng.uniform(-0.25, 0.25, size=dim)
-        else:
-            table[idx] = vec
-            locked[idx] = True
-            matched += 1
+    with np.errstate(over="ignore"):  # a component beyond float32's range turns inf here
+        for idx in range(2, v):
+            entry = vectors.get(vocab.tokens[idx])
+            if entry is None:
+                table[idx] = rng.uniform(-0.25, 0.25, size=dim)
+            else:
+                table[idx] = entry[1]
+                locked[idx] = True
+                matched += 1
+    # checked once over the table: a check per line cost a tenth of the parse
+    finite = np.isfinite(table)
+    if not finite.all():
+        row = min(np.flatnonzero(~finite.all(axis=1)), key=lambda r: vectors[vocab.tokens[r]][0])
+        lineno, vec = vectors[vocab.tokens[row]]
+        raise DataError(
+            f"component {vec[~finite[row]][0]} is not a finite float32", path=str(path), line=lineno
+        )
     real_tokens = max(v - 2, 1)
     coverage = matched / real_tokens if v > 2 else 0.0
     return EmbeddingMatrix(table=ad.Var(table), locked=locked, coverage=coverage)
@@ -290,6 +300,8 @@ class Batch:
 def make_batches(examples, vocab, t_x, batch_size=32, rng=None, tasks=None, n_domains=0):
     """Encode and batch `examples`; shuffled when `rng` is given, with the
     last partial batch kept."""
+    if batch_size < 1:
+        raise ParameterError(f"batch size must be positive, got {batch_size}")
     if tasks is None:
         tasks = sorted({t for ex in examples for t in ex.labels})
     order = np.arange(len(examples))

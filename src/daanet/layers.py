@@ -12,6 +12,10 @@ applied to [x_t, h_{t-1}], and one bias b [4h]. The mask must be right
 padding (a prefix of ones per row), which `autodiff.lstm` checks: a padded
 position emits zeros and no state is carried through it, so in both
 directions a padded row gives the same states as its unpadded sequence.
+
+The initializers draw in float64 and store `MODEL_DTYPE` (float32), so
+every parameter is float32 and, by the dtype rule of `autodiff`, so is
+every activation and gradient computed from them.
 """
 
 from __future__ import annotations
@@ -23,16 +27,17 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ContractError, DimensionError, ParameterError
 
+MODEL_DTYPE = np.float32  # every model parameter, so the model computes in float32
 RECURRENT_INIT_SCALE = 0.08
 
 
 def uniform_init(rng, shape, scale=RECURRENT_INIT_SCALE):
-    return rng.uniform(-scale, scale, size=shape)
+    return rng.uniform(-scale, scale, size=shape).astype(MODEL_DTYPE)
 
 
 def glorot_init(rng, n_out, n_in):
     limit = np.sqrt(6.0 / (n_in + n_out))
-    return rng.uniform(-limit, limit, size=(n_out, n_in))
+    return rng.uniform(-limit, limit, size=(n_out, n_in)).astype(MODEL_DTYPE)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +81,7 @@ def random_embedding(vocab_size, dim, rng, scale=0.25):
     """Fresh tunable embedding table; pad row 0 is zero and locked, and the
     reserved unknown-token row 1 starts at zero (tunable) so out-of-vocabulary
     tokens are neutral rather than a random direction."""
-    table = rng.uniform(-scale, scale, size=(vocab_size, dim))
+    table = uniform_init(rng, (vocab_size, dim), scale)
     table[0] = 0.0
     if vocab_size > 1:
         table[1] = 0.0
@@ -119,7 +124,7 @@ class BiLstmParams:
 def init_lstm_cell(rng, input_dim, hidden):
     return LstmParams(
         w=ad.Var(uniform_init(rng, (4 * hidden, input_dim + hidden))),
-        b=ad.Var(np.zeros(4 * hidden)),
+        b=ad.Var(np.zeros(4 * hidden, MODEL_DTYPE)),
     )
 
 
@@ -163,7 +168,7 @@ class AttentionHeadParams:
 def init_attention(rng, act_dim, score_dim):
     return AttentionHeadParams(
         w=ad.Var(glorot_init(rng, score_dim, act_dim)),
-        b=ad.Var(np.zeros(score_dim)),
+        b=ad.Var(np.zeros(score_dim, MODEL_DTYPE)),
         v=ad.Var(glorot_init(rng, 1, score_dim)[0]),
     )
 
@@ -199,7 +204,9 @@ class DenseParams:
 
 
 def init_dense(rng, n_in, n_out):
-    return DenseParams(w=ad.Var(glorot_init(rng, n_out, n_in)), b=ad.Var(np.zeros(n_out)))
+    return DenseParams(
+        w=ad.Var(glorot_init(rng, n_out, n_in)), b=ad.Var(np.zeros(n_out, MODEL_DTYPE))
+    )
 
 
 def dense(params, x, activation=None):

@@ -35,6 +35,7 @@ from .layers import (
     BiLstmParams,
     DenseParams,
     EmbeddingMatrix,
+    MODEL_DTYPE,
     attention_head,
     bilstm,
     dense,
@@ -46,7 +47,7 @@ from .layers import (
     random_embedding,
 )
 
-ARCHIVE_FORMAT = 3
+ARCHIVE_FORMAT = 4  # 4: float32 parameters
 
 
 class ParamSlot(NamedTuple):
@@ -293,7 +294,7 @@ def bce_loss(logits, y, present=None):
     present = np.ones(y.size) if present is None else np.asarray(present, dtype=np.float64)
     n = present.sum()
     if n == 0:
-        return ad.Var(0.0)
+        return ad.Var(np.zeros((), logits.value.dtype))
     return ad.softmax_cross_entropy(logits, np.stack([1.0 - y, y], axis=1), present / n)
 
 
@@ -339,7 +340,7 @@ def covid_relevance(priority_pred, irrelevant_pred):
 
 def save_model(model, path):
     """Write a single self-describing .npz archive: spec, vocabulary (plus
-    hash), and every parameter tensor. Round-trips are bit-exact."""
+    hash), and every parameter tensor (float32). Round-trips are bit-exact."""
     arrays = {}
     for slot in model.parameters():
         arrays["param/" + slot.name] = slot.var.value
@@ -361,8 +362,9 @@ def _require(entries, names, what, path):
 
 
 def load_model(path):
-    """Rebuild a model from a `save_model` archive; a malformed archive
-    raises DataError naming the path."""
+    """Rebuild a model from a `save_model` archive; a malformed archive,
+    including one whose parameters are not float32, raises DataError
+    naming the path."""
     with np.load(path, allow_pickle=False) as archive:
         _require(
             archive.files, ("meta.json", "embedding.locked", "param/embedding.table"), "archive", path
@@ -400,15 +402,19 @@ def load_model(path):
     except DimensionError as exc:
         raise DataError(f"embedding does not fit the model: {exc}", path=str(path)) from None
     for slot in model.parameters():
-        if slot.name == "embedding.table":
-            continue
-        value = params.pop(slot.name, None)
+        placed = slot.name == "embedding.table"  # build_model took it from the archive
+        value = slot.var.value if placed else params.pop(slot.name, None)
         if value is None:
             raise DataError(f"archive is missing parameter {slot.name}", path=str(path))
         if value.shape != slot.var.value.shape:
             raise DataError(
                 f"parameter {slot.name} has shape {value.shape}, "
                 f"expected {slot.var.value.shape}",
+                path=str(path),
+            )
+        if value.dtype != MODEL_DTYPE:
+            raise DataError(
+                f"parameter {slot.name} is {value.dtype}, expected {np.dtype(MODEL_DTYPE)}",
                 path=str(path),
             )
         slot.var.value = value

@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import Example, Vocab, tokenize
 from .errors import ParameterError
-from .layers import EmbeddingMatrix
+from .layers import MODEL_DTYPE, EmbeddingMatrix
 from . import autodiff as ad
 
 FILLER_TOKENS = ["the", "and", "of", "in", "on", "at", "for", "with", "this", "near"]
@@ -180,7 +180,7 @@ def synth_separable_embedding_corpus(
     pos_words = [f"pos_w{j}" for j in range(words_per_class)]
     neg_words = [f"neg_w{j}" for j in range(words_per_class)]
     vocab = Vocab(pos_words + neg_words)
-    table = np.zeros((len(vocab), dim))
+    table = np.zeros((len(vocab), dim), dtype=MODEL_DTYPE)
     for j, word in enumerate(pos_words):
         table[vocab.id_of(word)] = separation / 2 * direction + 0.5 * rng.normal(size=dim)
     for j, word in enumerate(neg_words):

@@ -9,7 +9,9 @@ Parameters are redrawn at a larger scale than training initialization:
 at tiny training-scale activations the attention score bias has a
 near-null gradient (softmax ignores uniform score shifts, so only tanh
 curvature keeps it alive), which drowns in finite-difference noise. At
-O(1) activations every path carries an informative derivative.
+O(1) activations every path carries an informative derivative. The
+redrawn parameters are float64, so the model built in float32 runs the
+check in float64, where central differences at eps=1e-5 resolve.
 """
 
 from __future__ import annotations

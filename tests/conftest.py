@@ -31,6 +31,14 @@ def make_micro_model(m=1, adversarial=False, n_domains=0, seed=0, dropout=0.0, l
     return build_model(spec, micro_vocab(), seed=seed)
 
 
+def to_float64(variables):
+    """Recast Vars to float64 in place. Models and layers are built in
+    float32; tests that pin float64 arithmetic (1e-12 comparisons, finite
+    differences) cast the parameters with this first."""
+    for var in variables:
+        var.value = var.value.astype(np.float64)
+
+
 def make_micro_batch(model, n=4, seed=0, with_domain=False):
     rng = np.random.default_rng(seed)
     spec = model.spec

@@ -319,9 +319,11 @@ class TestStructuralOps:
         assert np.array_equal(table.grad[[0, 1, 3, 6]], np.zeros((4, 3)))
 
     def test_gather_rows_out_of_range(self):
-        table = ad.Var(np.ones((3, 2)))
-        with pytest.raises(DimensionError):
-            ad.gather_rows(table, np.array([3]))
+        # -1 would otherwise read, and scatter its gradient into, the last row
+        table = ad.Var(np.arange(6.0).reshape(3, 2))
+        for bad in (3, -1):
+            with pytest.raises(DimensionError, match=f"row index {bad} "):
+                ad.gather_rows(table, np.array([0, bad]))
 
     def test_attend_matches_brute_force(self):
         rng = np.random.default_rng(11)
@@ -382,24 +384,28 @@ def reference_lstm(xv, mask, wv, bv, reverse, g_out):
     return out, dx, dw_t.T, db
 
 
-def assert_lstm_matches_reference(lengths, t_x, d, h, reverse, seed):
+def assert_lstm_matches_reference(lengths, t_x, d, h, reverse, seed, dtype=np.float64, tol=1e-12):
+    """Run `ad.lstm` on `dtype` inputs against the float64 reference fed the
+    same (rounded) values; every output must be within `tol` x max |value|."""
     rng = np.random.default_rng(seed)
     n = len(lengths)
     mask = (np.arange(t_x) < np.asarray(lengths)[:, None]).astype(np.float64)
-    xv = rng.normal(size=(n, t_x, d))
-    wv = rng.normal(scale=0.5, size=(4 * h, d + h))
-    bv = rng.normal(scale=0.5, size=4 * h)
-    g_out = rng.normal(size=(n, t_x, h))
+    xv = rng.normal(size=(n, t_x, d)).astype(dtype)
+    wv = rng.normal(scale=0.5, size=(4 * h, d + h)).astype(dtype)
+    bv = rng.normal(scale=0.5, size=4 * h).astype(dtype)
+    g_out = rng.normal(size=(n, t_x, h)).astype(dtype)
     x, w, b = ad.Var(xv.copy()), ad.Var(wv.copy()), ad.Var(bv.copy())
     with ad.Tape() as tape:
         states = ad.lstm(x, mask, w, b, reverse=reverse)
         ad.backward(tape, ad.asum(ad.mul(states, g_out)))
-    expected = reference_lstm(xv, mask, wv, bv, reverse, g_out)
+    wide = [a.astype(np.float64) for a in (xv, wv, bv, g_out)]
+    expected = reference_lstm(wide[0], mask, wide[1], wide[2], reverse, wide[3])
     got_all = (states.value, x.grad, w.grad, b.grad)
     for name, got, ref in zip(("states", "dx", "dw", "db"), got_all, expected):
+        assert got.dtype == dtype, f"{name}: computed in {got.dtype}"
         scale = np.max(np.abs(ref), initial=0.0)
         err = np.max(np.abs(got - ref), initial=0.0)
-        assert err <= 1e-12 * scale, f"{name}: max error {err} against max |value| {scale}"
+        assert err <= tol * scale, f"{name}: max error {err} against max |value| {scale}"
 
 
 class TestLstm:
@@ -417,6 +423,27 @@ class TestLstm:
         reverse = data.draw(st.booleans())
         seed = data.draw(st.integers(0, 2**31))
         assert_lstm_matches_reference(lengths, t_x, d=3, h=2, reverse=reverse, seed=seed)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_float32_matches_float64_reference(self, reverse):
+        # every buffer is float32; rounding stays within 1e-5 x max |value|
+        # (about 2e-6 was seen at d=100, h=64, T=30)
+        lengths = (3, 9, 1, 5, 9, 2, 7)
+        assert_lstm_matches_reference(
+            lengths, t_x=9, d=4, h=3, reverse=reverse, seed=5, dtype=np.float32, tol=1e-5
+        )
+
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_random_float32_lengths_match_float64_reference(self, data):
+        n = data.draw(st.integers(1, 6))
+        t_x = data.draw(st.integers(1, 12))
+        lengths = data.draw(st.lists(st.integers(0, t_x), min_size=n, max_size=n))
+        reverse = data.draw(st.booleans())
+        seed = data.draw(st.integers(0, 2**31))
+        assert_lstm_matches_reference(
+            lengths, t_x, d=5, h=4, reverse=reverse, seed=seed, dtype=np.float32, tol=1e-5
+        )
 
     @pytest.mark.parametrize("mask", [[[1, 0, 1, 0]], [[1, 0.5, 0, 0]]], ids=["gap", "fractional"])
     def test_non_prefix_mask_rejected(self, mask):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from daanet.data import (
     tokenize,
     write_corpus,
 )
-from daanet.errors import DataError, LabelError, SplitError
+from daanet.errors import DataError, LabelError, ParameterError, SplitError
 
 
 def ex(event, text, labels=None):
@@ -112,6 +114,34 @@ class TestLoadEmbeddings:
         path = self.write_file(tmp_path, ["storm 1 2"])
         with pytest.raises(DataError, match=":1:"):
             load_embeddings(path, vocab, dim=3)
+
+    def test_table_is_float32(self, tmp_path):
+        vocab = Vocab(["storm", "flood"])
+        path = self.write_file(tmp_path, ["storm 0.1 2 3"])
+        emb = load_embeddings(path, vocab, dim=3)
+        assert emb.table.value.dtype == np.float32
+        assert np.array_equal(emb.table.value[vocab.id_of("storm")], np.float32([0.1, 2, 3]))
+
+    @pytest.mark.parametrize("component", ["nan", "inf", "-inf", "1e39"])
+    def test_component_not_finite_in_float32_reports_line(self, tmp_path, component):
+        # 1e39 is finite in float64 but would become inf in the float32 table
+        vocab = Vocab(["storm", "flood"])
+        path = self.write_file(tmp_path, ["flood 1 2 3", f"storm 1 {component} 3"])
+        with pytest.raises(DataError, match=f"{re.escape(str(path))}:2: .*not a finite float32"):
+            load_embeddings(path, vocab, dim=3)
+
+    def test_first_bad_line_in_file_order_reported(self, tmp_path):
+        # flood comes first in the file but after storm in the vocabulary
+        vocab = Vocab(["storm", "flood"])
+        path = self.write_file(tmp_path, ["flood 1 nan 3", "storm inf 2 3"])
+        with pytest.raises(DataError, match=":1: component nan "):
+            load_embeddings(path, vocab, dim=3)
+
+    def test_largest_float32_component_accepted(self, tmp_path):
+        vocab = Vocab(["storm"])
+        path = self.write_file(tmp_path, ["storm 3.4028234e38 -3.4028234e38 0"])
+        emb = load_embeddings(path, vocab, dim=3)
+        assert np.all(np.isfinite(emb.table.value))
 
 
 class TestBinarizePriority:
@@ -217,6 +247,12 @@ class TestMakeBatches:
         examples, vocab = self.build(70)
         batches = make_batches(examples, vocab, t_x=5, batch_size=32)
         assert [b.size for b in batches] == [32, 32, 6]
+
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_non_positive_batch_size_rejected(self, batch_size):
+        examples, vocab = self.build(5)
+        with pytest.raises(ParameterError, match="batch size"):
+            make_batches(examples, vocab, t_x=5, batch_size=batch_size)
 
     def test_truncation_to_t_x(self):
         text = " ".join(f"w{i}" for i in range(40))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import to_float64
 
 from daanet import autodiff as ad
 from daanet import layers
@@ -109,6 +110,7 @@ class TestBiLstm:
 
     def test_five_step_unroll_matches_finite_differences(self, rng):
         params = layers.init_bilstm(rng, 2, 3)
+        to_float64(var for _, var in params.variables())
         x = ad.Var(rng.normal(size=(1, 5, 2)))
         mask = np.array([[1, 1, 1, 1, 0]])
         weights = rng.normal(size=(1, 5, 6))
@@ -171,6 +173,7 @@ class TestAttentionHead:
 
     def test_grad_check(self, rng):
         params = layers.init_attention(rng, 4, 3)
+        to_float64(var for _, var in params.variables())
         acts = ad.Var(rng.normal(size=(1, 5, 4)))
         mask = np.array([[1, 1, 1, 1, 0]])
         weights = rng.normal(size=(1, 4))
@@ -197,6 +200,7 @@ class TestDense:
 
     def test_grad_check(self, rng):
         params = layers.init_dense(rng, 4, 3)
+        to_float64(var for _, var in params.variables())
         x = ad.Var(rng.normal(size=(2, 4)))
         weights = rng.normal(size=(2, 3))
 

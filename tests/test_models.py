@@ -4,7 +4,13 @@ import re
 
 import numpy as np
 import pytest
-from conftest import make_micro_batch, make_micro_model, micro_spec, micro_vocab
+from conftest import (
+    make_micro_batch,
+    make_micro_model,
+    micro_spec,
+    micro_vocab,
+    to_float64,
+)
 
 from daanet import autodiff as ad
 from daanet import models
@@ -194,6 +200,7 @@ class TestStDaanLoss:
     def test_encoder_grad_decomposes_into_task_minus_domain(self):
         w_domain = 0.5
         model = make_micro_model(adversarial=True, n_domains=3, lam=1.0, w_domain=w_domain, seed=9)
+        to_float64(slot.var for slot in model.parameters())
         batch = make_micro_batch(model, n=4, seed=9, with_domain=True)
         y, present = batch.labels["task0"]
         encoder_vars = [var for _, var in model.encoder.variables()]
@@ -284,6 +291,25 @@ class TestMtDaanForward:
         batch = make_verification_batch(model, n=3, seed=4)
         params = [slot.var for slot in model.parameters()]
         assert ad.grad_check(lambda: full_loss(model, batch), params) < 1e-4
+
+
+class TestFloat32Model:
+    def test_built_parameters_are_float32(self):
+        model = make_micro_model(m=2, adversarial=True, n_domains=3)
+        assert {slot.var.value.dtype for slot in model.parameters()} == {np.dtype(np.float32)}
+
+    def test_float32_logits_match_float64_model(self):
+        # the same parameters cast to float64 give the reference; float32
+        # rounding moves each output by up to about 5e-7 of its largest value
+        model = make_micro_model(m=2, adversarial=True, n_domains=3, seed=12)
+        batch = make_micro_batch(model, n=6, seed=12, with_domain=True)
+        logits32, alphas32, domain32 = mt_daan_forward(model, batch)
+        to_float64(slot.var for slot in model.parameters())
+        logits64, alphas64, domain64 = mt_daan_forward(model, batch)
+        pairs = list(zip(logits32 + alphas32 + [domain32], logits64 + alphas64 + [domain64]))
+        for got, ref in pairs:
+            assert got.value.dtype == np.float32 and ref.value.dtype == np.float64
+            assert np.max(np.abs(got.value - ref.value)) <= 1e-5 * np.max(np.abs(ref.value))
 
 
 class TestMtDaanLoss:
@@ -394,6 +420,7 @@ class TestPersistence:
         assert np.array_equal(loaded.embedding.locked, model.embedding.locked)
         originals = {s.name: s.var.value for s in model.parameters()}
         for slot in loaded.parameters():
+            assert slot.var.value.dtype == np.float32, slot.name
             assert np.array_equal(slot.var.value, originals[slot.name]), slot.name
 
     def test_forward_identical_after_round_trip(self, tmp_path):
@@ -483,6 +510,14 @@ class TestArchiveErrors:
         }[case]
         message = self.load_rewritten(saved, tmp_path, **rewrite)
         assert ("JSON objects" if case.endswith("object") else "embedding") in message
+
+    @pytest.mark.parametrize("name", ["embedding.table", "encoder.fwd.w", "head1.out.b"])
+    def test_float64_parameter_rejected(self, saved, tmp_path, name):
+        # format-3 archives held float64 parameters
+        with np.load(saved[0]) as archive:
+            wide = archive["param/" + name].astype(np.float64)
+        message = self.load_rewritten(saved, tmp_path, extra={"param/" + name: wide})
+        assert f"parameter {name} is float64, expected float32" in message
 
     def test_earlier_format_rejected(self, saved, tmp_path):
         meta = saved[1]

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
-from conftest import make_micro_model
+from conftest import make_micro_batch, make_micro_model
 
 from daanet import autodiff as ad
 from daanet.data import build_vocab, leave_one_out_split
 from daanet.errors import NumericalAbort, ParameterError
-from daanet.models import ModelSpec, ParamSlot, build_model
+from daanet.models import (
+    ModelSpec,
+    ParamSlot,
+    bce_loss,
+    build_model,
+    domain_cce_loss,
+    mt_daan_forward,
+    mt_daan_loss,
+)
 from daanet.synth import synth_domains, synth_separable_embedding_corpus
 from daanet.training import (
     Adam,
@@ -122,6 +130,31 @@ class TestAdam:
         w = ad.Var(np.ones((2, 2)))
         with pytest.raises(ParameterError, match="update mask"):
             Adam([ParamSlot("w", w, mask)])
+
+
+class TestFloat32Step:
+    def test_adversarial_step_with_dropout_stays_float32(self):
+        model = make_micro_model(m=2, adversarial=True, n_domains=3, dropout=0.3, seed=3)
+        batch = make_micro_batch(model, n=4, seed=3, with_domain=True)
+        spec = model.spec
+        optimizer = Adam(model.parameters())
+        with ad.Tape() as tape:
+            logits, _, domain_logits = mt_daan_forward(
+                model, batch, training=True, rng=np.random.default_rng(3)
+            )
+            task_losses = [bce_loss(z, *batch.labels[t]) for z, t in zip(logits, spec.task_names)]
+            domain_loss = domain_cce_loss(domain_logits, batch.domain_onehot)
+            total = mt_daan_loss(task_losses, spec.w_tasks, domain_loss, spec.w_domain)
+            ad.backward(tape, total)
+        f32 = np.dtype(np.float32)
+        assert len(tape.nodes) > 20
+        assert [out.value.dtype for out, _, _ in tape.nodes] == [f32] * len(tape.nodes)
+        for slot in model.parameters():
+            grad = slot.var._grad  # set by the backward pass, not allocated on read
+            assert grad is not None and grad.dtype == f32, slot.name
+        optimizer.step()
+        for slot, m, v in zip(optimizer.slots, optimizer.m, optimizer.v):
+            assert (slot.var.value.dtype, m.dtype, v.dtype) == (f32, f32, f32), slot.name
 
 
 class TestEarlyStopper:
@@ -286,6 +319,12 @@ class TestMetrics:
         for task in tasks:
             assert m1.per_task[task].accuracy == m2.per_task[task].accuracy
             assert m1.per_task[task].f1 == m2.per_task[task].f1
+
+    def test_evaluate_rejects_zero_batch_size(self):
+        split, vocab, tasks = tiny_split(per_event=20)
+        model = build_model(tiny_spec(vocab, tasks), vocab, seed=6)
+        with pytest.raises(ParameterError, match="batch size"):
+            evaluate(model, split.test, batch_size=0)
 
     def test_mean_accessors(self):
         from daanet.training import TaskMetrics
