@@ -156,7 +156,7 @@ def load_embeddings(path, vocab, dim, seed=0):
     # checked once over the table: a check per line cost a tenth of the parse
     finite = np.isfinite(table)
     if not finite.all():
-        row = min(np.flatnonzero(~finite.all(axis=1)), key=lambda r: vectors[vocab.tokens[r]][0])
+        row = np.flatnonzero(~finite.all(axis=1))[0]
         lineno, vec = vectors[vocab.tokens[row]]
         raise DataError(
             f"component {vec[~finite[row]][0]} is not a finite float32", path=str(path), line=lineno
