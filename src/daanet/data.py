@@ -13,9 +13,11 @@ with an optional leading ``<count> <dim>`` header.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 import re
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +35,12 @@ ABSENT = "-"
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@\w+")
-_TOKEN_RE = re.compile(r"#?\w+")
-_PLACEHOLDERS = ("<url>", "<user>")
+# #?\w+ runs, plus a placeholder only where it stands as a whole whitespace-separated piece
+_TOKEN_RE = re.compile(r"#?\w+|(?<!\S)<(?:url|user)>(?!\S)")
+
+EMBEDDING_CHUNK = 256  # in-vocabulary embedding lines parsed per np.loadtxt call
+# np.loadtxt strips these ASCII separators around a number as whitespace; float() rejects them
+_FLOAT_REJECTS = "\x1c\x1d\x1e\x1f"
 
 
 def tokenize(text):
@@ -43,13 +49,7 @@ def tokenize(text):
     t = text.lower()
     t = _URL_RE.sub(" <url> ", t)
     t = _MENTION_RE.sub(" <user> ", t)
-    tokens = []
-    for piece in t.split():
-        if piece in _PLACEHOLDERS:
-            tokens.append(piece)
-        else:
-            tokens.extend(_TOKEN_RE.findall(piece))
-    return tokens
+    return _TOKEN_RE.findall(t)
 
 
 @dataclass
@@ -80,12 +80,9 @@ class Vocab:
         return self.index.get(token, UNK_ID)
 
     def encode(self, tokens, t_x):
-        """Truncate to t_x, map to ids, right-pad with 0. Returns (ids, length)."""
-        kept = tokens[:t_x]
-        ids = np.zeros(t_x, dtype=np.int64)
-        for j, tok in enumerate(kept):
-            ids[j] = self.index.get(tok, UNK_ID)
-        return ids, len(kept)
+        """Ids of the first t_x tokens, unknown ones as UNK_ID, as an unpadded list."""
+        index = self.index
+        return [index.get(tok, UNK_ID) for tok in tokens[:t_x]]
 
     def decode(self, ids):
         return [self.tokens[i] for i in ids if i != PAD_ID]
@@ -97,15 +94,45 @@ class Vocab:
 def build_vocab(examples, min_freq=1):
     """Frequency-thresholded vocabulary, ordered by (-freq, token) so the
     index assignment is deterministic for a given corpus."""
-    counts = {}
-    for ex in examples:
-        for tok in ex.tokens:
-            counts[tok] = counts.get(tok, 0) + 1
-    kept = sorted(
-        (tok for tok, c in counts.items() if c >= min_freq),
-        key=lambda tok: (-counts[tok], tok),
-    )
+    counts = Counter(itertools.chain.from_iterable(ex.tokens for ex in examples))
+    kept = sorted(tok for tok, c in counts.items() if c >= min_freq)
+    kept.sort(key=counts.__getitem__, reverse=True)  # stable, so ties stay alphabetical
     return Vocab(kept)
+
+
+def _line_floats(rest, dim, path, lineno):
+    """The `dim` space-separated components of one line, parsed with float()."""
+    fields = rest.split(" ")
+    if len(fields) != dim:
+        raise DataError(
+            f"expected {dim} components, found {len(fields)}", path=str(path), line=lineno
+        )
+    try:
+        return [float(c) for c in fields]
+    except ValueError as exc:
+        raise DataError(f"bad float: {exc}", path=str(path), line=lineno) from None
+
+
+def _parse_components(rests, linenos, dim, path):
+    """Float64 [len(rests) x dim] components of the given lines' text.
+
+    One np.loadtxt call parses them all, and it reads what it accepts
+    exactly as float() does. A chunk it rejects, strips differently or
+    returns in another shape is parsed again line by line with float(),
+    which accepts ``1_0`` or ``１`` as before, or raises DataError for the
+    first line with the wrong component count or a bad float.
+    """
+    text = "".join(rests)
+    # loadtxt skips an empty line, and warns when no line is left
+    if "" not in rests and not any(c in text for c in _FLOAT_REJECTS):
+        try:
+            values = np.loadtxt(rests, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if values.shape == (len(rests), dim):
+                return values
+    return np.array([_line_floats(rest, dim, path, n) for rest, n in zip(rests, linenos)])
 
 
 def load_embeddings(path, vocab, dim, seed=0):
@@ -115,49 +142,69 @@ def load_embeddings(path, vocab, dim, seed=0):
     locked; missing tokens get a seeded uniform(-0.25, 0.25) row and stay
     tunable. Row 0 (padding) is zero and locked. The table is float32, so a
     component that is not finite in float32 (nan, inf, or beyond float32's
-    range) raises DataError with its line.
-    """
-    vectors = {}  # token -> (line number, components)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if lineno == 1 and len(parts) == 2:
-                continue  # "<count> <dim>" header
-            if len(parts) < 2 or not parts[0]:
-                continue
-            token, values = parts[0], parts[1:]
-            if token not in vocab.index:
-                continue
-            if len(values) != dim:
-                raise DataError(
-                    f"expected {dim} components, found {len(values)}", path=str(path), line=lineno
-                )
-            try:
-                vectors[token] = (lineno, np.array([float(v) for v in values]))
-            except ValueError as exc:
-                raise DataError(f"bad float: {exc}", path=str(path), line=lineno) from None
+    range) raises DataError naming it and the line of its row's last vector.
 
+    Line 1 is a ``<count> <dim>`` header when both its fields are integers;
+    a header whose dim is not `dim` raises DataError. Lines outside the
+    vocabulary are skipped unread. A token on several lines takes the last
+    line's vector, but every one of its lines is validated. Components are
+    parsed `EMBEDDING_CHUNK` lines at a time with np.loadtxt, with a
+    per-line float() fallback, and errors are raised in file order.
+    """
     v = len(vocab)
     table = np.zeros((v, dim), dtype=MODEL_DTYPE)
-    locked = np.zeros(v, dtype=bool)
-    locked[PAD_ID] = True
-    rng = np.random.default_rng(seed)
-    matched = 0
+    last_line = {}  # table row -> line number of its last vector
+    rows, rests, linenos = [], [], []  # the chunk of lines not parsed yet
+
+    def flush():
+        values = _parse_components(rests, linenos, dim, path)
+        with np.errstate(over="ignore"):  # a component beyond float32's range turns inf here
+            table[rows] = values
+        rows.clear()
+        rests.clear()
+        linenos.clear()
+
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            token, sep, rest = line.rstrip("\n").partition(" ")
+            if lineno == 1 and token.isdecimal() and rest.isdecimal():
+                if int(rest) != dim:
+                    raise DataError(
+                        f"header gives dim {rest}, expected {dim}", path=str(path), line=lineno
+                    )
+                continue
+            row = vocab.index.get(token)
+            if row is None or not token or not sep:
+                continue
+            if rows and last_line.get(row, 0) >= linenos[0]:
+                flush()  # numpy leaves the order of repeated writes to one row unspecified
+            last_line[row] = lineno
+            rows.append(row)
+            rests.append(rest)
+            linenos.append(lineno)
+            if len(rows) >= EMBEDDING_CHUNK:
+                flush()
+    if rows:
+        flush()
+
     # row 0 stays zero/locked; the reserved <unk> row 1 stays zero but tunable
-    with np.errstate(over="ignore"):  # a component beyond float32's range turns inf here
-        for idx in range(2, v):
-            entry = vectors.get(vocab.tokens[idx])
-            if entry is None:
-                table[idx] = rng.uniform(-0.25, 0.25, size=dim)
-            else:
-                table[idx] = entry[1]
-                locked[idx] = True
-                matched += 1
+    table[: UNK_ID + 1] = 0.0
+    locked = np.zeros(v, dtype=bool)
+    locked[list(last_line)] = True
+    locked[: UNK_ID + 1] = False
+    matched = int(locked.sum())
+    missing = np.flatnonzero(~locked[UNK_ID + 1 :]) + UNK_ID + 1
+    # one draw in row order is the same stream as one draw per row
+    table[missing] = np.random.default_rng(seed).uniform(-0.25, 0.25, size=(missing.size, dim))
+    locked[PAD_ID] = True
     # checked once over the table: a check per line cost a tenth of the parse
     finite = np.isfinite(table)
     if not finite.all():
         row = np.flatnonzero(~finite.all(axis=1))[0]
-        lineno, vec = vectors[vocab.tokens[row]]
+        lineno = last_line[row]
+        with open(path, encoding="utf-8") as fh:
+            line = next(itertools.islice(fh, lineno - 1, None))
+        vec = np.array(_line_floats(line.rstrip("\n").partition(" ")[2], dim, path, lineno))
         raise DataError(
             f"component {vec[~finite[row]][0]} is not a finite float32", path=str(path), line=lineno
         )
@@ -268,7 +315,8 @@ def leave_one_out_split(examples, target_event):
     test = [ex for ex in examples if ex.event_id == target_event and ex.labels]
     train_labeled = [ex for ex in examples if ex.event_id != target_event and ex.labels]
     domain_examples = [
-        replace(ex, labels={}, domain_idx=domain_index[ex.event_id])
+        Example(event_id=ex.event_id, text=ex.text, tokens=ex.tokens, labels={},
+                domain_idx=domain_index[ex.event_id])
         for ex in examples
         if ex.event_id != target_event
     ]
@@ -312,25 +360,21 @@ def make_batches(examples, vocab, t_x, batch_size=32, rng=None, tasks=None, n_do
         chunk = [examples[i] for i in order[start : start + batch_size]]
         n = len(chunk)
         ids = np.zeros((n, t_x), dtype=np.int64)
-        mask = np.zeros((n, t_x))
+        lengths = np.zeros(n, dtype=np.int64)
         for r, ex in enumerate(chunk):
-            row, length = vocab.encode(ex.tokens, t_x)
-            ids[r] = row
-            mask[r, :length] = 1.0
+            row = vocab.encode(ex.tokens, t_x)
+            ids[r, : len(row)] = row
+            lengths[r] = len(row)
+        mask = (np.arange(t_x) < lengths[:, None]).astype(np.float64)
         labels = {}
         for task in tasks:
-            y = np.zeros(n)
-            present = np.zeros(n)
-            for r, ex in enumerate(chunk):
-                if task in ex.labels:
-                    y[r] = ex.labels[task]
-                    present[r] = 1.0
-            labels[task] = (y, present)
+            cells = np.array([ex.labels.get(task, np.nan) for ex in chunk], dtype=np.float64)
+            present = ~np.isnan(cells)
+            labels[task] = (np.where(present, cells, 0.0), present.astype(np.float64))
         onehot = None
         if n_domains > 0:
             onehot = np.zeros((n, n_domains))
-            for r, ex in enumerate(chunk):
-                if ex.domain_idx is not None:
-                    onehot[r, ex.domain_idx] = 1.0
+            tagged = [r for r, ex in enumerate(chunk) if ex.domain_idx is not None]
+            onehot[tagged, [chunk[r].domain_idx for r in tagged]] = 1.0
         batches.append(Batch(ids=ids, mask=mask, labels=labels, domain_onehot=onehot))
     return batches

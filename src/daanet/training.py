@@ -404,9 +404,9 @@ def mean_embedding_features(examples, vocab, embedding, t_x):
     table = embedding.table.value
     feats = np.zeros((len(examples), table.shape[1]))
     for i, ex in enumerate(examples):
-        ids, length = vocab.encode(ex.tokens, t_x)
-        if length:
-            feats[i] = table[ids[:length]].mean(axis=0)
+        ids = vocab.encode(ex.tokens, t_x)
+        if ids:
+            feats[i] = table[ids].mean(axis=0)
     return feats
 
 

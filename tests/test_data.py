@@ -1,4 +1,6 @@
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +50,29 @@ class TestTokenize:
     def test_idempotence(self, tokens):
         assert tokenize(" ".join(tokens)) == tokens
 
+    @staticmethod
+    def reference_tokenize(text):
+        """Per-piece tokenizer: placeholders kept whole, other pieces split by the token regex."""
+        t = data._MENTION_RE.sub(" <user> ", data._URL_RE.sub(" <url> ", text.lower()))
+        tokens = []
+        for piece in t.split():
+            if piece in ("<url>", "<user>"):
+                tokens.append(piece)
+            else:
+                tokens.extend(re.findall(r"#?\w+", piece))
+        return tokens
+
+    fragments = st.sampled_from(
+        ["<url>", "a<url>b", "<user>", "@user", "@a_1", "http://t.co/x", "https://a.b/c?d=1",
+         "www.x.org", "#tag_1", "#", "<", ">", "a", "Storm", "ÉTÉ", "straße", "٣", "_", "!",
+         ",", ".", " ", "\t", "\n", "\xa0", "\u3000", "\u2028", "\x1c", "\x85", "\u200b"]
+    )
+
+    @given(st.lists(st.one_of(fragments, st.text(max_size=3)), max_size=12).map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_piece_reference(self, text):
+        assert tokenize(text) == self.reference_tokenize(text)
+
 
 class TestBuildVocab:
     def test_frequency_order_with_alphabetic_ties(self):
@@ -67,12 +92,204 @@ class TestBuildVocab:
         assert v1.tokens == v2.tokens and v1.index == v2.index
 
 
+def reference_load_embeddings(path, vocab, dim, seed=0):
+    """Per-line loader: split each line, parse each component with float()."""
+    vectors = {}  # token -> (line number, components)
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.rstrip("\n").split(" ")
+            if lineno == 1 and len(parts) == 2 and all(p.isdecimal() for p in parts):
+                if int(parts[1]) != dim:
+                    raise DataError(
+                        f"header gives dim {parts[1]}, expected {dim}", path=str(path), line=1
+                    )
+                continue
+            if len(parts) < 2 or not parts[0]:
+                continue
+            token, values = parts[0], parts[1:]
+            if token not in vocab.index:
+                continue
+            if len(values) != dim:
+                raise DataError(
+                    f"expected {dim} components, found {len(values)}", path=str(path), line=lineno
+                )
+            try:
+                vectors[token] = (lineno, np.array([float(v) for v in values]))
+            except ValueError as exc:
+                raise DataError(f"bad float: {exc}", path=str(path), line=lineno) from None
+    v = len(vocab)
+    table = np.zeros((v, dim), dtype=np.float32)
+    locked = np.zeros(v, dtype=bool)
+    locked[0] = True
+    rng = np.random.default_rng(seed)
+    matched = 0
+    with np.errstate(over="ignore"):
+        for idx in range(2, v):
+            entry = vectors.get(vocab.tokens[idx])
+            if entry is None:
+                table[idx] = rng.uniform(-0.25, 0.25, size=dim)
+            else:
+                table[idx] = entry[1]
+                locked[idx] = True
+                matched += 1
+    finite = np.isfinite(table)
+    if not finite.all():
+        row = np.flatnonzero(~finite.all(axis=1))[0]
+        lineno, vec = vectors[vocab.tokens[row]]
+        raise DataError(
+            f"component {vec[~finite[row]][0]} is not a finite float32", path=str(path), line=lineno
+        )
+    return table, locked, matched / max(v - 2, 1) if v > 2 else 0.0
+
+
+def load_both(path, vocab, dim, seed=0):
+    """Run load_embeddings and the reference; each side is its error message
+    or (table bytes, lock flags, coverage)."""
+    out = []
+    for load in (load_embeddings, reference_load_embeddings):
+        try:
+            got = load(path, vocab, dim, seed=seed)
+        except DataError as exc:
+            out.append(str(exc))
+            continue
+        if isinstance(got, tuple):
+            table, locked, coverage = got
+        else:
+            table, locked, coverage = got.table.value, got.locked, got.coverage
+        assert table.dtype == np.float32 and table.shape == (len(vocab), dim)
+        out.append((table.tobytes(), locked.tolist(), coverage))
+    return out
+
+
+EMB_VOCAB = Vocab(["storm", "flood", "rain", "wind", "1", "2"])
+COMPONENTS = st.one_of(
+    st.floats(width=64).map(repr),
+    st.floats(-1e3, 1e3).map(lambda x: f"{x:.6f}"),
+    st.sampled_from(
+        ["0", "-0", "1", "2", ".5", "1e39", "-3.4028234e38", "nan", "-inf", "1_0", "１",
+         "\u30001", "1\xa0", "\x1c1", "1\x1f", "", "x", "1,0", "0x1"]
+    ),
+)
+TOKENS = st.sampled_from(["storm", "flood", "rain", "wind", "1", "2", "<pad>", "<unk>", "levee", ""])
+
+
+@st.composite
+def embedding_files(draw, dim):
+    """Text of an embedding file, mostly well-formed, with its line end."""
+    lines = []
+    if draw(st.booleans()):
+        lines.append(f"{draw(st.integers(0, 9))} {draw(st.sampled_from([dim, dim, dim + 1]))}")
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", " ", " storm 1", "storm", "levee 1 x"])))
+            continue
+        n = dim if kind > 1 else draw(st.integers(max(dim - 1, 1), dim + 1))
+        comps = draw(st.lists(COMPONENTS, min_size=n, max_size=n))
+        lines.append(" ".join([draw(TOKENS)] + comps))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    return end.join(lines) + (end if lines and draw(st.booleans()) else "")
+
+
 class TestLoadEmbeddings:
     def write_file(self, tmp_path, lines, header=None):
         path = tmp_path / "vectors.txt"
         content = ([header] if header else []) + lines
         path.write_text("\n".join(content) + "\n", encoding="utf-8")
         return path
+
+    @given(st.data(), st.integers(1, 3), st.integers(0, 3))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_line_reference(self, draw, dim, seed):
+        text = draw.draw(embedding_files(dim))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "EMBEDDING_CHUNK", 3)
+            path = Path(tmp) / "vectors.txt"
+            path.write_text(text, encoding="utf-8", newline="")
+            got, want = load_both(path, EMB_VOCAB, dim, seed)
+        assert got == want
+
+    def test_chunk_boundaries_and_repeated_tokens(self, tmp_path, monkeypatch):
+        # with 3 lines per chunk, "storm" repeats within the first chunk and
+        # "flood" across chunks: the last line wins, as in one dict
+        monkeypatch.setattr(data, "EMBEDDING_CHUNK", 3)
+        vocab = Vocab(["storm", "flood", "rain", "wind"])
+        lines = ["storm 1 1", "flood 2 2", "storm 3 3", "rain 4 4", "wind 5 5", "flood 6 6", "storm 7 7"]
+        path = self.write_file(tmp_path, lines)
+        got, want = load_both(path, vocab, 2)
+        assert got == want
+        emb = load_embeddings(path, vocab, dim=2)
+        assert emb.table.value[2:].tolist() == [[7, 7], [6, 6], [4, 4], [5, 5]]
+        assert emb.locked.tolist() == [True, False, True, True, True, True]
+        assert emb.coverage == 1.0
+
+    def test_blank_space_led_and_bad_out_of_vocab_lines_skipped(self, tmp_path):
+        vocab = Vocab(["storm", "flood"])
+        lines = ["", "storm 1 2", " flood 9 9", "   ", "levee 1", "levee x y", "levee", "flood 3 4"]
+        emb = load_embeddings(self.write_file(tmp_path, lines), vocab, dim=2)
+        assert emb.table.value[2:].tolist() == [[1, 2], [3, 4]]
+        assert emb.coverage == 1.0
+
+    @pytest.mark.parametrize(
+        "components, value",
+        [("1_0 2", [10.0, 2.0]), ("１ 2", [1.0, 2.0]), (" 2", None), ("\x1c1 2", None)],
+        ids=["underscore", "fullwidth-digit", "leading-space", "file-separator"],
+    )
+    def test_text_numpy_rejects_takes_float_path(self, tmp_path, monkeypatch, components, value):
+        # np.loadtxt rejects each of these, or would strip the "\x1c" that
+        # float() refuses; the per-line float() path decides, as before
+        calls = []
+        line_floats = data._line_floats
+        monkeypatch.setattr(
+            data, "_line_floats", lambda *args: calls.append(args) or line_floats(*args)
+        )
+        vocab = Vocab(["storm", "flood"])
+        path = self.write_file(tmp_path, ["flood 0.5 2", f"storm {components}"])
+        got, want = load_both(path, vocab, 2)
+        assert got == want
+        assert calls
+        if value is None:
+            assert got.startswith(f"{path}:2: bad float")
+        else:
+            assert load_embeddings(path, vocab, dim=2).table.value[2].tolist() == value
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_carriage_return_line_ends(self, tmp_path, end):
+        vocab = Vocab(["storm", "flood"])
+        path = tmp_path / "vectors.txt"
+        path.write_text(end.join(["2 2", "storm 1 2", "flood 3 4"]) + end, encoding="utf-8", newline="")
+        got, want = load_both(path, vocab, 2)
+        assert got == want
+        emb = load_embeddings(path, vocab, dim=2)
+        assert emb.table.value[2:].tolist() == [[1, 2], [3, 4]]
+
+    def test_errors_in_file_order_within_a_chunk(self, tmp_path):
+        # the bad float at line 2 and the count error at line 5 share a chunk
+        vocab = Vocab(["storm", "flood", "rain", "wind"])
+        lines = ["flood 1 2 3", "storm 1 x 3", "rain 1 2 3", "wind 1 2 3", "storm 1 2"]
+        with pytest.raises(DataError, match=":2: bad float"):
+            load_embeddings(self.write_file(tmp_path, lines), vocab, dim=3)
+
+    def test_not_finite_reports_last_vector_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "EMBEDDING_CHUNK", 2)
+        vocab = Vocab(["storm", "flood"])
+        lines = ["storm 1 nan", "flood 1 2", "storm 1e39 2", "flood inf 2", "flood 3 4"]
+        path = self.write_file(tmp_path, lines)
+        with pytest.raises(DataError, match=f"{re.escape(str(path))}:3: component 1e\\+39 is not"):
+            load_embeddings(path, vocab, dim=2)
+
+    def test_dim_one_first_line_is_a_vector(self, tmp_path):
+        vocab = Vocab(["storm", "flood"])
+        emb = load_embeddings(self.write_file(tmp_path, ["storm 0.5", "flood 0.25"]), vocab, dim=1)
+        assert emb.table.value[2:].tolist() == [[0.5], [0.25]]
+        assert emb.locked.tolist() == [True, False, True, True]
+        assert emb.coverage == 1.0
+
+    def test_header_dim_mismatch_rejected(self, tmp_path):
+        vocab = Vocab(["storm"])
+        path = self.write_file(tmp_path, ["storm 0.5"], header="3 300")
+        with pytest.raises(DataError, match=f"{re.escape(str(path))}:1: header gives dim 300"):
+            load_embeddings(path, vocab, dim=1)
 
     def test_in_file_token_exact_and_locked(self, tmp_path):
         vocab = Vocab(["storm", "flood"])
@@ -287,6 +504,58 @@ class TestMakeBatches:
         b3 = make_batches(examples, vocab, t_x=5, batch_size=8, rng=np.random.default_rng(2))
         assert all(np.array_equal(x.ids, y.ids) for x, y in zip(b1, b2))
         assert any(not np.array_equal(x.ids, y.ids) for x, y in zip(b1, b3))
+
+    @staticmethod
+    def reference_batch(chunk, vocab, t_x, tasks, n_domains):
+        """Per-token, per-task and per-row encoder."""
+        n = len(chunk)
+        ids = np.zeros((n, t_x), dtype=np.int64)
+        mask = np.zeros((n, t_x))
+        for r, example in enumerate(chunk):
+            for j, tok in enumerate(example.tokens[:t_x]):
+                ids[r, j] = vocab.index.get(tok, data.UNK_ID)
+                mask[r, j] = 1.0
+        labels = {}
+        for task in tasks:
+            y, present = np.zeros(n), np.zeros(n)
+            for r, example in enumerate(chunk):
+                if task in example.labels:
+                    y[r] = example.labels[task]
+                    present[r] = 1.0
+            labels[task] = (y, present)
+        onehot = None
+        if n_domains > 0:
+            onehot = np.zeros((n, n_domains))
+            for r, example in enumerate(chunk):
+                if example.domain_idx is not None:
+                    onehot[r, example.domain_idx] = 1.0
+        return ids, mask, labels, onehot
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_encoder(self, seed):
+        rng = np.random.default_rng(seed)
+        pool = [f"w{i}" for i in range(12)]
+        examples = []
+        for i in range(int(rng.integers(1, 60))):
+            tokens = [pool[k] for k in rng.integers(0, len(pool), size=rng.integers(1, 9))]
+            labels = {t: int(rng.integers(0, 2)) for t in ("a", "b") if rng.random() < 0.6}
+            domain = int(rng.integers(0, 3)) if rng.random() < 0.8 else None
+            examples.append(Example("e", " ".join(tokens), tokens, labels, domain))
+        vocab = Vocab(pool[:8])  # w8..w11 map to <unk>
+        t_x, size = 5, int(rng.integers(1, 9))
+        shuffle = np.random.default_rng(seed)
+        batches = make_batches(examples, vocab, t_x, size, rng=shuffle, tasks=("a", "b"), n_domains=3)
+        order = np.random.default_rng(seed).permutation(len(examples))
+        assert len(batches) == -(-len(examples) // size)
+        for k, batch in enumerate(batches):
+            chunk = [examples[i] for i in order[k * size : (k + 1) * size]]
+            ids, mask, labels, onehot = self.reference_batch(chunk, vocab, t_x, ("a", "b"), 3)
+            for got, want in [(batch.ids, ids), (batch.mask, mask), (batch.domain_onehot, onehot)]:
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert batch.labels.keys() == labels.keys()
+            for task, (y, present) in labels.items():
+                for got, want in zip(batch.labels[task], (y, present)):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_domain_onehot(self):
         examples = [
