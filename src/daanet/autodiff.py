@@ -19,10 +19,22 @@ computes in the dtype of its Var operands (numpy's promotion when they
 differ), and constant operands such as masks, weights and targets are
 cast to that dtype first, so a float64 constant never promotes a float32
 graph.
+
+Scratch rule: without a tape, memory that never leaves a call is reused
+by later calls instead of being allocated afresh, so that a stream of
+same-sized evaluation batches stops faulting new pages in. `scratch` hands
+out these buffers: the step buffers and projection block of `bilstm`, and
+the embedded batch that `models` gathers for it. They are kept per thread,
+so concurrent callers in different threads never share one; nothing an op
+or a model function returns aliases them; and entering a `Tape` drops
+them, so a training step never holds a no-tape pass's memory on top of its
+own. While a tape is recording, `scratch` returns fresh arrays, which the
+pullbacks may keep.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -36,6 +48,26 @@ NEG_INF = -1e30  # additive mask constant; exp() underflows to exactly 0
 
 def _tape():
     return getattr(_STATE, "tape", None)
+
+
+def scratch(name, shape, dtype):
+    """An uninitialized [shape] array for work that never leaves the
+    calling op or model function.
+
+    Without a tape it is a view of this thread's buffer `name`, which later
+    calls reuse; the buffer grows to the largest size asked for, so a
+    smaller batch reuses it too. With a tape it is a fresh array.
+    """
+    if _tape() is not None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    pool = getattr(_STATE, "scratch", None)
+    if pool is None:
+        pool = _STATE.scratch = {}
+    buf = pool.get(name)
+    if buf is None or buf.dtype != dtype or buf.size < size:
+        buf = pool[name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
 
 
 class Tape:
@@ -54,6 +86,7 @@ class Tape:
     def __enter__(self):
         self._outer = getattr(_STATE, "tape", None)
         _STATE.tape = self
+        _STATE.scratch = None  # the scratch rule: a taped pass drops no-tape buffers
         return self
 
     def __exit__(self, exc_type, exc, tb):
@@ -364,27 +397,11 @@ def sum_axis(x, axis):
     return _record(out, (x,), pullback)
 
 
-def concat(parts, axis=-1):
-    """Concatenate Vars (or constant arrays) along `axis`."""
-    values = _values(*parts)
-    out = Var(np.concatenate(values, axis=axis))
-    sizes = [v.shape[axis] for v in values]
-    offsets = np.cumsum([0] + sizes)
-    var_parents = tuple(p for p in parts if isinstance(p, Var))
-    if not var_parents:
-        return out
-
-    def pullback(g):
-        gm = np.moveaxis(g, axis, 0)
-        for p, j0, j1 in zip(parts, offsets[:-1], offsets[1:]):
-            if isinstance(p, Var):
-                p.add_grad(np.moveaxis(gm[j0:j1], 0, axis))
-
-    return _record(out, var_parents, pullback)
-
-
-def gather_rows(table, ids, row_grad_mask=None):
+def gather_rows(table, ids, row_grad_mask=None, out=None):
     """Row lookup `table[ids]`; the backward pass scatter-adds into the table.
+
+    `out`, when given, is an array of shape ids.shape + (dim,) in the
+    table's dtype that receives the rows, and the returned Var holds it.
 
     The pullback sums the incoming rows per distinct id into a block of
     only the touched rows, in `ids` order, and adds that block into the
@@ -397,7 +414,11 @@ def gather_rows(table, ids, row_grad_mask=None):
     if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
         bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
         raise DimensionError(f"row index {bad} out of range for table with {n_rows} rows")
-    out = Var(table.value[ids])
+    if out is None:
+        out = table.value[ids]
+    else:
+        np.take(table.value, ids, axis=0, out=out, mode="clip")  # ids are in range
+    out = Var(out)
 
     def pullback(g):
         flat_ids = ids.reshape(-1)
@@ -434,17 +455,19 @@ def attend(alpha, acts):
 LSTM_BLOCK = 3  # time steps per hoisted input-projection GEMM
 
 
-def lstm(x, mask, w, b, reverse=False):
-    """One LSTM direction over [N x T x d] inputs, recorded as a single node;
-    returns the hidden states [N x T x h].
+def bilstm(x, mask, w_f, b_f, w_b, b_b):
+    """Both LSTM directions over [N x T x d] inputs, recorded as a single
+    node; returns the states [N x T x 2h], the forward direction's in the
+    first half and the reverse direction's in the second.
 
-    The gates are stacked row-wise in i, f, o, c order: `w` is
-    [4h x (d+h)] and acts on the concatenation [x_t, h_{t-1}], and `b` is
-    [4h]. Each step computes
+    Each direction stacks its gates row-wise in i, f, o, c order: `w_f` and
+    `w_b` are [4h x (d+h)] and act on the concatenation [x_t, h_{t-1}], and
+    `b_f` and `b_b` are [4h]. Each step computes
         i, f, o = sigmoid(rows 0:h, h:2h, 2h:3h);  c~ = tanh(rows 3h:4h)
         c_t = f * c_{t-1} + i * c~;                h_t = o * tanh(c_t)
-    from a zero initial state, visiting t = 0..T-1, or T-1..0 when
-    `reverse` is set.
+    from a zero initial state, visiting t = 0..T-1 forward and T-1..0 in
+    reverse. Weights that do not fit d, or directions that differ in h,
+    raise `DimensionError` naming the direction.
 
     `mask` is a {0, 1} array [N x T] whose rows are each a prefix of ones
     (right padding); any other mask raises `ContractError`. A padded
@@ -455,118 +478,162 @@ def lstm(x, mask, w, b, reverse=False):
     inside their sequence at step t are a prefix of the packed batch and
     each step runs over that prefix only. The input projection
     x_t W_x^T + b runs as one GEMM per block of `LSTM_BLOCK` steps, which
-    leaves the recurrent GEMM h_{t-1} W_h^T inside the loop. The pullback
-    is backpropagation through time over the same prefixes; it collects the
-    gate gradients of every step and then forms the x, w and b gradients
-    with one GEMM or one sum each. The per-step values it needs are kept
-    only while a tape is recording. Every buffer has the dtype of x, w and b.
+    leaves the recurrent GEMM h_{t-1} W_h^T inside the loop. The per-step
+    buffers are gate-major [4 x rows x h], so each gate is one contiguous
+    block. The pullback is backpropagation through time over the same
+    prefixes; it collects the gate gradients of every step and then forms
+    the x, w and b gradients with one GEMM or one sum each. The per-step
+    values it needs are kept only while a tape is recording; otherwise the
+    step buffers are `scratch`. Every buffer has the dtype of the operands.
     """
-    xv, wv, bv = x.value, w.value, b.value
-    dtype = np.result_type(xv, wv, bv)
+    xv = x.value
+    dtype = np.result_type(xv, w_f.value, b_f.value, w_b.value, b_b.value)
     mv = np.asarray(mask, dtype=np.float64)
     if xv.ndim != 3 or mv.shape != xv.shape[:2]:
-        raise DimensionError(f"lstm: mask shape {mv.shape} does not match input {xv.shape}")
+        raise DimensionError(f"bilstm: mask shape {mv.shape} does not match input {xv.shape}")
     n, t_x, d = xv.shape
-    h = bv.shape[0] // 4
-    if bv.shape != (4 * h,) or wv.shape != (4 * h, d + h):
-        raise DimensionError(
-            f"lstm: gate weights {wv.shape} and biases {bv.shape} do not fit input dim {d}"
-        )
+    h = b_f.value.size // 4
+    directions = (  # name, weights, biases, reverse, half of the output
+        ("forward", w_f, b_f, False, np.s_[:, :, :h]),
+        ("reverse", w_b, b_b, True, np.s_[:, :, h:]),
+    )
+    for name, w, b, _, _ in directions:
+        if b.value.shape != (4 * h,) or w.value.shape != (4 * h, d + h):
+            raise DimensionError(
+                f"bilstm: {name} gate weights {w.value.shape} and biases {b.value.shape} "
+                f"do not fit input dim {d} and hidden size {h}"
+            )
     lengths = np.count_nonzero(mv, axis=1)
     if not np.array_equal(mv, np.arange(t_x) < lengths[:, None]):
-        raise ContractError("lstm: each mask row must be a prefix of ones followed by zeros")
+        raise ContractError("bilstm: each mask row must be a prefix of ones followed by zeros")
     order = np.argsort(-lengths, kind="stable")  # packed row r is caller row order[r]
     live = np.count_nonzero(lengths[:, None] > np.arange(t_x), axis=0)  # rows inside at t
     t_max = int(lengths.max(initial=0))
-    step = -1 if reverse else 1
-    # Contiguous copies, since a strided slice of w would keep matmul off
-    # BLAS. The i, f, o columns are negated, which is exact, so the GEMMs
-    # give -pre for the sigmoid gates and one exp serves all three.
-    sign = np.where(np.arange(4 * h) < 3 * h, -1.0, 1.0).astype(dtype)
-    wx_t = np.ascontiguousarray(wv[:, :d].T * sign)
-    wh_t = np.ascontiguousarray(wv[:, d:].T * sign)
-    b_signed = bv * sign
     recording = _tape() is not None
 
-    # Per-step values in packed row order. With a tape, slot t+1 holds time
-    # t for the pullback, and slots 0 and T+1 stay zero as the cell state
-    # before either end; a row that has not started yet also reads zeros,
-    # which is the initial state of a reverse pass. Without a tape one slot
-    # is overwritten at every step.
+    out_v = np.zeros((n, t_x, 2 * h), dtype)
+    saved = [
+        _lstm_direction(xv, w.value, b.value, reverse, out_v[half], order, live, t_max, recording)
+        for _, w, b, reverse, half in directions
+    ]
+    out = Var(out_v)
+    if not recording:
+        return out
+
+    def pullback(g):
+        for (_, w, b, reverse, half), buffers in zip(directions, saved):
+            dpre = _lstm_direction_pullback(
+                g[half], w.value[:, d:], reverse, order, live, t_max, *buffers
+            ).reshape(-1, 4 * h)
+            # h_{t-1} of every position is its neighbour in the direction of
+            # travel: zero past the end it starts from, and zero (padding)
+            # where a reverse pass starts a row. dpre is zero on padding, so
+            # what h_prev holds there adds nothing.
+            h_prev = np.zeros((n, t_x, h), dtype)
+            if reverse:
+                h_prev[:, :-1] = out_v[half][:, 1:]
+            else:
+                h_prev[:, 1:] = out_v[half][:, :-1]
+            dw_x = dpre.T @ xv.reshape(-1, d)
+            dw_h = dpre.T @ h_prev.reshape(-1, h)
+            w.add_grad(np.concatenate([dw_x, dw_h], axis=1))
+            b.add_grad(dpre.sum(axis=0))
+            x.add_grad((dpre @ w.value[:, :d]).reshape(xv.shape))
+
+    return _record(out, (x, w_f, b_f, w_b, b_b), pullback)
+
+
+def _lstm_direction(xv, wv, bv, reverse, out_v, order, live, t_max, recording):
+    """Run one direction of `bilstm`, writing its states into the [N x T x h]
+    view `out_v`; returns the per-step (gates, cand, cells) the pullback
+    reads, which are `scratch` unless a tape is recording."""
+    n, t_x, d = xv.shape
+    h = bv.shape[0] // 4
+    dtype = out_v.dtype
+    step = -1 if reverse else 1
+    # Contiguous gate-major copies [4 x in x h], since a strided slice of w
+    # would keep matmul off BLAS. The i, f, o rows are negated, which is
+    # exact, so the GEMMs give -pre for the sigmoid gates and one exp serves
+    # all three.
+    sign = np.where(np.arange(4 * h) < 3 * h, -1.0, 1.0).astype(dtype)
+    w_signed = (wv * sign[:, None]).reshape(4, h, d + h)
+    wx_g = np.ascontiguousarray(w_signed[:, :, :d].transpose(0, 2, 1))
+    wh_g = np.ascontiguousarray(w_signed[:, :, d:].transpose(0, 2, 1))
+    b_g = (bv * sign).reshape(4, 1, 1, h)
+
+    # Per-step values in packed row order; slot s holds 4 x rows x h gates
+    # in its first 4*rows*h entries. With a tape, slot t+1 holds time t for
+    # the pullback, and slots 0 and T+1 stay zero as the cell state before
+    # either end; a row that has not started yet also reads zeros, which is
+    # the initial state of a reverse pass. Without a tape one slot is
+    # overwritten at every step.
     slots = t_x + 2 if recording else 1
-    gates = np.zeros((slots, n, 4 * h), dtype)  # sigmoid i, f, o, then tanh(c_t)
-    cand = np.zeros((slots, n, h), dtype)  # c~
-    cells = np.zeros((slots, n, h), dtype)
-    h_state = np.zeros((n, h), dtype)
-    out_v = np.zeros((n, t_x, h), dtype)
-    proj = np.empty(n * LSTM_BLOCK * 4 * h, dtype)  # one block's input projection
+    gates = scratch("bilstm.gates", (slots, 4 * n * h), dtype)  # sigmoid i, f, o, tanh(c_t)
+    cand = scratch("bilstm.cand", (slots, n, h), dtype)  # c~
+    cells = scratch("bilstm.cells", (slots, n, h), dtype)
+    h_state = scratch("bilstm.h", (n, h), dtype)
+    proj = scratch("bilstm.proj", (n * LSTM_BLOCK * 4 * h,), dtype)  # one block's projection
+    cells.fill(0.0)
+    h_state.fill(0.0)
     starts = range(0, t_max, LSTM_BLOCK)
     with np.errstate(over="ignore"):  # exp(-pre) = inf is a saturated gate, 0
         for t0 in reversed(starts) if reverse else starts:
             t1 = min(t0 + LSTM_BLOCK, t_max)
             rows = live[t0]
             xb = xv[order[:rows], t0:t1].reshape(-1, d)
-            pb = proj[: xb.shape[0] * 4 * h].reshape(rows, t1 - t0, 4 * h)
-            np.matmul(xb, wx_t, out=pb.reshape(-1, 4 * h))
-            pb += b_signed
+            pb = proj[: 4 * xb.shape[0] * h].reshape(4, xb.shape[0], h)
+            np.matmul(xb, wx_g, out=pb)
+            pb = pb.reshape(4, rows, t1 - t0, h)
+            pb += b_g
             for t in range(t1 - 1, t0 - 1, -1) if reverse else range(t0, t1):
                 lv = live[t]
                 cur, prev = (t + 1, t + 1 - step) if recording else (0, 0)
-                z = gates[cur, :lv]
-                np.matmul(h_state[:lv], wh_t, out=z)
-                z += pb[:lv, t - t0]
-                gc = np.tanh(z[:, 3 * h :], out=cand[cur, :lv])
-                np.exp(z, out=z)  # its c~ block is scratch until tanh(c_t) lands there
-                z += 1.0
-                np.reciprocal(z, out=z)
-                c = np.multiply(z[:, h : 2 * h], cells[prev, :lv], out=cells[cur, :lv])
-                c += z[:, :h] * gc
-                tc = np.tanh(c, out=z[:, 3 * h :])
-                out_v[order[:lv], t] = np.multiply(z[:, 2 * h : 3 * h], tc, out=h_state[:lv])
-    out = Var(out_v)
-    if not recording:
-        return out
+                z = gates[cur, : 4 * lv * h].reshape(4, lv, h)
+                np.matmul(h_state[:lv], wh_g, out=z)
+                z += pb[:, :lv, t - t0]
+                gc = np.tanh(z[3], out=cand[cur, :lv])
+                sig = z[:3]
+                np.exp(sig, out=sig)
+                sig += 1.0
+                np.reciprocal(sig, out=sig)
+                c = np.multiply(z[1], cells[prev, :lv], out=cells[cur, :lv])
+                c += z[0] * gc
+                tc = np.tanh(c, out=z[3])  # z[3] held c~ before tanh, now in cand
+                out_v[order[:lv], t] = np.multiply(z[2], tc, out=h_state[:lv])
+    return gates, cand, cells
 
-    def pullback(g):
-        dpre = np.zeros((n, t_x, 4 * h), dtype)  # gate gradients, caller's row order
-        dh = np.zeros((n, h), dtype)  # gradient reaching the carried state, packed rows
-        dc = np.zeros((n, h), dtype)
-        for t in range(t_max) if reverse else range(t_max - 1, -1, -1):
-            lv = live[t]
-            rows = order[:lv]
-            sg = gates[t + 1, :lv]
-            gi, gf, go, tc = sg[:, :h], sg[:, h : 2 * h], sg[:, 2 * h : 3 * h], sg[:, 3 * h :]
-            gc = cand[t + 1, :lv]
-            dh_t = g[rows, t] + dh[:lv]
-            dc_t = dc[:lv] + dh_t * go * (1.0 - tc * tc)
-            dp = np.empty((lv, 4 * h), dtype)
-            np.multiply(dc_t, gc, out=dp[:, :h])
-            np.multiply(dc_t, cells[t + 1 - step, :lv], out=dp[:, h : 2 * h])
-            np.multiply(dh_t, tc, out=dp[:, 2 * h : 3 * h])
-            sig = sg[:, : 3 * h]
-            dp[:, : 3 * h] *= sig * (1.0 - sig)
-            np.multiply(dc_t, gi, out=dp[:, 3 * h :])
-            dp[:, 3 * h :] *= 1.0 - gc * gc
-            dpre[rows, t] = dp
-            np.matmul(dp, wv[:, d:], out=dh[:lv])
-            np.multiply(dc_t, gf, out=dc[:lv])
-        # h_{t-1} of every position is its neighbour in the direction of
-        # travel: zero past the end it starts from, and zero (padding) where
-        # a reverse pass starts a row. dpre is zero on padding, so what
-        # h_prev holds there adds nothing.
-        h_prev = np.zeros_like(out_v)
-        if reverse:
-            h_prev[:, :-1] = out_v[:, 1:]
-        else:
-            h_prev[:, 1:] = out_v[:, :-1]
-        dpre = dpre.reshape(-1, 4 * h)
-        dw_x = dpre.T @ xv.reshape(-1, d)
-        dw_h = dpre.T @ h_prev.reshape(-1, h)
-        x.add_grad((dpre @ wv[:, :d]).reshape(xv.shape))
-        w.add_grad(np.concatenate([dw_x, dw_h], axis=1))
-        b.add_grad(dpre.sum(axis=0))
 
-    return _record(out, (x, w, b), pullback)
+def _lstm_direction_pullback(g, wh, reverse, order, live, t_max, gates, cand, cells):
+    """Backpropagation through time for one `bilstm` direction: the gate
+    gradients [N x T x 4h] in the caller's row order, from the [N x T x h]
+    state gradient `g` and the recurrent weights `wh` [4h x h]."""
+    n, t_x, h = g.shape
+    dtype = cells.dtype
+    step = -1 if reverse else 1
+    dpre = np.zeros((n, t_x, 4 * h), dtype)
+    dh = np.zeros((n, h), dtype)  # gradient reaching the carried state, packed rows
+    dc = np.zeros((n, h), dtype)
+    for t in range(t_max) if reverse else range(t_max - 1, -1, -1):
+        lv = live[t]
+        rows = order[:lv]
+        sg = gates[t + 1, : 4 * lv * h].reshape(4, lv, h)
+        gi, gf, go, tc = sg
+        gc = cand[t + 1, :lv]
+        dh_t = g[rows, t] + dh[:lv]
+        dc_t = dc[:lv] + dh_t * go * (1.0 - tc * tc)
+        dp = np.empty((lv, 4 * h), dtype)
+        dp_g = dp.reshape(lv, 4, h)
+        np.multiply(dc_t, gc, out=dp_g[:, 0])
+        np.multiply(dc_t, cells[t + 1 - step, :lv], out=dp_g[:, 1])
+        np.multiply(dh_t, tc, out=dp_g[:, 2])
+        sig = sg[:3]
+        dp_g[:, :3] *= (sig * (1.0 - sig)).transpose(1, 0, 2)
+        np.multiply(dc_t, gi, out=dp_g[:, 3])
+        dp_g[:, 3] *= 1.0 - gc * gc
+        dpre[rows, t] = dp
+        np.matmul(dp, wh, out=dh[:lv])
+        np.multiply(dc_t, gf, out=dc[:lv])
+    return dpre
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,13 @@ The layers take batches only: the encoder and attention head read
 [N x in] rows; a single example is a batch of one. Every forward function
 runs on whatever Tape is active; with no tape it is a plain evaluation.
 
-Each encoder direction is one `autodiff.lstm` node. Its four gates are
-stacked row-wise in i, f, o, c order into one weight w [4h x (d+h)],
-applied to [x_t, h_{t-1}], and one bias b [4h]. The mask must be right
-padding (a prefix of ones per row), which `autodiff.lstm` checks: a padded
-position emits zeros and no state is carried through it, so in both
-directions a padded row gives the same states as its unpadded sequence.
+The encoder is one `autodiff.bilstm` node that runs both directions. Each
+direction's four gates are stacked row-wise in i, f, o, c order into one
+weight w [4h x (d+h)], applied to [x_t, h_{t-1}], and one bias b [4h].
+The mask must be right padding (a prefix of ones per row), which
+`autodiff.bilstm` checks: a padded position emits zeros and no state is
+carried through it, so in both directions a padded row gives the same
+states as its unpadded sequence.
 
 The initializers draw in float64 and store `MODEL_DTYPE` (float32), so
 every parameter is float32 and, by the dtype rule of `autodiff`, so is
@@ -90,10 +91,12 @@ def random_embedding(vocab_size, dim, rng, scale=0.25):
     return EmbeddingMatrix(table=ad.Var(table), locked=locked)
 
 
-def embed(matrix, ids):
-    """Gather rows for `ids` (e.g. [N x T]); gradients scatter only into
-    unlocked rows."""
-    return ad.gather_rows(matrix.table, np.asarray(ids), row_grad_mask=matrix.unlocked_mask())
+def embed(matrix, ids, out=None):
+    """Gather rows for `ids` (e.g. [N x T]), into `out` when given (see
+    `autodiff.gather_rows`); gradients scatter only into unlocked rows."""
+    return ad.gather_rows(
+        matrix.table, np.asarray(ids), row_grad_mask=matrix.unlocked_mask(), out=out
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +106,7 @@ def embed(matrix, ids):
 @dataclass
 class LstmParams:
     """One direction's stacked gates in i, f, o, c row order: w is
-    [4h x (d+h)] and b is [4h] (see `autodiff.lstm`)."""
+    [4h x (d+h)] and b is [4h] (see `autodiff.bilstm`)."""
 
     w: ad.Var
     b: ad.Var
@@ -136,17 +139,14 @@ def init_bilstm(rng, input_dim, hidden):
 
 
 def bilstm(params, x, mask):
-    """Run both directions over [N x T x d] inputs and return per-position
-    concatenated states [N x T x 2h], forward half first.
+    """Run both directions over [N x T x d] inputs as one node and return
+    per-position concatenated states [N x T x 2h], forward half first.
 
     The [N x T] mask must be right-padding (a prefix of ones per row);
     padded positions emit zero activations and no state is carried through
     them, so each row reads like its unpadded sequence.
     """
-    mask2 = np.asarray(mask, dtype=np.float64)
-    fwd = ad.lstm(x, mask2, params.fwd.w, params.fwd.b)
-    bwd = ad.lstm(x, mask2, params.bwd.w, params.bwd.b, reverse=True)
-    return ad.concat([fwd, bwd], axis=2)
+    return ad.bilstm(x, mask, params.fwd.w, params.fwd.b, params.bwd.w, params.bwd.b)
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +219,17 @@ def dense(params, x, activation=None):
 
 
 def dropout(x, rate, rng, training):
-    """Inverted dropout: survivors scaled by 1/(1-rate); eval mode is identity."""
+    """Inverted dropout: survivors scaled by 1/(1-rate); eval mode is identity.
+
+    The keep-mask is drawn as float64 uniforms (the seeded stream) and built
+    in the dtype of `x`."""
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
     if rng is None:
         raise ContractError("training-mode dropout needs a random generator (rng)")
-    keep = (rng.random(x.value.shape) >= rate) / (1.0 - rate)
+    dtype = x.value.dtype
+    keep = (rng.random(x.value.shape) >= rate).astype(dtype)
+    keep *= dtype.type(1.0 / (1.0 - rate))
     return ad.mul(x, keep)

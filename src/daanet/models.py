@@ -218,7 +218,11 @@ def _forward(
     lengths = mask.sum(axis=-1, keepdims=True)
     if np.any(lengths == 0):
         raise DegenerateMaskError("mask keeps no position in at least one row")
-    emb = embed(model.embedding, ids)
+    ids = np.asarray(ids)
+    table = model.embedding.table.value
+    # The embedded batch is read only by the encoder, so it is scratch.
+    embedded = ad.scratch("embedded", ids.shape + table.shape[1:], table.dtype)
+    emb = embed(model.embedding, ids, out=embedded)
     acts = dropout(bilstm(model.encoder, emb, mask), spec.dropout_rate, rng, training)
 
     task_logits, alphas = [], []

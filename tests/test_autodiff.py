@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -267,16 +268,6 @@ class TestGradCheck:
 
 
 class TestStructuralOps:
-    def test_concat_and_slice_round_trip_grads(self):
-        a = ad.Var(np.array([[1.0, 2.0]]))
-        b = ad.Var(np.array([[3.0, 4.0, 5.0]]))
-        with ad.Tape() as tape:
-            c = ad.concat([a, b], axis=1)
-            loss = ad.asum(ad.mul(c, np.array([[1.0, 2.0, 3.0, 4.0, 5.0]])))
-            ad.backward(tape, loss)
-        assert np.array_equal(a.grad, [[1.0, 2.0]])
-        assert np.array_equal(b.grad, [[3.0, 4.0, 5.0]])
-
     def test_gather_rows_accumulates_duplicates(self):
         table = ad.Var(np.arange(8.0).reshape(4, 2))
         with ad.Tape() as tape:
@@ -384,35 +375,67 @@ def reference_lstm(xv, mask, wv, bv, reverse, g_out):
     return out, dx, dw_t.T, db
 
 
-def assert_lstm_matches_reference(lengths, t_x, d, h, reverse, seed, dtype=np.float64, tol=1e-12):
-    """Run `ad.lstm` on `dtype` inputs against the float64 reference fed the
-    same (rounded) values; every output must be within `tol` x max |value|."""
+def assert_bilstm_matches_reference(
+    lengths, t_x, d, h, seed, dtype=np.float64, tol=1e-12, taped=True
+):
+    """Run `ad.bilstm` on `dtype` inputs against the float64 per-step
+    reference for each direction, fed the same (rounded) values; every
+    output must be within `tol` x max |value|. Without a tape only the
+    states are compared; the op then steps in its scratch buffers."""
     rng = np.random.default_rng(seed)
     n = len(lengths)
     mask = (np.arange(t_x) < np.asarray(lengths)[:, None]).astype(np.float64)
     xv = rng.normal(size=(n, t_x, d)).astype(dtype)
-    wv = rng.normal(scale=0.5, size=(4 * h, d + h)).astype(dtype)
-    bv = rng.normal(scale=0.5, size=4 * h).astype(dtype)
-    g_out = rng.normal(size=(n, t_x, h)).astype(dtype)
-    x, w, b = ad.Var(xv.copy()), ad.Var(wv.copy()), ad.Var(bv.copy())
-    with ad.Tape() as tape:
-        states = ad.lstm(x, mask, w, b, reverse=reverse)
-        ad.backward(tape, ad.asum(ad.mul(states, g_out)))
+    wv = rng.normal(scale=0.5, size=(2, 4 * h, d + h)).astype(dtype)
+    bv = rng.normal(scale=0.5, size=(2, 4 * h)).astype(dtype)
+    g_out = rng.normal(size=(n, t_x, 2 * h)).astype(dtype)
+    x = ad.Var(xv.copy())
+    w = [ad.Var(wv[j].copy()) for j in range(2)]
+    b = [ad.Var(bv[j].copy()) for j in range(2)]
+    if taped:
+        with ad.Tape() as tape:
+            states = ad.bilstm(x, mask, w[0], b[0], w[1], b[1])
+            ad.backward(tape, ad.asum(ad.mul(states, g_out)))
+    else:
+        states = ad.bilstm(x, mask, w[0], b[0], w[1], b[1])
     wide = [a.astype(np.float64) for a in (xv, wv, bv, g_out)]
-    expected = reference_lstm(wide[0], mask, wide[1], wide[2], reverse, wide[3])
-    got_all = (states.value, x.grad, w.grad, b.grad)
-    for name, got, ref in zip(("states", "dx", "dw", "db"), got_all, expected):
+    fwd = reference_lstm(wide[0], mask, wide[1][0], wide[2][0], False, wide[3][:, :, :h])
+    bwd = reference_lstm(wide[0], mask, wide[1][1], wide[2][1], True, wide[3][:, :, h:])
+    checks = [
+        ("forward states", states.value[:, :, :h], fwd[0]),
+        ("reverse states", states.value[:, :, h:], bwd[0]),
+    ]
+    if taped:
+        checks += [
+            ("dx", x.grad, fwd[1] + bwd[1]),
+            ("forward dw", w[0].grad, fwd[2]),
+            ("forward db", b[0].grad, fwd[3]),
+            ("reverse dw", w[1].grad, bwd[2]),
+            ("reverse db", b[1].grad, bwd[3]),
+        ]
+    for name, got, ref in checks:
         assert got.dtype == dtype, f"{name}: computed in {got.dtype}"
         scale = np.max(np.abs(ref), initial=0.0)
         err = np.max(np.abs(got - ref), initial=0.0)
         assert err <= tol * scale, f"{name}: max error {err} against max |value| {scale}"
 
 
+def bilstm_operands(d=3, h=2, h_reverse=None, d_forward=None, d_reverse=None):
+    """Random Vars x [1 x 4 x d], w_f, b_f, w_b, b_b, with the given sizes
+    overridden per direction."""
+    rng = np.random.default_rng(2)
+    x = ad.Var(rng.normal(size=(1, 4, d)))
+    ops = [x]
+    for hd, dd in ((h, d_forward or d), (h_reverse or h, d_reverse or d)):
+        ops += [ad.Var(rng.normal(size=(4 * hd, dd + hd))), ad.Var(np.zeros(4 * hd))]
+    return ops
+
+
 class TestLstm:
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_unsorted_ragged_batch_matches_per_step_reference(self, reverse):
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_unsorted_ragged_batch_matches_per_step_reference(self, taped):
         lengths = (3, 9, 1, 5, 9, 2, 7)
-        assert_lstm_matches_reference(lengths, t_x=9, d=4, h=3, reverse=reverse, seed=5)
+        assert_bilstm_matches_reference(lengths, t_x=9, d=4, h=3, seed=5, taped=taped)
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
@@ -420,17 +443,17 @@ class TestLstm:
         n = data.draw(st.integers(1, 6))
         t_x = data.draw(st.integers(1, 7))
         lengths = data.draw(st.lists(st.integers(0, t_x), min_size=n, max_size=n))
-        reverse = data.draw(st.booleans())
         seed = data.draw(st.integers(0, 2**31))
-        assert_lstm_matches_reference(lengths, t_x, d=3, h=2, reverse=reverse, seed=seed)
+        taped = data.draw(st.booleans())
+        assert_bilstm_matches_reference(lengths, t_x, d=3, h=2, seed=seed, taped=taped)
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_float32_matches_float64_reference(self, reverse):
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_float32_matches_float64_reference(self, taped):
         # every buffer is float32; rounding stays within 1e-5 x max |value|
         # (about 2e-6 was seen at d=100, h=64, T=30)
         lengths = (3, 9, 1, 5, 9, 2, 7)
-        assert_lstm_matches_reference(
-            lengths, t_x=9, d=4, h=3, reverse=reverse, seed=5, dtype=np.float32, tol=1e-5
+        assert_bilstm_matches_reference(
+            lengths, t_x=9, d=4, h=3, seed=5, dtype=np.float32, tol=1e-5, taped=taped
         )
 
     @given(data=st.data())
@@ -439,20 +462,68 @@ class TestLstm:
         n = data.draw(st.integers(1, 6))
         t_x = data.draw(st.integers(1, 12))
         lengths = data.draw(st.lists(st.integers(0, t_x), min_size=n, max_size=n))
-        reverse = data.draw(st.booleans())
         seed = data.draw(st.integers(0, 2**31))
-        assert_lstm_matches_reference(
-            lengths, t_x, d=5, h=4, reverse=reverse, seed=seed, dtype=np.float32, tol=1e-5
+        taped = data.draw(st.booleans())
+        assert_bilstm_matches_reference(
+            lengths, t_x, d=5, h=4, seed=seed, dtype=np.float32, tol=1e-5, taped=taped
         )
 
     @pytest.mark.parametrize("mask", [[[1, 0, 1, 0]], [[1, 0.5, 0, 0]]], ids=["gap", "fractional"])
     def test_non_prefix_mask_rejected(self, mask):
-        rng = np.random.default_rng(2)
-        x = ad.Var(rng.normal(size=(1, 4, 3)))
-        w = ad.Var(rng.normal(size=(8, 5)))
-        b = ad.Var(np.zeros(8))
+        x, w_f, b_f, w_b, b_b = bilstm_operands()
         with pytest.raises(ContractError):
-            ad.lstm(x, np.array(mask, dtype=np.float64), w, b)
+            ad.bilstm(x, np.array(mask, dtype=np.float64), w_f, b_f, w_b, b_b)
+
+    def test_directions_with_different_hidden_sizes_rejected(self):
+        x, w_f, b_f, w_b, b_b = bilstm_operands(h=2, h_reverse=3)
+        with pytest.raises(DimensionError, match="reverse gate weights"):
+            ad.bilstm(x, np.ones((1, 4)), w_f, b_f, w_b, b_b)
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_weights_not_fitting_input_dim_rejected(self, direction):
+        sizes = {"d_forward": 4} if direction == "forward" else {"d_reverse": 4}
+        x, w_f, b_f, w_b, b_b = bilstm_operands(d=3, **sizes)
+        with pytest.raises(DimensionError, match=f"{direction} gate weights .* input dim 3"):
+            ad.bilstm(x, np.ones((1, 4)), w_f, b_f, w_b, b_b)
+
+
+class TestScratch:
+    def test_reused_without_a_tape(self):
+        a = ad.scratch("test.buf", (4, 3), np.float32)
+        b = ad.scratch("test.buf", (2, 3), np.float32)
+        assert b.base is a.base and b.dtype == np.float32
+
+    def test_fresh_while_a_tape_records(self):
+        with ad.Tape():
+            a = ad.scratch("test.buf", (4, 3), np.float32)
+            b = ad.scratch("test.buf", (4, 3), np.float32)
+        assert not np.shares_memory(a, b)
+
+    def test_entering_a_tape_drops_the_buffers(self):
+        a = ad.scratch("test.buf", (4, 3), np.float32)
+        with ad.Tape():
+            pass
+        assert not np.shares_memory(a, ad.scratch("test.buf", (4, 3), np.float32))
+
+    def test_kept_per_thread(self):
+        a = ad.scratch("test.buf", (4, 3), np.float32)
+        other = []
+        thread = threading.Thread(
+            target=lambda: other.append(ad.scratch("test.buf", (4, 3), np.float32))
+        )
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert not np.shares_memory(a, other[0])
+
+    def test_bilstm_output_does_not_alias_scratch(self):
+        x, w_f, b_f, w_b, b_b = bilstm_operands()
+        first = ad.bilstm(x, np.ones((1, 4)), w_f, b_f, w_b, b_b).value
+        kept = first.copy()
+        x.value = -x.value
+        second = ad.bilstm(x, np.ones((1, 4)), w_f, b_f, w_b, b_b).value
+        assert np.array_equal(first, kept)
+        assert not np.array_equal(first, second)
 
 
 def test_forward_determinism():
@@ -474,12 +545,14 @@ def test_every_op_passes_grad_check_on_random_shapes():
     acts = ad.Var(rng.normal(size=(2, 3, 4)))
     mask = np.array([1.0, 1.0, 0.0])
     square = ad.Var(rng.normal(size=(3, 3)))
-    # one LSTM direction over a ragged batch: row lengths (T, 2, 1)
+    # both LSTM directions over a ragged batch: row lengths (T, 2, 1)
     seq = ad.Var(rng.normal(size=(3, 4, 3)))
     lstm_w = ad.Var(rng.normal(size=(8, 5)))
     lstm_b = ad.Var(rng.normal(size=8))
+    lstm_w_rev = ad.Var(rng.normal(size=(8, 5)))
+    lstm_b_rev = ad.Var(rng.normal(size=8))
     lstm_mask = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
-    lstm_weights = rng.normal(size=(3, 4, 2))
+    lstm_weights = rng.normal(size=(3, 4, 4))
     aff_w = ad.Var(rng.normal(size=(2, 4)))
     aff_b = ad.Var(rng.normal(size=2))
     aff_weights = rng.normal(size=(3, 2))
@@ -492,9 +565,8 @@ def test_every_op_passes_grad_check_on_random_shapes():
         "add": lambda: ad.asum(ad.add(a, ad.reshape(b, (3, 4)))),
         "mul": lambda: ad.asum(ad.mul(a, ad.reshape(b, (3, 4)))),
         "affine": lambda: ad.asum(ad.mul(ad.affine(a, aff_w, aff_b), aff_weights)),
-        "lstm": lambda: ad.asum(ad.mul(ad.lstm(seq, lstm_mask, lstm_w, lstm_b), lstm_weights)),
-        "lstm_reverse": lambda: ad.asum(
-            ad.mul(ad.lstm(seq, lstm_mask, lstm_w, lstm_b, reverse=True), lstm_weights)
+        "bilstm": lambda: ad.asum(
+            ad.mul(ad.bilstm(seq, lstm_mask, lstm_w, lstm_b, lstm_w_rev, lstm_b_rev), lstm_weights)
         ),
         "tanh": lambda: ad.asum(ad.tanh(a)),
         "relu": lambda: ad.asum(ad.relu(a)),
@@ -506,5 +578,6 @@ def test_every_op_passes_grad_check_on_random_shapes():
         "sum_axis": lambda: ad.asum(ad.mul(ad.sum_axis(a, 0), np.array([1.0, 2.0, 3.0, 4.0]))),
     }
     for name, f in cases.items():
-        err = ad.grad_check(f, [a, b, v, alpha, acts, square, seq, lstm_w, lstm_b, aff_w, aff_b])
+        params = [a, b, v, alpha, acts, square, seq, lstm_w, lstm_b, lstm_w_rev, lstm_b_rev]
+        err = ad.grad_check(f, params + [aff_w, aff_b])
         assert err < 1e-4, f"{name}: grad check error {err}"

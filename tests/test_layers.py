@@ -83,12 +83,12 @@ class TestBiLstm:
             # both halves: forward states [:4] and backward states [4:]
             assert np.allclose(full[r, :n], alone[0], atol=1e-12)
 
-    def test_forward_records_three_nodes(self, rng):
+    def test_forward_records_one_node(self, rng):
         params = layers.init_bilstm(rng, 3, 4)
         x = ad.Var(rng.normal(size=(2, 5, 3)))
         with ad.Tape() as tape:
             layers.bilstm(params, x, np.array([[1, 1, 1, 1, 1], [1, 1, 0, 0, 0]]))
-        assert len(tape.nodes) == 3
+        assert len(tape.nodes) == 1
 
     def test_non_prefix_mask_rejected(self, rng):
         params = layers.init_bilstm(rng, 3, 4)
@@ -235,3 +235,25 @@ class TestDropout:
         survivors = np.count_nonzero(out.value) / x.value.size
         assert abs(survivors - 0.6) < 0.01
         assert abs(out.value.mean() - 1.0) < 0.02
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keep_mask_matches_float64_draw_bit_for_bit(self, dtype):
+        # the earlier mask: float64 (draw >= rate) / (1 - rate), cast by ad.mul
+        x = ad.Var(np.random.default_rng(5).normal(size=(32, 30, 128)).astype(dtype))
+        out = layers.dropout(x, 0.4, np.random.default_rng(9), training=True)
+        draw = np.random.default_rng(9).random(x.value.shape)
+        expected = x.value * ((draw >= 0.4) / (1.0 - 0.4)).astype(dtype)
+        assert out.value.dtype == dtype
+        assert np.array_equal(out.value, expected)
+
+    def test_keep_mask_reaches_mul_in_activation_dtype(self, rng, monkeypatch):
+        seen, mul = [], ad.mul
+
+        def spy(a, b):
+            seen.append(b)
+            return mul(a, b)
+
+        monkeypatch.setattr(layers.ad, "mul", spy)
+        x = ad.Var(np.ones((4, 6), dtype=np.float32))
+        layers.dropout(x, 0.4, rng, training=True)
+        assert [keep.dtype for keep in seen] == [np.dtype(np.float32)]

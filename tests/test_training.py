@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from conftest import make_micro_batch, make_micro_model
@@ -286,6 +289,77 @@ class TestStratifiedValSplit:
         assert len(train_ex) + len(val_ex) == len(examples)
         ids = {id(e) for e in examples}
         assert {id(e) for e in train_ex} | {id(e) for e in val_ex} == ids
+
+
+class TestScratchRule:
+    """Buffers reused by no-tape passes (`autodiff.scratch`) never leak into
+    a returned value, another thread, or a taped step."""
+
+    def test_no_tape_outputs_survive_a_second_call(self):
+        model = make_micro_model(m=2, adversarial=True, n_domains=3, seed=1)
+        first = make_micro_batch(model, n=6, seed=1, with_domain=True)
+        second = make_micro_batch(model, n=6, seed=2, with_domain=True)
+        logits, alphas, _ = mt_daan_forward(model, first)
+        kept = [v.value.copy() for v in logits + alphas]
+        again, _, _ = mt_daan_forward(model, second)
+        assert not np.array_equal(again[0].value, kept[0])
+        for v, k in zip(logits + alphas, kept):
+            assert np.array_equal(v.value, k)
+
+    def test_concurrent_evaluate_matches_sequential(self):
+        # more threads than cores, switching often, each on its own examples
+        split, vocab, tasks = tiny_split(per_event=60)
+        model = build_model(tiny_spec(vocab, tasks), vocab, seed=6)
+        parts = [split.test[k::3] for k in range(3)]
+        expected = [evaluate(model, part, batch_size=4) for part in parts]
+        assert expected[0] != expected[1]
+        start = threading.Barrier(len(parts))
+        got = [[] for _ in parts]
+
+        def client(k):
+            start.wait(timeout=60)
+            for _ in range(8):
+                got[k].append(evaluate(model, parts[k], batch_size=4))
+
+        threads = [threading.Thread(target=client, args=(k,)) for k in range(len(parts))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[e] * 8 for e in expected]
+
+    def test_taped_step_ignores_an_earlier_no_tape_pass(self):
+        model = make_micro_model(m=2, adversarial=True, n_domains=3, dropout=0.3, seed=3)
+        batch = make_micro_batch(model, n=4, seed=3, with_domain=True)
+        larger = make_micro_batch(model, n=9, seed=4, with_domain=True)
+        spec = model.spec
+
+        def step_grads():
+            for slot in model.parameters():
+                slot.var.zero_grad()
+            with ad.Tape() as tape:
+                logits, _, domain_logits = mt_daan_forward(
+                    model, batch, training=True, rng=np.random.default_rng(3)
+                )
+                task_losses = [
+                    bce_loss(z, *batch.labels[t]) for z, t in zip(logits, spec.task_names)
+                ]
+                domain_loss = domain_cce_loss(domain_logits, batch.domain_onehot)
+                total = mt_daan_loss(task_losses, spec.w_tasks, domain_loss, spec.w_domain)
+                ad.backward(tape, total)
+            return [slot.var.grad.copy() for slot in model.parameters()]
+
+        first = step_grads()
+        mt_daan_forward(model, larger)
+        after = step_grads()
+        for a, b in zip(first, after):
+            assert np.array_equal(a, b)
 
 
 class TestMetrics:
