@@ -10,8 +10,16 @@ accumulate gradients across backward calls until `zero_grad`; op outputs
 use their grad slot as transient working storage that is consumed during
 the sweep. The optimizer is responsible for zeroing parameter grads.
 
-Ops accept plain numpy arrays or scalars anywhere a Var is allowed; such
-operands are treated as constants and receive no gradient.
+The ops are the ones the model runs, one node each: `gather_rows` (the
+embedding), `bilstm` (the encoder), `mul` (dropout), `attention` (one task
+head's scorer, masked softmax and weighted sum), `masked_mean` (the domain
+pool), `gradient_reversal`, `affine` and `relu` (dense layers),
+`softmax_cross_entropy` (both losses) and `weighted_sum` (their combination).
+Their differentiable operands are Vars. The constants, which get no
+gradient, are plain arrays or numbers: either operand of `mul`, the ids and
+row mask of `gather_rows`, the masks of `bilstm` and `attention`, the
+lengths of `masked_mean`, the targets and weights of `softmax_cross_entropy`
+and `weighted_sum`, and the strength of `gradient_reversal`.
 
 Dtype rule: a Var holds a float32 or float64 array as given and turns any
 other input into float64; its gradient has the value's dtype. Every op
@@ -194,22 +202,6 @@ def _record(out, var_parents, pullback):
 # arithmetic
 
 
-def add(a, b):
-    av, bv = _values(a, b)
-    out = Var(av + bv)
-    a_var, b_var = isinstance(a, Var), isinstance(b, Var)
-    if not (a_var or b_var):
-        return out
-
-    def pullback(g):
-        if a_var:
-            a.add_grad(_unbroadcast(g, av.shape))
-        if b_var:
-            b.add_grad(_unbroadcast(g, bv.shape))
-
-    return _record(out, tuple(p for p in (a, b) if isinstance(p, Var)), pullback)
-
-
 def mul(a, b):
     av, bv = _values(a, b)
     out = Var(av * bv)
@@ -222,25 +214,6 @@ def mul(a, b):
             a.add_grad(_unbroadcast(g * bv, av.shape))
         if b_var:
             b.add_grad(_unbroadcast(g * av, bv.shape))
-
-    return _record(out, tuple(p for p in (a, b) if isinstance(p, Var)), pullback)
-
-
-def matmul(a, b):
-    """Matrix product for 2-D x 2-D and 2-D x 1-D operands."""
-    av, bv = _values(a, b)
-    if av.ndim != 2 or bv.ndim not in (1, 2) or av.shape[1] != bv.shape[0]:
-        raise DimensionError(f"matmul: incompatible shapes {av.shape} x {bv.shape}")
-    out = Var(av @ bv)
-    a_var, b_var = isinstance(a, Var), isinstance(b, Var)
-    if not (a_var or b_var):
-        return out
-
-    def pullback(g):
-        if a_var:
-            a.add_grad(g @ bv.T if bv.ndim == 2 else np.outer(g, bv))
-        if b_var:
-            b.add_grad(av.T @ g)
 
     return _record(out, tuple(p for p in (a, b) if isinstance(p, Var)), pullback)
 
@@ -263,27 +236,8 @@ def affine(x, w, b):
     return _record(out, (x, w, b), pullback)
 
 
-def reshape(a, shape):
-    out = Var(a.value.reshape(shape))
-
-    def pullback(g):
-        a.add_grad(g.reshape(a.value.shape))
-
-    return _record(out, (a,), pullback)
-
-
 # ---------------------------------------------------------------------------
 # activations
-
-
-def tanh(x):
-    out = Var(np.tanh(x.value))
-    ov = out.value
-
-    def pullback(g):
-        x.add_grad(g * (1.0 - ov * ov))
-
-    return _record(out, (x,), pullback)
 
 
 def relu(x):
@@ -297,35 +251,59 @@ def relu(x):
 
 
 # ---------------------------------------------------------------------------
-# softmax family
+# attention and losses
 
 
-def masked_softmax(scores, mask):
-    """Exp-normalize `scores` over the last axis, giving masked positions
-    exactly zero probability.
+def attention(acts, mask, w, b, v):
+    """One attention head over [N x T x D] activations, recorded as a single
+    node: each position scores v . tanh(W a_t + b), for w [s x D], b [s] and
+    v [s]; the scores are exp-normalized over the positions the [N x T]
+    {0, 1} `mask` keeps; and the context is sum_t alpha_t a_t.
 
-    `mask` is a {0,1} array of the same shape; every row must keep at
-    least one position. Gradient flows only through unmasked positions.
+    Returns (context [N x D], alpha [N x T]). Only the context is recorded:
+    alpha is a Var for reading, and no gradient flows back through it.
+    Masked positions get alpha exactly 0, so neither the weighted sum nor
+    the scores send them any gradient. A row that keeps no position raises
+    `DegenerateMaskError`.
     """
-    sv = scores.value
-    mv = np.asarray(mask, dtype=sv.dtype)
-    if mv.shape != sv.shape:
-        raise DimensionError(f"mask shape {mv.shape} does not match scores shape {sv.shape}")
+    xv, wv, bv, vv = acts.value, w.value, b.value, v.value
+    fits = xv.ndim == 3 and wv.ndim == 2 and xv.shape[2] == wv.shape[1]
+    if not fits or bv.shape != wv.shape[:1] or vv.shape != bv.shape:
+        raise DimensionError(
+            f"attention: activations {xv.shape} do not fit scorer weights {wv.shape}, "
+            f"bias {bv.shape} and vector {vv.shape}"
+        )
+    n, t_x, dim = xv.shape
+    mv = np.asarray(mask, dtype=np.result_type(xv, wv, bv, vv))
+    if mv.shape != (n, t_x):
+        raise DimensionError(f"attention: mask shape {mv.shape} does not match scores {(n, t_x)}")
     if np.any(mv.sum(axis=-1) == 0):
         raise DegenerateMaskError("mask keeps no position in at least one row")
+    flat = xv.reshape(n * t_x, dim)
+    hidden = np.tanh(flat @ wv.T + bv)
+    scores = (hidden @ vv).reshape(n, t_x)
     # (mv - 1) is 0 on kept positions and -1 on masked ones, so masked scores
     # drop to NEG_INF before normalization.
-    shifted = sv + (mv - 1.0) * (-NEG_INF)
+    shifted = scores + (mv - 1.0) * (-NEG_INF)
     shifted = shifted - shifted.max(axis=-1, keepdims=True)
     e = np.exp(shifted) * mv
-    out_v = e / e.sum(axis=-1, keepdims=True)
-    out = Var(out_v)
+    av = e / e.sum(axis=-1, keepdims=True)
+    context = Var((av[:, None, :] @ xv)[:, 0])
 
     def pullback(g):
-        dot = (g * out_v).sum(axis=-1, keepdims=True)
-        scores.add_grad(out_v * (g - dot))
+        # acts is reached twice, through the weighted sum and then through
+        # the scores, in that order.
+        g_alpha = (xv @ g[:, :, None])[:, :, 0]
+        acts.add_grad(av[:, :, None] * g[:, None, :])
+        dot = (g_alpha * av).sum(axis=-1, keepdims=True)
+        g_scores = (av * (g_alpha - dot)).reshape(-1)
+        v.add_grad(hidden.T @ g_scores)
+        g_pre = np.outer(g_scores, vv) * (1.0 - hidden * hidden)
+        w.add_grad(g_pre.T @ flat)
+        b.add_grad(g_pre.sum(axis=0))
+        acts.add_grad((g_pre @ wv).reshape(xv.shape))
 
-    return _record(out, (scores,), pullback)
+    return _record(context, (acts, w, b, v), pullback), Var(av)
 
 
 def softmax_cross_entropy(logits, targets, weights):
@@ -356,15 +334,37 @@ def softmax_cross_entropy(logits, targets, weights):
     return _record(out, (logits,), pullback)
 
 
+def weighted_sum(losses, weights):
+    """The scalar sum_k weights[k] * losses[k] of scalar Vars, summed left
+    to right; each weight must be finite and >= 0."""
+    if not losses or len(losses) != len(weights):
+        raise DimensionError(f"{len(losses)} losses vs {len(weights)} weights")
+    if any(loss.value.shape != () for loss in losses):
+        raise DimensionError("weighted_sum: every loss must be a scalar")
+    if not all(0.0 <= w < math.inf for w in weights):
+        raise ParameterError(f"loss weights must be finite and >= 0, got {list(weights)}")
+    wv = np.asarray(weights, dtype=np.result_type(*(loss.value for loss in losses)))
+    total = losses[0].value * wv[0]
+    for loss, w in zip(losses[1:], wv[1:]):
+        total = total + loss.value * w
+    out = Var(total)
+
+    def pullback(g):
+        for loss, w in zip(losses, wv):
+            loss.add_grad(g * w)
+
+    return _record(out, tuple(losses), pullback)
+
+
 def gradient_reversal(x, lam):
     """Identity in the forward pass; multiplies the backward gradient by -lam.
 
-    lam == 0 detaches the branch: nothing is recorded, so no gradient
-    reaches `x` through this edge.
+    lam must be finite and >= 0. lam == 0 detaches the branch: nothing is
+    recorded, so no gradient reaches `x` through this edge.
     """
     lam = float(lam)
-    if lam < 0:
-        raise ParameterError(f"gradient reversal strength must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise ParameterError(f"gradient reversal strength must be finite and >= 0, got {lam}")
     out = Var(x.value)  # same array object out: forward is bit-identical
     if lam == 0.0:
         return out
@@ -377,24 +377,6 @@ def gradient_reversal(x, lam):
 
 # ---------------------------------------------------------------------------
 # reductions and structural ops
-
-
-def asum(x):
-    out = Var(x.value.sum())
-
-    def pullback(g):
-        x.add_grad(np.broadcast_to(g, x.value.shape))
-
-    return _record(out, (x,), pullback)
-
-
-def sum_axis(x, axis):
-    out = Var(x.value.sum(axis=axis))
-
-    def pullback(g):
-        x.add_grad(np.broadcast_to(np.expand_dims(g, axis), x.value.shape))
-
-    return _record(out, (x,), pullback)
 
 
 def gather_rows(table, ids, row_grad_mask=None, out=None):
@@ -434,18 +416,23 @@ def gather_rows(table, ids, row_grad_mask=None, out=None):
     return _record(out, (table,), pullback)
 
 
-def attend(alpha, acts):
-    """Batched weighted sum of per-position activations:
-    out[n] = sum_t alpha[n, t] * acts[n, t], for alpha [N x T] and acts
-    [N x T x D]."""
-    av, xv = alpha.value, acts.value
-    out = Var((av[:, None, :] @ xv)[:, 0])
+def masked_mean(x, lengths):
+    """Per-row mean of [N x T x D] activations over each row's `lengths` [N]
+    kept positions: the sum over T divided by the length. It reads padded
+    positions as zeros, which is what `bilstm` emits there."""
+    xv = x.value
+    lv = np.asarray(lengths, dtype=np.float64)
+    if xv.ndim != 3 or lv.shape != xv.shape[:1]:
+        raise DimensionError(f"masked_mean: lengths {lv.shape} do not match activations {xv.shape}")
+    if np.any(lv <= 0):
+        raise DegenerateMaskError("mask keeps no position in at least one row")
+    inv = (1.0 / lv).astype(xv.dtype)[:, None]
+    out = Var(xv.sum(axis=1) * inv)
 
     def pullback(g):
-        alpha.add_grad((xv @ g[:, :, None])[:, :, 0])
-        acts.add_grad(av[:, :, None] * g[:, None, :])
+        x.add_grad(np.broadcast_to((g * inv)[:, None, :], xv.shape))
 
-    return _record(out, (alpha, acts), pullback)
+    return _record(out, (x,), pullback)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Kept in one place so the CLI can map them onto exit codes
-(usage=1, data/parse=2, numerical abort=3).
+Kept in one place so that a command-line front end can map them onto exit
+codes (usage=1, data/parse=2, numerical abort=3). The package has no such
+front end yet: the map waits for the CLI of ROADMAP item 3.
 """
 
 

@@ -175,19 +175,12 @@ def init_attention(rng, act_dim, score_dim):
 
 def attention_head(params, acts, mask):
     """Score positions of [N x T x 2h] activations, normalize with the
-    [N x T] padding mask, and reduce.
+    [N x T] padding mask, and reduce, as one `autodiff.attention` node.
 
     Returns (context [N x 2h], alpha [N x T]): the attention-weighted sum
     of activations and the per-position weights used to build it.
     """
-    mask2 = np.asarray(mask, dtype=np.float64)
-    n, t_x, act_dim = acts.value.shape
-
-    flat = ad.reshape(acts, (n * t_x, act_dim))
-    hidden = ad.tanh(ad.affine(flat, params.w, params.b))
-    scores = ad.reshape(ad.matmul(hidden, params.v), (n, t_x))
-    alpha = ad.masked_softmax(scores, mask2)
-    return ad.attend(alpha, acts), alpha
+    return ad.attention(acts, mask, params.w, params.b, params.v)
 
 
 # ---------------------------------------------------------------------------

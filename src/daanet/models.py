@@ -14,8 +14,8 @@ logits directly (`autodiff.softmax_cross_entropy`).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -97,8 +97,8 @@ class ModelSpec:
             raise ParameterError("all layer sizes must be positive")
         if self.adversarial and self.n_domains < 2:
             raise ParameterError("adversarial training needs at least 2 source domains")
-        if self.lam < 0 or self.w_domain < 0 or any(w < 0 for w in self.w_tasks):
-            raise ParameterError("loss weights and reversal strength must be >= 0")
+        if not all(0.0 <= w < math.inf for w in (self.lam, self.w_domain, *self.w_tasks)):
+            raise ParameterError("loss weights and reversal strength must be finite and >= 0")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ParameterError("dropout rate must be in [0, 1)")
 
@@ -215,7 +215,7 @@ def _forward(
 ):
     spec = model.spec
     mask = np.asarray(mask, dtype=np.float64)
-    lengths = mask.sum(axis=-1, keepdims=True)
+    lengths = mask.sum(axis=-1)
     if np.any(lengths == 0):
         raise DegenerateMaskError("mask keeps no position in at least one row")
     ids = np.asarray(ids)
@@ -236,7 +236,7 @@ def _forward(
 
     domain_logits = None
     if want_domain and model.domain is not None:
-        pooled = ad.mul(ad.sum_axis(acts, 1), 1.0 / lengths)  # pads emit zeros, so this is a masked mean
+        pooled = ad.masked_mean(acts, lengths)
         if reverse_domain:
             pooled = ad.gradient_reversal(pooled, spec.lam)
         hidden = dense(model.domain.hidden, pooled, "relu")
@@ -316,17 +316,15 @@ def domain_cce_loss(logits, y_onehot):
 
 
 def mt_daan_loss(task_losses, w_tasks, domain_loss=None, w_domain=0.0):
-    """Weighted sum of per-task losses plus the weighted domain loss; with
-    one task this is the ST-DAAN loss (the reversal lives inside the domain
-    forward graph, not here)."""
-    if len(task_losses) != len(w_tasks):
-        raise DimensionError(f"{len(task_losses)} losses vs {len(w_tasks)} weights")
-    if any(w < 0 for w in w_tasks) or w_domain < 0:
-        raise ParameterError("loss weights must be >= 0")
-    parts = [ad.mul(loss, float(w)) for loss, w in zip(task_losses, w_tasks)]
+    """Weighted sum of per-task losses plus the weighted domain loss, as one
+    `autodiff.weighted_sum` node; with one task this is the ST-DAAN loss
+    (the reversal lives inside the domain forward graph, not here).
+    `w_domain` is read only when there is a domain loss."""
+    losses, weights = list(task_losses), list(w_tasks)
     if domain_loss is not None:
-        parts.append(ad.mul(domain_loss, float(w_domain)))
-    return reduce(ad.add, parts)
+        losses.append(domain_loss)
+        weights.append(w_domain)
+    return ad.weighted_sum(losses, weights)
 
 
 def covid_relevance(priority_pred, irrelevant_pred):
@@ -384,11 +382,11 @@ def load_model(path):
         _require(meta, ("spec", "vocab_tokens", "vocab_sha256"), "meta.json", path)
         spec_dict = meta["spec"]
         _require(spec_dict, ("task_names", "w_tasks"), "model spec", path)
-        spec_dict["task_names"] = tuple(spec_dict["task_names"])
-        spec_dict["w_tasks"] = tuple(spec_dict["w_tasks"])
         try:
+            spec_dict["task_names"] = tuple(spec_dict["task_names"])
+            spec_dict["w_tasks"] = tuple(spec_dict["w_tasks"])
             spec = ModelSpec(**spec_dict)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:  # ValueError includes ParameterError
             raise DataError(f"bad model spec: {exc}", path=str(path)) from None
         vocab = Vocab(meta["vocab_tokens"])
         if vocab.sha256() != meta["vocab_sha256"]:

@@ -4,6 +4,7 @@ metrics, and the logistic-regression baseline over averaged embeddings."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +33,8 @@ class TrainConfig:
             raise ParameterError("patience must be smaller than max_epochs")
         if not 0.0 < self.val_split < 1.0:
             raise ParameterError("validation split must be in (0, 1)")
-        if self.learning_rate <= 0:
-            raise ParameterError("learning rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ParameterError("learning rate must be finite and positive")
 
 
 def _update_rows(slot):

@@ -1,8 +1,11 @@
+import ast
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import asum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,105 +34,105 @@ def central_diff(f, x, eps=1e-5):
     return g
 
 
-class TestMatmul:
-    def test_identity(self):
-        a = ad.Var(np.eye(2))
-        b = ad.Var([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(ad.matmul(a, b).value, [[1, 2], [3, 4]])
-
-    def test_projector_row_select(self):
-        p = ad.Var([[1.0, 0.0], [0.0, 0.0]])
-        b = ad.Var([[5.0, 6.0], [7.0, 8.0]])
-        assert np.array_equal(ad.matmul(p, b).value, [[5, 6], [0, 0]])
-
-    def test_grad_matches_finite_differences(self):
-        rng = np.random.default_rng(7)
-        a_val = rng.normal(size=(3, 4))
-        b_val = rng.normal(size=(4, 2))
-        a = ad.Var(a_val)
-        b = ad.Var(b_val)
-        with ad.Tape() as tape:
-            loss = ad.asum(ad.matmul(a, b))
-            ad.backward(tape, loss)
-        num = central_diff(lambda: (a.value @ b.value).sum(), a.value)
-        assert np.max(np.abs(a.grad - num) / np.maximum(np.abs(num), 1e-12)) < 1e-6
-
-    def test_shape_mismatch_names_both_shapes(self):
-        a = ad.Var(np.ones((2, 3)))
-        b = ad.Var(np.ones((2, 3)))
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
-            ad.matmul(a, b)
-
-    def test_vector_forms(self):
-        a = ad.Var(np.arange(6.0).reshape(2, 3))
-        v = ad.Var(np.array([1.0, 0.0, -1.0]))
-        assert np.allclose(ad.matmul(a, v).value, a.value @ v.value)
-        u = ad.Var(np.array([1.0, 2.0]))
-        with pytest.raises(DimensionError):
-            ad.matmul(u, a)
+class TestAffine:
+    def test_shape_mismatch_names_every_shape(self):
+        x = ad.Var(np.ones((2, 3)))
+        w = ad.Var(np.ones((4, 2)))
+        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 2\).*\(4,\)"):
+            ad.affine(x, w, ad.Var(np.zeros(4)))
 
 
 class TestActivation:
-    def test_tanh_at_zero(self):
-        assert ad.tanh(ad.Var(0.0)).value == 0.0
-
     def test_relu_definition(self):
         assert ad.relu(ad.Var(-3.2)).value == 0.0
         assert ad.relu(ad.Var(3.2)).value == 3.2
 
 
+def reference_attention(xv, mask, wv, bv, vv):
+    """Plain float64 attention, position by position: returns (context, alpha)."""
+    n, t_x, dim = xv.shape
+    context = np.zeros((n, dim))
+    alpha = np.zeros((n, t_x))
+    for r in range(n):
+        kept = [t for t in range(t_x) if mask[r, t]]
+        scores = {t: float(vv @ np.tanh(wv @ xv[r, t] + bv)) for t in kept}
+        top = max(scores.values())
+        z = sum(math.exp(s - top) for s in scores.values())
+        for t in kept:
+            alpha[r, t] = math.exp(scores[t] - top) / z
+            context[r] += alpha[r, t] * xv[r, t]
+    return context, alpha
+
+
+def attention_operands(n, t_x, dim, s, seed):
+    rng = np.random.default_rng(seed)
+    return [ad.Var(rng.normal(size=shape)) for shape in ((n, t_x, dim), (s, dim), (s,), (s,))]
+
+
+def attention_alpha(x, mask, scale=1.0):
+    """alpha of a one-unit head (w = [[1]], b = [0], v = [scale]) over [N x T]
+    values x, so that position t scores exactly scale * tanh(x[n, t])."""
+    acts = ad.Var(np.asarray(x, dtype=np.float64)[:, :, None])
+    _, alpha = ad.attention(acts, np.asarray(mask), ad.Var([[1.0]]), ad.Var([0.0]), ad.Var([scale]))
+    return alpha.value
+
+
 class TestMaskedSoftmax:
+    """The masked softmax inside `ad.attention`, read from its alpha."""
+
     def test_uniform(self):
-        out = ad.masked_softmax(ad.Var([0.0, 0.0]), np.array([1, 1]))
-        assert np.allclose(out.value, [0.5, 0.5])
+        assert np.array_equal(attention_alpha([[0.0, 0.0]], [[1, 1]]), [[0.5, 0.5]])
 
     def test_masked_tail_direct_evaluation(self):
-        # direct e^x normalization over the two kept positions
-        out = ad.masked_softmax(ad.Var([10.0, -10.0, 0.0]), np.array([1, 1, 0]))
-        z = math.exp(10.0) + math.exp(-10.0)
-        assert out.value[2] == 0.0
-        assert abs(out.value[0] - math.exp(10.0) / z) < 1e-15
-        assert abs(out.value[1] - math.exp(-10.0) / z) < 1e-18
-        assert abs(out.value[1] - 2.0611536181902037e-09) < 1e-15
+        # direct e^x normalization over the two kept positions, scores about +-10
+        x = np.array([[math.atanh(0.5), -math.atanh(0.5), 0.0]])
+        out = attention_alpha(x, [[1, 1, 0]], scale=20.0)[0]
+        s0, s1, _ = 20.0 * np.tanh(x[0])
+        z = math.exp(s0) + math.exp(s1)
+        assert out[2] == 0.0
+        assert abs(out[0] - math.exp(s0) / z) < 1e-15
+        assert abs(out[1] - math.exp(s1) / z) < 1e-18
+        assert abs(out[1] - 2.0611536181902037e-09) < 1e-15
 
     def test_single_survivor(self):
-        out = ad.masked_softmax(ad.Var([3.0, -2.0, 9.0]), np.array([1, 0, 0]))
-        assert np.array_equal(out.value, [1.0, 0.0, 0.0])
+        out = attention_alpha([[3.0, -2.0, 9.0]], [[1, 0, 0]])
+        assert np.array_equal(out, [[1.0, 0.0, 0.0]])
 
     def test_all_zero_mask(self):
         with pytest.raises(DegenerateMaskError):
-            ad.masked_softmax(ad.Var([1.0, 2.0]), np.array([0, 0]))
+            attention_alpha([[1.0, 2.0], [1.0, 2.0]], [[1, 0], [0, 0]])
+
+    def test_mask_of_wrong_shape(self):
+        with pytest.raises(DimensionError, match="mask shape"):
+            attention_alpha([[1.0, 2.0, 3.0]], [[1, 1]])
 
     def test_backward_only_through_unmasked(self):
-        s = ad.Var([0.3, -0.5, 1.2, 0.0])
-        mask = np.array([1, 1, 0, 1])
+        acts, w, b, v = attention_operands(n=2, t_x=4, dim=3, s=2, seed=4)
+        mask = np.array([[1, 1, 0, 1], [1, 0, 0, 0]])
+        weights = np.random.default_rng(5).normal(size=(2, 3))
         with ad.Tape() as tape:
-            out = ad.masked_softmax(s, mask)
-            loss = ad.asum(ad.mul(out, np.array([1.0, 2.0, 3.0, 4.0])))
-            ad.backward(tape, loss)
-        assert s.grad[2] == 0.0
+            context, _ = ad.attention(acts, mask, w, b, v)
+            ad.backward(tape, asum(ad.mul(context, weights)))
+        assert not np.any(acts.grad[mask == 0])
 
         def f():
-            sv = s.value + (mask - 1.0) * 1e30
-            sv = sv - sv.max()
-            e = np.exp(sv) * mask
-            p = e / e.sum()
-            return float((p * [1.0, 2.0, 3.0, 4.0]).sum())
+            ref, _ = reference_attention(acts.value, mask, w.value, b.value, v.value)
+            return float((ref * weights).sum())
 
-        num = central_diff(f, s.value)
-        assert np.allclose(s.grad, num, atol=1e-8)
+        for var in (acts, w, b, v):
+            assert np.allclose(var.grad, central_diff(f, var.value), atol=1e-8)
 
     @given(
-        scores=st.lists(st.floats(-50, 50), min_size=1, max_size=12),
+        x=st.lists(st.floats(-3, 3), min_size=1, max_size=12),
         data=st.data(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_contract_properties(self, scores, data):
-        n = len(scores)
+    def test_contract_properties(self, x, data):
+        n = len(x)
         mask = data.draw(
             st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(lambda m: sum(m) > 0)
         )
-        out = ad.masked_softmax(ad.Var(scores), np.array(mask)).value
+        out = attention_alpha([x], [mask], scale=50.0)[0]
         assert np.all(out >= 0)
         assert abs(out.sum() - 1.0) <= 1e-9
         assert all(out[i] == 0.0 for i in range(n) if mask[i] == 0)
@@ -146,7 +149,7 @@ class TestGradientReversal:
         g = np.array([0.7, -1.3])
         with ad.Tape() as tape:
             out = ad.gradient_reversal(x, 1.0)
-            loss = ad.asum(ad.mul(out, g))
+            loss = asum(ad.mul(out, g))
             ad.backward(tape, loss)
         assert np.array_equal(x.grad, -g)
 
@@ -154,7 +157,7 @@ class TestGradientReversal:
         x = ad.Var(np.array([4.0]))
         with ad.Tape() as tape:
             out = ad.gradient_reversal(x, 0.25)
-            loss = ad.asum(ad.mul(out, np.array([3.0])))
+            loss = asum(ad.mul(out, np.array([3.0])))
             ad.backward(tape, loss)
         assert x.grad[0] == -0.25 * 3.0
 
@@ -162,7 +165,7 @@ class TestGradientReversal:
         x = ad.Var(np.array([1.0, 2.0]))
         with ad.Tape() as tape:
             out = ad.gradient_reversal(x, 0.0)
-            loss = ad.asum(ad.mul(out, np.array([5.0, 5.0])))
+            loss = asum(ad.mul(out, np.array([5.0, 5.0])))
             ad.backward(tape, loss)
         assert np.array_equal(x.grad, [0.0, 0.0])
 
@@ -170,21 +173,26 @@ class TestGradientReversal:
         with pytest.raises(ParameterError):
             ad.gradient_reversal(ad.Var(1.0), -0.1)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ParameterError):
+            ad.gradient_reversal(ad.Var(1.0), lam)
+
 
 class TestBackward:
     def test_sum_gives_ones(self):
         x = ad.Var(np.zeros(3))
         with ad.Tape() as tape:
-            loss = ad.asum(x)
+            loss = asum(x)
             ad.backward(tape, loss)
         assert np.array_equal(x.grad, [1.0, 1.0, 1.0])
 
-    def test_tanh_grad_at_zero(self):
-        w = ad.Var(0.0)
-        with ad.Tape() as tape:
-            loss = ad.tanh(w)
-            ad.backward(tape, loss)
-        assert w.grad == 1.0
+    def test_relu_grad_is_the_step(self):
+        for x, slope in ((2.0, 1.0), (-2.0, 0.0)):
+            w = ad.Var(x)
+            with ad.Tape() as tape:
+                ad.backward(tape, ad.relu(w))
+            assert w.grad == slope
 
     def test_non_scalar_loss_rejected(self):
         x = ad.Var(np.ones(2))
@@ -204,7 +212,7 @@ class TestBackward:
     def test_repeated_backward_accumulates(self):
         x = ad.Var(np.ones(3))
         with ad.Tape() as tape:
-            loss = ad.asum(x)
+            loss = asum(x)
             ad.backward(tape, loss)
             ad.backward(tape, loss)
         assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
@@ -214,20 +222,20 @@ class TestBackward:
         other = ad.Var(np.ones(2))
         with ad.Tape() as tape:
             ad.mul(other, other)
-            loss = ad.asum(x)
+            loss = asum(x)
             ad.backward(tape, loss)
         assert np.array_equal(other.grad, [0.0, 0.0])
 
     def test_shared_subexpression_dag(self):
-        # y = f(x) + g(f(x)) with f = tanh, g = square, vs finite differences
+        # y = f(x) + g(f(x)) with f = relu, g = square, vs finite differences
         x = ad.Var(np.array([0.3, -0.8, 1.1]))
         with ad.Tape() as tape:
-            fx = ad.tanh(x)
-            y = ad.add(ad.asum(fx), ad.asum(ad.mul(fx, fx)))
+            fx = ad.relu(x)
+            y = ad.weighted_sum([asum(fx), asum(ad.mul(fx, fx))], [1.0, 1.0])
             ad.backward(tape, y)
 
         def f():
-            t = np.tanh(x.value)
+            t = np.maximum(x.value, 0.0)
             return float(t.sum() + (t * t).sum())
 
         num = central_diff(f, x.value)
@@ -238,17 +246,18 @@ class TestGradCheck:
     def test_linear_function_is_exact(self):
         w = ad.Var(np.array([1.0, -2.0, 3.0]))
         c = np.array([0.5, 1.5, -0.25])
-        err = ad.grad_check(lambda: ad.asum(ad.mul(w, c)), [w])
+        err = ad.grad_check(lambda: asum(ad.mul(w, c)), [w])
         assert err < 1e-10
 
     def test_small_composite(self):
         rng = np.random.default_rng(3)
         w = ad.Var(rng.normal(size=(4, 3)))
         b = ad.Var(rng.normal(size=4))
-        x = rng.normal(size=3)
+        x = ad.Var(rng.normal(size=(2, 3)))
+        c = rng.normal(size=(2, 4))
 
         def f():
-            return ad.asum(ad.tanh(ad.add(ad.matmul(w, x), b)))
+            return asum(ad.mul(ad.relu(ad.affine(x, w, b)), c))
 
         assert ad.grad_check(f, [w, b]) < 1e-6
 
@@ -263,7 +272,7 @@ class TestGradCheck:
                 t.record(out, (v,), lambda g: v.add_grad(g * 3.0 * v.value))
             return out
 
-        err = ad.grad_check(lambda: ad.asum(bad_square(w)), [w])
+        err = ad.grad_check(lambda: asum(bad_square(w)), [w])
         assert err > 1e-2
 
 
@@ -272,7 +281,7 @@ class TestStructuralOps:
         table = ad.Var(np.arange(8.0).reshape(4, 2))
         with ad.Tape() as tape:
             out = ad.gather_rows(table, np.array([2, 2]))
-            loss = ad.asum(out)
+            loss = asum(out)
             ad.backward(tape, loss)
         assert np.array_equal(table.grad[2], [2.0, 2.0])
         assert np.array_equal(table.grad[0], [0.0, 0.0])
@@ -282,7 +291,7 @@ class TestStructuralOps:
         keep = np.array([0.0, 1.0, 1.0])
         with ad.Tape() as tape:
             out = ad.gather_rows(table, np.array([0, 1]), row_grad_mask=keep)
-            loss = ad.asum(out)
+            loss = asum(out)
             ad.backward(tape, loss)
         assert np.array_equal(table.grad[0], [0.0, 0.0])
         assert np.array_equal(table.grad[1], [1.0, 1.0])
@@ -295,10 +304,10 @@ class TestStructuralOps:
         weights = [rng.normal(size=i.shape + (3,)) for i in ids]
         with ad.Tape() as tape:
             parts = [
-                ad.asum(ad.mul(ad.gather_rows(table, i, row_grad_mask=keep), w))
+                asum(ad.mul(ad.gather_rows(table, i, row_grad_mask=keep), w))
                 for i, w in zip(ids, weights)
             ]
-            ad.backward(tape, ad.add(parts[0], parts[1]))
+            ad.backward(tape, ad.weighted_sum(parts, [1.0, 1.0]))
 
         # dense reference: scatter each call into a full-table buffer, then mask
         ref = np.zeros((7, 3))
@@ -317,13 +326,23 @@ class TestStructuralOps:
                 ad.gather_rows(table, np.array([0, bad]))
 
     def test_attend_matches_brute_force(self):
-        rng = np.random.default_rng(11)
-        alpha = ad.Var(rng.random((2, 5)))
-        acts = ad.Var(rng.normal(size=(2, 5, 3)))
-        out = ad.attend(alpha, acts)
-        for n in range(2):
-            brute = sum(alpha.value[n, k] * acts.value[n, k] for k in range(5))
+        # the whole float64 attention forward against the plain-numpy reference
+        acts, w, b, v = attention_operands(n=3, t_x=6, dim=5, s=4, seed=11)
+        mask = np.array([[1, 1, 1, 1, 1, 1], [1, 1, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0]])
+        context, alpha = ad.attention(acts, mask, w, b, v)
+        ref_context, ref_alpha = reference_attention(acts.value, mask, w.value, b.value, v.value)
+        assert np.max(np.abs(context.value - ref_context)) < 1e-12
+        assert np.max(np.abs(alpha.value - ref_alpha)) < 1e-12
+
+    def test_masked_mean_matches_brute_force(self):
+        x = ad.Var(np.random.default_rng(12).normal(size=(3, 4, 2)))
+        lengths = np.array([4, 2, 1])
+        out = ad.masked_mean(x, lengths)
+        for n, length in enumerate(lengths):
+            brute = sum(x.value[n, t] for t in range(4)) / length
             assert np.max(np.abs(out.value[n] - brute)) < 1e-12
+        with pytest.raises(DegenerateMaskError):
+            ad.masked_mean(x, np.array([4, 0, 1]))
 
 
 def reference_lstm(xv, mask, wv, bv, reverse, g_out):
@@ -395,7 +414,7 @@ def assert_bilstm_matches_reference(
     if taped:
         with ad.Tape() as tape:
             states = ad.bilstm(x, mask, w[0], b[0], w[1], b[1])
-            ad.backward(tape, ad.asum(ad.mul(states, g_out)))
+            ad.backward(tape, asum(ad.mul(states, g_out)))
     else:
         states = ad.bilstm(x, mask, w[0], b[0], w[1], b[1])
     wide = [a.astype(np.float64) for a in (xv, wv, bv, g_out)]
@@ -529,22 +548,18 @@ class TestScratch:
 def test_forward_determinism():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(4, 4))
+    b = rng.normal(size=4)
     a = ad.Var(x)
-    mask = np.ones((4, 4))
-    r1 = ad.masked_softmax(ad.tanh(ad.matmul(a, a)), mask).value
-    r2 = ad.masked_softmax(ad.tanh(ad.matmul(ad.Var(x), ad.Var(x))), mask).value
+    r1 = ad.mul(ad.relu(ad.affine(a, a, ad.Var(b))), x).value
+    r2 = ad.mul(ad.relu(ad.affine(ad.Var(x), ad.Var(x), ad.Var(b))), x).value
     assert np.array_equal(r1, r2)
 
 
 def test_every_op_passes_grad_check_on_random_shapes():
     rng = np.random.default_rng(42)
     a = ad.Var(rng.normal(size=(3, 4)))
-    b = ad.Var(rng.normal(size=(4, 3)))
-    v = ad.Var(rng.normal(size=4))
-    alpha = ad.Var(rng.random((2, 3)))
+    b = ad.Var(rng.normal(size=(3, 4)))
     acts = ad.Var(rng.normal(size=(2, 3, 4)))
-    mask = np.array([1.0, 1.0, 0.0])
-    square = ad.Var(rng.normal(size=(3, 3)))
     # both LSTM directions over a ragged batch: row lengths (T, 2, 1)
     seq = ad.Var(rng.normal(size=(3, 4, 3)))
     lstm_w = ad.Var(rng.normal(size=(8, 5)))
@@ -559,25 +574,74 @@ def test_every_op_passes_grad_check_on_random_shapes():
     # soft, one-hot and all-zero (a masked-out task row) target rows
     xent_targets = np.array([[0.1, 0.2, 0.3, 0.4], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
     xent_weights = np.array([0.7, 1.9, 0.4])
+    att_w = ad.Var(rng.normal(size=(2, 4)))
+    att_b = ad.Var(rng.normal(size=2))
+    att_v = ad.Var(rng.normal(size=2))
+    att_mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    pooled_weights = rng.normal(size=(2, 4))
 
     cases = {
-        "matmul": lambda: ad.asum(ad.matmul(a, b)),
-        "add": lambda: ad.asum(ad.add(a, ad.reshape(b, (3, 4)))),
-        "mul": lambda: ad.asum(ad.mul(a, ad.reshape(b, (3, 4)))),
-        "affine": lambda: ad.asum(ad.mul(ad.affine(a, aff_w, aff_b), aff_weights)),
-        "bilstm": lambda: ad.asum(
+        "mul": lambda: asum(ad.mul(a, b)),
+        "affine": lambda: asum(ad.mul(ad.affine(a, aff_w, aff_b), aff_weights)),
+        "bilstm": lambda: asum(
             ad.mul(ad.bilstm(seq, lstm_mask, lstm_w, lstm_b, lstm_w_rev, lstm_b_rev), lstm_weights)
         ),
-        "tanh": lambda: ad.asum(ad.tanh(a)),
-        "relu": lambda: ad.asum(ad.relu(a)),
+        "relu": lambda: asum(ad.relu(a)),
         "softmax_cross_entropy": lambda: ad.softmax_cross_entropy(a, xent_targets, xent_weights),
-        "masked_softmax": lambda: ad.asum(
-            ad.mul(ad.masked_softmax(square, np.tile(mask, (3, 1))), 7.0)
+        "attention": lambda: asum(
+            ad.mul(ad.attention(acts, att_mask, att_w, att_b, att_v)[0], pooled_weights)
         ),
-        "attend": lambda: ad.asum(ad.mul(ad.attend(alpha, acts), v)),
-        "sum_axis": lambda: ad.asum(ad.mul(ad.sum_axis(a, 0), np.array([1.0, 2.0, 3.0, 4.0]))),
+        "masked_mean": lambda: asum(ad.mul(ad.masked_mean(acts, [2, 3]), pooled_weights)),
+        "weighted_sum": lambda: ad.weighted_sum(
+            [ad.softmax_cross_entropy(a, xent_targets, xent_weights), asum(ad.mul(a, b))],
+            [0.6, 1.7],
+        ),
     }
     for name, f in cases.items():
-        params = [a, b, v, alpha, acts, square, seq, lstm_w, lstm_b, lstm_w_rev, lstm_b_rev]
-        err = ad.grad_check(f, params + [aff_w, aff_b])
+        params = [a, b, acts, seq, lstm_w, lstm_b, lstm_w_rev, lstm_b_rev]
+        err = ad.grad_check(f, params + [aff_w, aff_b, att_w, att_b, att_v])
         assert err < 1e-4, f"{name}: grad check error {err}"
+
+
+# Called from the package without a model path needing them.
+OP_SET_EXEMPT = {"Var", "Tape", "backward", "scratch", "grad_check"}
+
+
+def test_every_op_is_used_by_the_package():
+    # autodiff holds the model's op set: an op no module of the package
+    # uses is a general-purpose op to delete, not to keep
+    package = Path(ad.__file__).parent
+    ops = {
+        name
+        for name, obj in vars(ad).items()
+        if callable(obj) and not name.startswith("_") and obj.__module__ == ad.__name__
+    }
+    used = set()
+    for path in package.glob("*.py"):
+        if path == Path(ad.__file__):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
+                used |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                aliases |= {a.asname or a.name for a in node.names if a.name == "autodiff"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in aliases:
+                    used.add(node.attr)
+    assert sorted(ops - OP_SET_EXEMPT - used) == []
+
+
+@pytest.mark.parametrize("case", ["scorer", "lengths", "non-scalar loss", "weight count"])
+def test_misfit_operands_rejected(case):
+    acts, _, b, v = attention_operands(n=2, t_x=3, dim=4, s=2, seed=1)
+    call = {
+        "scorer": lambda: ad.attention(acts, np.ones((2, 3)), ad.Var(np.ones((2, 5))), b, v),
+        "lengths": lambda: ad.masked_mean(acts, np.array([3, 3, 3])),
+        "non-scalar loss": lambda: ad.weighted_sum([acts], [1.0]),
+        "weight count": lambda: ad.weighted_sum([asum(acts)], [1.0, 1.0]),
+    }[case]
+    with pytest.raises(DimensionError):
+        call()

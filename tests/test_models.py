@@ -197,6 +197,13 @@ class TestStDaanLoss:
         with pytest.raises(ParameterError):
             mt_daan_loss([ad.Var(0.7)], (1.0,), ad.Var(1.2), -0.5)
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ParameterError):
+            mt_daan_loss([ad.Var(0.7)], (weight,))
+        with pytest.raises(ParameterError):
+            mt_daan_loss([ad.Var(0.7)], (1.0,), ad.Var(1.2), weight)
+
     def test_encoder_grad_decomposes_into_task_minus_domain(self):
         w_domain = 0.5
         model = make_micro_model(adversarial=True, n_domains=3, lam=1.0, w_domain=w_domain, seed=9)
@@ -519,6 +526,16 @@ class TestArchiveErrors:
         message = self.load_rewritten(saved, tmp_path, extra={"param/" + name: wide})
         assert f"parameter {name} is float64, expected float32" in message
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("dropout_rate", 1.5), ("w_tasks", ["abc", 1.0]), ("task_names", 5)],
+        ids=["out_of_range", "not_a_number", "not_a_list"],
+    )
+    def test_bad_spec_value(self, saved, tmp_path, key, value):
+        meta = saved[1]
+        meta["spec"][key] = value
+        assert "bad model spec" in self.load_rewritten(saved, tmp_path, meta=meta)
+
     def test_earlier_format_rejected(self, saved, tmp_path):
         meta = saved[1]
         meta["format"] = models.ARCHIVE_FORMAT - 1
@@ -538,3 +555,40 @@ class TestModelSpecValidation:
     def test_negative_lambda(self):
         with pytest.raises(ParameterError):
             micro_spec(lam=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["lam", "w_domain", "w_tasks"])
+    def test_non_finite_weight_rejected(self, field, value):
+        fields = {"w_tasks": (value,)} if field == "w_tasks" else {field: value}
+        with pytest.raises(ParameterError):
+            ModelSpec(t_x=5, d=8, adversarial=True, n_domains=2, **fields)
+
+
+class TestTapeNodes:
+    def test_one_node_per_layer_call(self, monkeypatch):
+        # embed, bilstm, dropout (3); per head attention, dropout and the two
+        # dense layers (4 nodes, relu included: 5 x 2); masked mean, reversal
+        # and the domain's dense layers (5); three losses and their sum (4)
+        model = make_micro_model(m=2, adversarial=True, n_domains=3, dropout=0.3)
+        batch = make_micro_batch(model, n=4, with_domain=True)
+        head_nodes = []
+        attention_head = models.attention_head
+
+        def counted(*args):
+            before = len(tape.nodes)
+            out = attention_head(*args)
+            head_nodes.append(len(tape.nodes) - before)
+            return out
+
+        monkeypatch.setattr(models, "attention_head", counted)
+        with ad.Tape() as tape:
+            logits, _, domain_logits = mt_daan_forward(
+                model, batch, training=True, rng=np.random.default_rng(0)
+            )
+            task_losses = [
+                bce_loss(z, *batch.labels[task]) for z, task in zip(logits, model.spec.task_names)
+            ]
+            domain_loss = domain_cce_loss(domain_logits, batch.domain_onehot)
+            mt_daan_loss(task_losses, model.spec.w_tasks, domain_loss, model.spec.w_domain)
+        assert head_nodes == [1, 1]
+        assert len(tape.nodes) == 22

@@ -1,9 +1,10 @@
+import math
 import sys
 import threading
 
 import numpy as np
 import pytest
-from conftest import make_micro_batch, make_micro_model
+from conftest import asum, make_micro_batch, make_micro_model
 
 from daanet import autodiff as ad
 from daanet.data import build_vocab, leave_one_out_split
@@ -75,8 +76,8 @@ class TestAdam:
         opt = Adam([slot(w)], lr=lr, beta1=b1, beta2=b2, eps=eps)
         for _ in range(3):
             with ad.Tape() as tape:
-                diff = ad.add(w, -b)
-                loss = ad.asum(ad.mul(ad.mul(diff, diff), a))
+                diff = ad.affine(ad.Var(np.ones((1, 1))), ad.Var(-b[:, None]), w)  # [w - b]
+                loss = asum(ad.mul(ad.mul(diff, diff), a))
                 ad.backward(tape, loss)
             opt.step()
             opt.zero_grad()
@@ -188,6 +189,11 @@ class TestTrainConfig:
     def test_val_split_range(self):
         with pytest.raises(ParameterError):
             TrainConfig(val_split=0.0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_learning_rate_rejected(self, rate):
+        with pytest.raises(ParameterError):
+            TrainConfig(learning_rate=rate)
 
 
 def tiny_split(n_events=3, per_event=30, seed=0, **kwargs):
