@@ -11,15 +11,17 @@ use their grad slot as transient working storage that is consumed during
 the sweep. The optimizer is responsible for zeroing parameter grads.
 
 The ops are the ones the model runs, one node each: `gather_rows` (the
-embedding), `bilstm` (the encoder), `mul` (dropout), `attention` (one task
-head's scorer, masked softmax and weighted sum), `masked_mean` (the domain
-pool), `gradient_reversal`, `affine` and `relu` (dense layers),
+embedding), `bilstm` (the encoder), `split_rows` (the task and domain rows
+of a joint encoder pass, one node per part), `mul` (dropout), `attention`
+(one task head's scorer, masked softmax and weighted sum), `masked_mean`
+(the domain pool), `gradient_reversal`, `affine` and `relu` (dense layers),
 `softmax_cross_entropy` (both losses) and `weighted_sum` (their combination).
 Their differentiable operands are Vars. The constants, which get no
 gradient, are plain arrays or numbers: either operand of `mul`, the ids and
-row mask of `gather_rows`, the masks of `bilstm` and `attention`, the
-lengths of `masked_mean`, the targets and weights of `softmax_cross_entropy`
-and `weighted_sum`, and the strength of `gradient_reversal`.
+row mask of `gather_rows`, the split point of `split_rows`, the masks of
+`bilstm` and `attention`, the lengths of `masked_mean`, the targets and
+weights of `softmax_cross_entropy` and `weighted_sum`, and the strength of
+`gradient_reversal`.
 
 Dtype rule: a Var holds a float32 or float64 array as given and turns any
 other input into float64; its gradient has the value's dtype. Every op
@@ -263,7 +265,8 @@ def attention(acts, mask, w, b, v):
     Returns (context [N x D], alpha [N x T]). Only the context is recorded:
     alpha is a Var for reading, and no gradient flows back through it.
     Masked positions get alpha exactly 0, so neither the weighted sum nor
-    the scores send them any gradient. A row that keeps no position raises
+    the scores send them any gradient. A mask entry other than 0 or 1
+    raises `ContractError`, and a row that keeps no position raises
     `DegenerateMaskError`.
     """
     xv, wv, bv, vv = acts.value, w.value, b.value, v.value
@@ -277,6 +280,8 @@ def attention(acts, mask, w, b, v):
     mv = np.asarray(mask, dtype=np.result_type(xv, wv, bv, vv))
     if mv.shape != (n, t_x):
         raise DimensionError(f"attention: mask shape {mv.shape} does not match scores {(n, t_x)}")
+    if not np.all((mv == 0.0) | (mv == 1.0)):
+        raise ContractError("attention: the mask must hold only 0 and 1")
     if np.any(mv.sum(axis=-1) == 0):
         raise DegenerateMaskError("mask keeps no position in at least one row")
     flat = xv.reshape(n * t_x, dim)
@@ -387,9 +392,12 @@ def gather_rows(table, ids, row_grad_mask=None, out=None):
 
     The pullback sums the incoming rows per distinct id into a block of
     only the touched rows, in `ids` order, and adds that block into the
-    table's gradient rows; untouched rows are never written. `row_grad_mask`,
-    when given, is a {0,1} vector over rows; rows with 0 receive no gradient
-    (locked embedding rows), and their ids are dropped before the sum.
+    table's gradient rows; untouched rows are never written. The sum is one
+    `np.add.at` over the flattened block, which adds in the same order as a
+    row-wise `np.add.at` but runs on numpy's 1-D indexed path.
+    `row_grad_mask`, when given, is a {0,1} vector over rows; rows with 0
+    receive no gradient (locked embedding rows), and their ids are dropped
+    before the sum.
     """
     ids = np.asarray(ids)
     n_rows = table.value.shape[0]
@@ -403,17 +411,41 @@ def gather_rows(table, ids, row_grad_mask=None, out=None):
     out = Var(out)
 
     def pullback(g):
+        dim = table.value.shape[1]
         flat_ids = ids.reshape(-1)
-        flat_g = g.reshape(-1, table.value.shape[1])
+        flat_g = g.reshape(-1, dim)
         if row_grad_mask is not None:
             kept = row_grad_mask[flat_ids] != 0
             flat_ids, flat_g = flat_ids[kept], flat_g[kept]
         rows, slots = np.unique(flat_ids, return_inverse=True)
-        block = np.zeros((rows.size, table.value.shape[1]), dtype=table.value.dtype)
-        np.add.at(block, slots, flat_g)
+        block = np.zeros((rows.size, dim), dtype=table.value.dtype)
+        flat_slots = (slots[:, None] * dim + np.arange(dim)).reshape(-1)
+        np.add.at(block.reshape(-1), flat_slots, flat_g.reshape(-1))
         table.grad[rows] += block
 
     return _record(out, (table,), pullback)
+
+
+def split_rows(x, n):
+    """Rows [:n] and [n:] of `x` as two Vars that view its value, each
+    recorded as its own node; a split point outside 0..rows raises
+    `DimensionError`.
+
+    Both pullbacks add into the matching rows of x's one gradient buffer,
+    so no full-size gradient is built per part and x's gradient is the two
+    parts' gradients stacked, with zeros where a part got none.
+    """
+    xv = x.value
+    if xv.ndim < 1 or not 0 <= n <= xv.shape[0]:
+        raise DimensionError(f"split_rows: split point {n} outside the rows of {xv.shape}")
+    parts = []
+    for rows in (slice(None, n), slice(n, None)):
+
+        def pullback(g, rows=rows):
+            x.grad[rows] += g
+
+        parts.append(_record(Var(xv[rows]), (x,), pullback))
+    return tuple(parts)
 
 
 def masked_mean(x, lengths):
@@ -509,8 +541,11 @@ def bilstm(x, mask, w_f, b_f, w_b, b_b):
 
     def pullback(g):
         for (_, w, b, reverse, half), buffers in zip(directions, saved):
+            # a contiguous copy: the per-step GEMM on the strided slice was
+            # slower at 32 rows, and the result is the same
+            wh = np.ascontiguousarray(w.value[:, d:])
             dpre = _lstm_direction_pullback(
-                g[half], w.value[:, d:], reverse, order, live, t_max, *buffers
+                g[half], wh, reverse, order, live, t_max, *buffers
             ).reshape(-1, 4 * h)
             # h_{t-1} of every position is its neighbour in the direction of
             # travel: zero past the end it starts from, and zero (padding)

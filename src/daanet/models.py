@@ -212,7 +212,18 @@ def _forward(
     want_tasks=True,
     want_domain=False,
     reverse_domain=True,
+    n_task=None,
 ):
+    """Embed and encode the [N x T] `ids` once, then run the task heads
+    and, when wanted, the domain branch on the encoder states.
+
+    By default both branches read every row, through one dropout draw. With
+    `n_task`, the rows are a task batch stacked on a domain batch (a joint
+    pass): the heads read rows [:n_task] and the domain branch the rest,
+    through `autodiff.split_rows`, and dropout is drawn in the order two
+    single-batch passes draw it: the task rows, each head's context, then
+    the domain rows.
+    """
     spec = model.spec
     mask = np.asarray(mask, dtype=np.float64)
     lengths = mask.sum(axis=-1)
@@ -223,7 +234,12 @@ def _forward(
     # The embedded batch is read only by the encoder, so it is scratch.
     embedded = ad.scratch("embedded", ids.shape + table.shape[1:], table.dtype)
     emb = embed(model.embedding, ids, out=embedded)
-    acts = dropout(bilstm(model.encoder, emb, mask), spec.dropout_rate, rng, training)
+    states = bilstm(model.encoder, emb, mask)
+    domain_states, domain_lengths = None, lengths
+    if n_task is not None:
+        states, domain_states = ad.split_rows(states, n_task)
+        mask, domain_lengths = mask[:n_task], lengths[n_task:]
+    acts = dropout(states, spec.dropout_rate, rng, training)
 
     task_logits, alphas = [], []
     if want_tasks:
@@ -236,7 +252,9 @@ def _forward(
 
     domain_logits = None
     if want_domain and model.domain is not None:
-        pooled = ad.masked_mean(acts, lengths)
+        if domain_states is not None:
+            acts = dropout(domain_states, spec.dropout_rate, rng, training)
+        pooled = ad.masked_mean(acts, domain_lengths)
         if reverse_domain:
             pooled = ad.gradient_reversal(pooled, spec.lam)
         hidden = dense(model.domain.hidden, pooled, "relu")

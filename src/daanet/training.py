@@ -147,15 +147,33 @@ def stratified_val_split(examples, val_split, rng):
     return train, val
 
 
-def _batch_losses(model, batch, training, rng):
-    out = _forward(model, batch.ids, batch.mask, training=training, rng=rng, want_tasks=True)
+def _batch_losses(model, batch, training, rng, domain_batch=None, reverse_domain=True):
+    """Per-task losses and label counts of `batch`, and the domain loss of
+    `domain_batch` (None without one). With a domain batch, both batches
+    run through the encoder in one joint pass."""
+    if domain_batch is None:
+        out = _forward(model, batch.ids, batch.mask, training=training, rng=rng)
+    else:
+        out = _forward(
+            model,
+            np.concatenate([batch.ids, domain_batch.ids]),
+            np.concatenate([batch.mask, domain_batch.mask]),
+            training=training,
+            rng=rng,
+            want_domain=True,
+            reverse_domain=reverse_domain,
+            n_task=batch.size,
+        )
     losses = []
     counts = []
     for k, task in enumerate(model.spec.task_names):
         y, present = batch.labels[task]
         losses.append(bce_loss(out.task_logits[k], y, present))
         counts.append(present.sum())
-    return losses, counts
+    domain_term = None
+    if domain_batch is not None:
+        domain_term = domain_cce_loss(out.domain_logits, domain_batch.domain_onehot)
+    return losses, counts, domain_term
 
 
 def _validation_losses(model, val_batches):
@@ -165,7 +183,7 @@ def _validation_losses(model, val_batches):
     sums = {t: 0.0 for t in tasks}
     counts = {t: 0.0 for t in tasks}
     for batch in val_batches:
-        losses, ns = _batch_losses(model, batch, training=False, rng=None)
+        losses, ns, _ = _batch_losses(model, batch, training=False, rng=None)
         for t, loss, n in zip(tasks, losses, ns):
             sums[t] += float(loss.value) * n
             counts[t] += n
@@ -189,10 +207,10 @@ def train(model, split, cfg):
     """Train `model` in place on a leave-one-event-out split.
 
     Each optimizer step consumes one labeled task batch and, when the
-    adversarial branch is active, one label-stripped domain batch; their
-    losses are combined with the model's task/domain weights. Validation
-    loss (task terms only) drives early stopping, and the best-epoch
-    parameters are restored before returning.
+    adversarial branch is active, one label-stripped domain batch, which
+    share one encoder pass; their losses are combined with the model's
+    task/domain weights. Validation loss (task terms only) drives early
+    stopping, and the best-epoch parameters are restored before returning.
     """
     spec = model.spec
     if not split.train_labeled:
@@ -240,21 +258,11 @@ def train(model, split, cfg):
         epoch_loss = 0.0
         epoch_domain = 0.0
         for bi, batch in enumerate(task_batches):
+            dbatch = next_domain_batch() if use_domain else None
             with ad.Tape() as tape:
-                task_losses, _ = _batch_losses(model, batch, training=True, rng=dropout_rng)
-                domain_term = None
-                if use_domain:
-                    dbatch = next_domain_batch()
-                    dout = _forward(
-                        model,
-                        dbatch.ids,
-                        dbatch.mask,
-                        training=True,
-                        rng=dropout_rng,
-                        want_tasks=False,
-                        want_domain=True,
-                    )
-                    domain_term = domain_cce_loss(dout.domain_logits, dbatch.domain_onehot)
+                task_losses, _, domain_term = _batch_losses(
+                    model, batch, training=True, rng=dropout_rng, domain_batch=dbatch
+                )
                 total = mt_daan_loss(task_losses, spec.w_tasks, domain_term, spec.w_domain)
                 total_val = float(total.value)
                 if not np.isfinite(total_val):

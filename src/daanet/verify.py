@@ -1,9 +1,10 @@
 """Gradient verification harness.
 
 Builds a micro multi-task adversarial model (T_x=5, d=8, h=4, 3 tasks,
-3 domains, dropout off), a batch for it, and its full training loss, so
-that the loss gradient can be checked against central finite differences
-over every parameter entry (`autodiff.grad_check`).
+3 domains, dropout off), batches for it, and the full training loss of a
+task batch and a domain batch, so that the loss gradient can be checked
+against central finite differences over every parameter entry
+(`autodiff.grad_check`).
 
 Parameters are redrawn at a larger scale than training initialization:
 at tiny training-scale activations the attention score bias has a
@@ -19,14 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Batch, Vocab
-from .models import (
-    ModelSpec,
-    _forward,
-    bce_loss,
-    build_model,
-    domain_cce_loss,
-    mt_daan_loss,
-)
+from .models import ModelSpec, build_model, mt_daan_loss
+from .training import _batch_losses
 
 VERIFY_SCALE = 1.2
 
@@ -78,8 +73,11 @@ def make_verification_batch(model, n=6, seed=0):
     return Batch(ids=ids, mask=mask, labels=labels, domain_onehot=onehot)
 
 
-def full_loss(model, batch, reverse_domain=False):
-    """The complete multi-task adversarial training loss for one batch.
+def full_loss(model, batch, domain_batch, reverse_domain=False):
+    """The complete multi-task adversarial training loss of one step, as
+    `training.train` builds it: the task losses of `batch` plus, when the
+    model has a domain branch, the domain loss of `domain_batch` (None
+    otherwise), with both batches through the encoder in one joint pass.
 
     For gradient checking the reversal layer is bypassed by default:
     finite differences measure the true derivative, while the reversal
@@ -88,20 +86,9 @@ def full_loss(model, batch, reverse_domain=False):
     edge itself has an exact contract (forward identity, backward equals
     -lam x upstream) and is verified separately.
     """
-    spec = model.spec
-    out = _forward(
-        model,
-        batch.ids,
-        batch.mask,
-        want_tasks=True,
-        want_domain=spec.adversarial,
+    task_losses, _, domain_term = _batch_losses(
+        model, batch, training=False, rng=None, domain_batch=domain_batch,
         reverse_domain=reverse_domain,
     )
-    task_losses = [
-        bce_loss(out.task_logits[k], *batch.labels[task])
-        for k, task in enumerate(spec.task_names)
-    ]
-    domain_term = None
-    if out.domain_logits is not None:
-        domain_term = domain_cce_loss(out.domain_logits, batch.domain_onehot)
+    spec = model.spec
     return mt_daan_loss(task_losses, spec.w_tasks, domain_term, spec.w_domain)

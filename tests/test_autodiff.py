@@ -106,6 +106,15 @@ class TestMaskedSoftmax:
         with pytest.raises(DimensionError, match="mask shape"):
             attention_alpha([[1.0, 2.0, 3.0]], [[1, 1]])
 
+    @pytest.mark.parametrize(
+        "row", [[1, 0.5, 1], [1, 2, 1], [0.5, 0.5, 0.5], [1, -1, 1], [1, math.nan, 1]]
+    )
+    def test_mask_not_zero_one_rejected(self, row):
+        # a fractional entry would get alpha 0 and an entry above 1 would take
+        # all of alpha, whatever the scores
+        with pytest.raises(ContractError, match="only 0 and 1"):
+            attention_alpha([[0.0, 1.0, 2.0]], [row], scale=5.0)
+
     def test_backward_only_through_unmasked(self):
         acts, w, b, v = attention_operands(n=2, t_x=4, dim=3, s=2, seed=4)
         mask = np.array([[1, 1, 0, 1], [1, 0, 0, 0]])
@@ -317,6 +326,42 @@ class TestStructuralOps:
             ref += buf * keep[:, None]
         assert np.array_equal(table.grad, ref)
         assert np.array_equal(table.grad[[0, 1, 3, 6]], np.zeros((4, 3)))
+
+    def test_gather_rows_float32_duplicates_match_row_wise_add_at(self):
+        # many repeated ids and gradients of very different sizes, so that a
+        # different order of addition would change the float32 sums
+        rng = np.random.default_rng(31)
+        table = ad.Var(np.zeros((50, 7), dtype=np.float32))
+        keep = (rng.random(50) < 0.8).astype(np.float64)
+        ids = rng.integers(0, 50, size=(40, 30))
+        scale = rng.choice([1e-4, 1.0, 1e4], size=ids.shape + (1,))
+        weights = (rng.normal(size=ids.shape + (7,)) * scale).astype(np.float32)
+        with ad.Tape() as tape:
+            out = ad.gather_rows(table, ids, row_grad_mask=keep)
+            ad.backward(tape, asum(ad.mul(out, weights)))
+
+        flat_ids, flat_g = ids.reshape(-1), weights.reshape(-1, 7)
+        kept = keep[flat_ids] != 0
+        rows, slots = np.unique(flat_ids[kept], return_inverse=True)
+        block = np.zeros((rows.size, 7), dtype=np.float32)
+        np.add.at(block, slots, flat_g[kept])
+        ref = np.zeros((50, 7), dtype=np.float32)
+        ref[rows] += block
+        assert table.grad.dtype == np.float32
+        assert table.grad.tobytes() == ref.tobytes()
+
+    def test_split_rows_views_and_one_gradient_buffer(self):
+        x = ad.Var(np.arange(24.0).reshape(4, 3, 2))
+        weights = np.random.default_rng(13).normal(size=(3, 3, 2))
+        with ad.Tape() as tape:
+            top, bottom = ad.split_rows(x, 1)
+            ad.backward(tape, asum(ad.mul(bottom, weights)))
+        assert np.shares_memory(top.value, x.value) and np.shares_memory(bottom.value, x.value)
+        assert np.array_equal(top.value, x.value[:1]) and np.array_equal(bottom.value, x.value[1:])
+        # the part that got no gradient leaves zeros in its rows
+        assert np.array_equal(x.grad, np.concatenate([np.zeros((1, 3, 2)), weights]))
+        empty, whole = ad.split_rows(x, 0)
+        assert empty.shape == (0, 3, 2) and whole.shape == (4, 3, 2)
 
     def test_gather_rows_out_of_range(self):
         # -1 would otherwise read, and scatter its gradient into, the last row
@@ -579,6 +624,7 @@ def test_every_op_passes_grad_check_on_random_shapes():
     att_v = ad.Var(rng.normal(size=2))
     att_mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
     pooled_weights = rng.normal(size=(2, 4))
+    split_weights = [rng.normal(size=(1, 4, 3)), rng.normal(size=(2, 4, 3))]
 
     cases = {
         "mul": lambda: asum(ad.mul(a, b)),
@@ -592,6 +638,11 @@ def test_every_op_passes_grad_check_on_random_shapes():
             ad.mul(ad.attention(acts, att_mask, att_w, att_b, att_v)[0], pooled_weights)
         ),
         "masked_mean": lambda: asum(ad.mul(ad.masked_mean(acts, [2, 3]), pooled_weights)),
+        # parts of different sizes, each read through its own weights
+        "split_rows": lambda: ad.weighted_sum(
+            [asum(ad.mul(part, w)) for part, w in zip(ad.split_rows(seq, 1), split_weights)],
+            [1.0, 1.0],
+        ),
         "weighted_sum": lambda: ad.weighted_sum(
             [ad.softmax_cross_entropy(a, xent_targets, xent_weights), asum(ad.mul(a, b))],
             [0.6, 1.7],
@@ -634,12 +685,15 @@ def test_every_op_is_used_by_the_package():
     assert sorted(ops - OP_SET_EXEMPT - used) == []
 
 
-@pytest.mark.parametrize("case", ["scorer", "lengths", "non-scalar loss", "weight count"])
+@pytest.mark.parametrize(
+    "case", ["scorer", "lengths", "split point", "non-scalar loss", "weight count"]
+)
 def test_misfit_operands_rejected(case):
     acts, _, b, v = attention_operands(n=2, t_x=3, dim=4, s=2, seed=1)
     call = {
         "scorer": lambda: ad.attention(acts, np.ones((2, 3)), ad.Var(np.ones((2, 5))), b, v),
         "lengths": lambda: ad.masked_mean(acts, np.array([3, 3, 3])),
+        "split point": lambda: ad.split_rows(acts, 3),
         "non-scalar loss": lambda: ad.weighted_sum([acts], [1.0]),
         "weight count": lambda: ad.weighted_sum([asum(acts)], [1.0, 1.0]),
     }[case]

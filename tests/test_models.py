@@ -279,8 +279,9 @@ class TestMtDaanForward:
     def test_every_parameter_gets_a_gradient_with_reversal(self):
         model = make_verification_model()
         batch = make_verification_batch(model)
+        domain_batch = make_verification_batch(model, n=4, seed=1)
         with ad.Tape() as tape:
-            ad.backward(tape, full_loss(model, batch, reverse_domain=True))
+            ad.backward(tape, full_loss(model, batch, domain_batch, reverse_domain=True))
         dead = [slot.name for slot in model.parameters() if not np.any(slot.var.grad)]
         assert dead == []
 
@@ -293,11 +294,13 @@ class TestMtDaanForward:
 
     def test_full_loss_passes_grad_check(self):
         # the reversal edge is bypassed inside full_loss: finite differences
-        # measure the true derivative, which the flip deliberately negates
+        # measure the true derivative, which the flip deliberately negates;
+        # task and domain rows differ, and so do their counts
         model = make_verification_model(m=3, adversarial=True, n_domains=3, seed=4)
         batch = make_verification_batch(model, n=3, seed=4)
+        domain_batch = make_verification_batch(model, n=2, seed=5)
         params = [slot.var for slot in model.parameters()]
-        assert ad.grad_check(lambda: full_loss(model, batch), params) < 1e-4
+        assert ad.grad_check(lambda: full_loss(model, batch, domain_batch), params) < 1e-4
 
 
 class TestFloat32Model:

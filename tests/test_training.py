@@ -4,9 +4,10 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import asum, make_micro_batch, make_micro_model
+from conftest import asum, make_micro_batch, make_micro_model, to_float64
 
 from daanet import autodiff as ad
+from daanet import models, training
 from daanet.data import build_vocab, leave_one_out_split
 from daanet.errors import NumericalAbort, ParameterError
 from daanet.models import (
@@ -159,6 +160,60 @@ class TestFloat32Step:
         optimizer.step()
         for slot, m, v in zip(optimizer.slots, optimizer.m, optimizer.v):
             assert (slot.var.value.dtype, m.dtype, v.dtype) == (f32, f32, f32), slot.name
+
+
+class TestJointStep:
+    def test_matches_two_pass_reference(self):
+        # a training step sends its task and domain batches, of different
+        # sizes, through one encoder pass; two single-batch passes on one
+        # tape are the reference, with the same dropout draws in float64
+        model = make_micro_model(m=2, adversarial=True, n_domains=3, dropout=0.3, seed=5)
+        to_float64(slot.var for slot in model.parameters())
+        batch = make_micro_batch(model, n=4, seed=5)
+        domain_batch = make_micro_batch(model, n=6, seed=6, with_domain=True)
+        spec = model.spec
+
+        def joint(rng):
+            task_losses, _, domain_loss = training._batch_losses(
+                model, batch, training=True, rng=rng, domain_batch=domain_batch
+            )
+            return task_losses, domain_loss
+
+        def two_pass(rng):
+            out = models._forward(model, batch.ids, batch.mask, training=True, rng=rng)
+            dout = models._forward(
+                model,
+                domain_batch.ids,
+                domain_batch.mask,
+                training=True,
+                rng=rng,
+                want_tasks=False,
+                want_domain=True,
+            )
+            task_losses = [
+                bce_loss(z, *batch.labels[t]) for z, t in zip(out.task_logits, spec.task_names)
+            ]
+            return task_losses, domain_cce_loss(dout.domain_logits, domain_batch.domain_onehot)
+
+        def step(losses):
+            for slot in model.parameters():
+                slot.var.zero_grad()
+            rng = np.random.default_rng(7)
+            with ad.Tape() as tape:
+                task_losses, domain_loss = losses(rng)
+                total = mt_daan_loss(task_losses, spec.w_tasks, domain_loss, spec.w_domain)
+                ad.backward(tape, total)
+            encoder_nodes = sum(model.encoder.fwd.w in parents for _, parents, _ in tape.nodes)
+            grads = [slot.var.grad.copy() for slot in model.parameters()]
+            return float(total.value), encoder_nodes, grads, rng.bit_generator.state
+
+        loss, nodes, grads, state = step(joint)
+        ref_loss, ref_nodes, ref_grads, ref_state = step(two_pass)
+        assert (nodes, ref_nodes) == (1, 2)
+        assert abs(loss - ref_loss) <= 1e-12
+        for slot, g, ref in zip(model.parameters(), grads, ref_grads):
+            assert np.any(ref) and np.max(np.abs(g - ref)) <= 1e-12, slot.name
+        assert state == ref_state
 
 
 class TestEarlyStopper:
