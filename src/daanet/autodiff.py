@@ -11,17 +11,20 @@ use their grad slot as transient working storage that is consumed during
 the sweep. The optimizer is responsible for zeroing parameter grads.
 
 The ops are the ones the model runs, one node each: `gather_rows` (the
-embedding), `bilstm` (the encoder), `split_rows` (the task and domain rows
-of a joint encoder pass, one node per part), `mul` (dropout), `attention`
-(one task head's scorer, masked softmax and weighted sum), `masked_mean`
-(the domain pool), `gradient_reversal`, `affine` and `relu` (dense layers),
-`softmax_cross_entropy` (both losses) and `weighted_sum` (their combination).
-Their differentiable operands are Vars. The constants, which get no
-gradient, are plain arrays or numbers: either operand of `mul`, the ids and
-row mask of `gather_rows`, the split point of `split_rows`, the masks of
-`bilstm` and `attention`, the lengths of `masked_mean`, the targets and
-weights of `softmax_cross_entropy` and `weighted_sum`, and the strength of
-`gradient_reversal`.
+embedding's distinct rows), `bilstm` (the encoder, which reads each
+position's input by index from those rows), `split_rows` (the task and
+domain rows of a joint encoder pass, one node per part), `mul` (dropout),
+`attention` (one task head's scorer, masked softmax and weighted sum),
+`masked_mean` (the domain pool), `gradient_reversal`, `affine` and `relu`
+(dense layers), `softmax_cross_entropy` (both losses) and `weighted_sum`
+(their combination). Their differentiable operands are Vars. The
+constants, which get no gradient, are plain arrays or numbers: either
+operand of `mul`, the ids and row mask of `gather_rows`, the split point
+of `split_rows`, the ids and mask of `bilstm`, the mask of `attention`,
+the lengths of `masked_mean`, the targets and weights of
+`softmax_cross_entropy` and `weighted_sum`, and the strength of
+`gradient_reversal`. Row ids must be integers and in range: otherwise
+`ContractError` or `DimensionError`.
 
 Dtype rule: a Var holds a float32 or float64 array as given and turns any
 other input into float64; its gradient has the value's dtype. Every op
@@ -33,13 +36,12 @@ graph.
 Scratch rule: without a tape, memory that never leaves a call is reused
 by later calls instead of being allocated afresh, so that a stream of
 same-sized evaluation batches stops faulting new pages in. `scratch` hands
-out these buffers: the step buffers and projection block of `bilstm`, and
-the embedded batch that `models` gathers for it. They are kept per thread,
-so concurrent callers in different threads never share one; nothing an op
-or a model function returns aliases them; and entering a `Tape` drops
-them, so a training step never holds a no-tape pass's memory on top of its
-own. While a tape is recording, `scratch` returns fresh arrays, which the
-pullbacks may keep.
+out these buffers: the step buffers, input projections and projection
+block of `bilstm`. They are kept per thread, so concurrent callers in
+different threads never share one; nothing an op or a model function
+returns aliases them; and entering a `Tape` drops them, so a training step
+never holds a no-tape pass's memory on top of its own. While a tape is
+recording, `scratch` returns fresh arrays, which the pullbacks may keep.
 """
 
 from __future__ import annotations
@@ -384,11 +386,22 @@ def gradient_reversal(x, lam):
 # reductions and structural ops
 
 
-def gather_rows(table, ids, row_grad_mask=None, out=None):
-    """Row lookup `table[ids]`; the backward pass scatter-adds into the table.
+def _row_index(ids, n_rows, op):
+    """`ids` as an integer array of rows of an [n_rows x ...] operand of `op`:
+    a non-integer dtype raises `ContractError` (numpy would read booleans as
+    a mask and reject floats with a bare IndexError), and an id outside
+    0..n_rows-1 raises `DimensionError` (-1 would read the last row)."""
+    ids = np.asarray(ids)
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ContractError(f"{op}: row ids must be integers, got dtype {ids.dtype}")
+    if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
+        bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
+        raise DimensionError(f"{op}: row index {bad} out of range for {n_rows} rows")
+    return ids
 
-    `out`, when given, is an array of shape ids.shape + (dim,) in the
-    table's dtype that receives the rows, and the returned Var holds it.
+
+def gather_rows(table, ids, row_grad_mask=None):
+    """Row lookup `table[ids]`; the backward pass scatter-adds into the table.
 
     The pullback sums the incoming rows per distinct id into a block of
     only the touched rows, in `ids` order, and adds that block into the
@@ -399,16 +412,8 @@ def gather_rows(table, ids, row_grad_mask=None, out=None):
     receive no gradient (locked embedding rows), and their ids are dropped
     before the sum.
     """
-    ids = np.asarray(ids)
-    n_rows = table.value.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
-        bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
-        raise DimensionError(f"row index {bad} out of range for table with {n_rows} rows")
-    if out is None:
-        out = table.value[ids]
-    else:
-        np.take(table.value, ids, axis=0, out=out, mode="clip")  # ids are in range
-    out = Var(out)
+    ids = _row_index(ids, table.value.shape[0], "gather_rows")
+    out = Var(table.value[ids])
 
     def pullback(g):
         dim = table.value.shape[1]
@@ -419,11 +424,16 @@ def gather_rows(table, ids, row_grad_mask=None, out=None):
             flat_ids, flat_g = flat_ids[kept], flat_g[kept]
         rows, slots = np.unique(flat_ids, return_inverse=True)
         block = np.zeros((rows.size, dim), dtype=table.value.dtype)
-        flat_slots = (slots[:, None] * dim + np.arange(dim)).reshape(-1)
-        np.add.at(block.reshape(-1), flat_slots, flat_g.reshape(-1))
+        np.add.at(block.reshape(-1), _flat_slots(slots, dim), flat_g.reshape(-1))
         table.grad[rows] += block
 
     return _record(out, (table,), pullback)
+
+
+def _flat_slots(rows, dim):
+    """Entry indices of whole `rows` of a [.. x dim] array flattened to 1-D,
+    row after row: the index of numpy's fast 1-D `np.add.at` path."""
+    return (rows[:, None] * dim + np.arange(dim)).reshape(-1)
 
 
 def split_rows(x, n):
@@ -471,13 +481,14 @@ def masked_mean(x, lengths):
 # recurrence
 
 
-LSTM_BLOCK = 3  # time steps per hoisted input-projection GEMM
+LSTM_BLOCK = 3  # time steps per gather of the input projections
 
 
-def bilstm(x, mask, w_f, b_f, w_b, b_b):
-    """Both LSTM directions over [N x T x d] inputs, recorded as a single
-    node; returns the states [N x T x 2h], the forward direction's in the
-    first half and the reverse direction's in the second.
+def bilstm(x, ids, mask, w_f, b_f, w_b, b_b):
+    """Both LSTM directions over the [N x T] positions `ids`, recorded as a
+    single node; position (n, t) reads row ids[n, t] of the [V x d] input
+    vectors `x`. Returns the states [N x T x 2h], the forward direction's in
+    the first half and the reverse direction's in the second.
 
     Each direction stacks its gates row-wise in i, f, o, c order: `w_f` and
     `w_b` are [4h x (d+h)] and act on the concatenation [x_t, h_{t-1}], and
@@ -486,31 +497,40 @@ def bilstm(x, mask, w_f, b_f, w_b, b_b):
         c_t = f * c_{t-1} + i * c~;                h_t = o * tanh(c_t)
     from a zero initial state, visiting t = 0..T-1 forward and T-1..0 in
     reverse. Weights that do not fit d, or directions that differ in h,
-    raise `DimensionError` naming the direction.
+    raise `DimensionError` naming the direction; so does an id outside
+    0..V-1, and ids of a non-integer dtype raise `ContractError`.
 
     `mask` is a {0, 1} array [N x T] whose rows are each a prefix of ones
     (right padding); any other mask raises `ContractError`. A padded
     position emits a zero state and no state is carried through it, so a
     padded row reads exactly like its unpadded sequence in either direction.
 
-    The rows are packed once, stably sorted by length, so the rows still
-    inside their sequence at step t are a prefix of the packed batch and
-    each step runs over that prefix only. The input projection
-    x_t W_x^T + b runs as one GEMM per block of `LSTM_BLOCK` steps, which
-    leaves the recurrent GEMM h_{t-1} W_h^T inside the loop. The per-step
-    buffers are gate-major [4 x rows x h], so each gate is one contiguous
-    block. The pullback is backpropagation through time over the same
-    prefixes; it collects the gate gradients of every step and then forms
-    the x, w and b gradients with one GEMM or one sum each. The per-step
-    values it needs are kept only while a tape is recording; otherwise the
-    step buffers are `scratch`. Every buffer has the dtype of the operands.
+    The input projection x W_x^T + b depends only on the row a position
+    reads, so each direction computes it once for all V rows, and each
+    block of `LSTM_BLOCK` steps gathers its positions' projections from
+    that. The rows are packed once, stably sorted by length, so the rows
+    still inside their sequence at step t are a prefix of the packed batch
+    and each step runs over that prefix only, with the recurrent GEMM
+    h_{t-1} W_h^T. The per-step buffers are gate-major [4 x rows x h], so
+    each gate is one contiguous block. The pullback is backpropagation
+    through time over the same prefixes; it collects the gate gradients of
+    every position and then forms the w and b gradients with one GEMM or
+    one sum each, and the gradient of every live position's input with one
+    GEMM, which one `np.add.at` sums into the rows of x in position order.
+    The per-step values it needs are kept only while a tape is recording;
+    otherwise the step buffers and projections are `scratch`. Every buffer
+    has the dtype of the operands.
     """
     xv = x.value
     dtype = np.result_type(xv, w_f.value, b_f.value, w_b.value, b_b.value)
     mv = np.asarray(mask, dtype=np.float64)
-    if xv.ndim != 3 or mv.shape != xv.shape[:2]:
-        raise DimensionError(f"bilstm: mask shape {mv.shape} does not match input {xv.shape}")
-    n, t_x, d = xv.shape
+    if xv.ndim != 2:
+        raise DimensionError(f"bilstm: input vectors {xv.shape} are not a [rows x dim] table")
+    ids = _row_index(ids, xv.shape[0], "bilstm")
+    if ids.ndim != 2 or mv.shape != ids.shape:
+        raise DimensionError(f"bilstm: mask shape {mv.shape} does not match ids {ids.shape}")
+    n, t_x = ids.shape
+    d = xv.shape[1]
     h = b_f.value.size // 4
     directions = (  # name, weights, biases, reverse, half of the output
         ("forward", w_f, b_f, False, np.s_[:, :, :h]),
@@ -531,8 +551,11 @@ def bilstm(x, mask, w_f, b_f, w_b, b_b):
     recording = _tape() is not None
 
     out_v = np.zeros((n, t_x, 2 * h), dtype)
+    packed_ids = ids[order]
     saved = [
-        _lstm_direction(xv, w.value, b.value, reverse, out_v[half], order, live, t_max, recording)
+        _lstm_direction(
+            xv, packed_ids, w.value, b.value, reverse, out_v[half], order, live, t_max, recording
+        )
         for _, w, b, reverse, half in directions
     ]
     out = Var(out_v)
@@ -540,6 +563,8 @@ def bilstm(x, mask, w_f, b_f, w_b, b_b):
         return out
 
     def pullback(g):
+        x_pos = xv[ids.reshape(-1)]  # every position's input vector
+        dx = None
         for (_, w, b, reverse, half), buffers in zip(directions, saved):
             # a contiguous copy: the per-step GEMM on the strided slice was
             # slower at 32 rows, and the result is the same
@@ -550,26 +575,39 @@ def bilstm(x, mask, w_f, b_f, w_b, b_b):
             # h_{t-1} of every position is its neighbour in the direction of
             # travel: zero past the end it starts from, and zero (padding)
             # where a reverse pass starts a row. dpre is zero on padding, so
-            # what h_prev holds there adds nothing.
+            # what h_prev and the input hold there adds nothing.
             h_prev = np.zeros((n, t_x, h), dtype)
             if reverse:
                 h_prev[:, :-1] = out_v[half][:, 1:]
             else:
                 h_prev[:, 1:] = out_v[half][:, :-1]
-            dw_x = dpre.T @ xv.reshape(-1, d)
+            dw_x = dpre.T @ x_pos
             dw_h = dpre.T @ h_prev.reshape(-1, h)
             w.add_grad(np.concatenate([dw_x, dw_h], axis=1))
             b.add_grad(dpre.sum(axis=0))
-            x.add_grad((dpre @ w.value[:, :d]).reshape(xv.shape))
+            dx_dir = dpre @ w.value[:, :d]
+            if dx is None:
+                dx = dx_dir
+            else:
+                dx += dx_dir
+        # Drop the last direction's position-sized buffers before the scatter
+        # builds its index, so that the allocator can hand their pages over
+        # instead of faulting in fresh ones.
+        del x_pos, dpre, h_prev, dx_dir
+        kept = np.flatnonzero(mv)  # dpre, and so dx, is zero on padding
+        grad = np.zeros(xv.shape, dtype)
+        np.add.at(grad.reshape(-1), _flat_slots(ids.reshape(-1)[kept], d), dx[kept].reshape(-1))
+        x.add_grad(grad)
 
     return _record(out, (x, w_f, b_f, w_b, b_b), pullback)
 
 
-def _lstm_direction(xv, wv, bv, reverse, out_v, order, live, t_max, recording):
+def _lstm_direction(xv, packed_ids, wv, bv, reverse, out_v, order, live, t_max, recording):
     """Run one direction of `bilstm`, writing its states into the [N x T x h]
     view `out_v`; returns the per-step (gates, cand, cells) the pullback
     reads, which are `scratch` unless a tape is recording."""
-    n, t_x, d = xv.shape
+    n, t_x = packed_ids.shape
+    d = xv.shape[1]
     h = bv.shape[0] // 4
     dtype = out_v.dtype
     step = -1 if reverse else 1
@@ -581,7 +619,10 @@ def _lstm_direction(xv, wv, bv, reverse, out_v, order, live, t_max, recording):
     w_signed = (wv * sign[:, None]).reshape(4, h, d + h)
     wx_g = np.ascontiguousarray(w_signed[:, :, :d].transpose(0, 2, 1))
     wh_g = np.ascontiguousarray(w_signed[:, :, d:].transpose(0, 2, 1))
-    b_g = (bv * sign).reshape(4, 1, 1, h)
+    # The signed projection of every input row, gate-major [4 x V x h].
+    x_proj = scratch("bilstm.x_proj", (4, xv.shape[0], h), dtype)
+    np.matmul(xv, wx_g, out=x_proj)
+    x_proj += (bv * sign).reshape(4, 1, h)
 
     # Per-step values in packed row order; slot s holds 4 x rows x h gates
     # in its first 4*rows*h entries. With a tape, slot t+1 holds time t for
@@ -602,11 +643,9 @@ def _lstm_direction(xv, wv, bv, reverse, out_v, order, live, t_max, recording):
         for t0 in reversed(starts) if reverse else starts:
             t1 = min(t0 + LSTM_BLOCK, t_max)
             rows = live[t0]
-            xb = xv[order[:rows], t0:t1].reshape(-1, d)
-            pb = proj[: 4 * xb.shape[0] * h].reshape(4, xb.shape[0], h)
-            np.matmul(xb, wx_g, out=pb)
-            pb = pb.reshape(4, rows, t1 - t0, h)
-            pb += b_g
+            pb = proj[: 4 * rows * (t1 - t0) * h].reshape(4, rows, t1 - t0, h)
+            # the ids are in range, so "clip" only skips numpy's buffered check
+            np.take(x_proj, packed_ids[:rows, t0:t1], axis=1, out=pb, mode="clip")
             for t in range(t1 - 1, t0 - 1, -1) if reverse else range(t0, t1):
                 lv = live[t]
                 cur, prev = (t + 1, t + 1 - step) if recording else (0, 0)

@@ -1,10 +1,13 @@
 """Neural building blocks: embedding lookup, BiLSTM encoder, per-task
 attention head, dense layers, and inverted dropout.
 
-The layers take batches only: the encoder and attention head read
-[N x T x d] activations with an [N x T] mask, and dense layers read
-[N x in] rows; a single example is a batch of one. Every forward function
-runs on whatever Tape is active; with no tape it is a plain evaluation.
+The layers take batches only; a single example is a batch of one. The
+embedding gathers the rows of a batch's distinct ids once and returns
+them with an [N x T] index into them; the encoder reads that pair with an
+[N x T] mask and emits [N x T x 2h] states; the attention head reads
+those states with the mask; and dense layers read [N x in] rows. Every
+forward function runs on whatever Tape is active; with no tape it is a
+plain evaluation.
 
 The encoder is one `autodiff.bilstm` node that runs both directions. Each
 direction's four gates are stacked row-wise in i, f, o, c order into one
@@ -91,12 +94,27 @@ def random_embedding(vocab_size, dim, rng, scale=0.25):
     return EmbeddingMatrix(table=ad.Var(table), locked=locked)
 
 
-def embed(matrix, ids, out=None):
-    """Gather rows for `ids` (e.g. [N x T]), into `out` when given (see
-    `autodiff.gather_rows`); gradients scatter only into unlocked rows."""
-    return ad.gather_rows(
-        matrix.table, np.asarray(ids), row_grad_mask=matrix.unlocked_mask(), out=out
-    )
+def embed(matrix, ids):
+    """Gather the rows of the distinct ids among `ids` (e.g. [N x T]).
+
+    Returns (rows, index): `rows` is a Var [U x d] holding the U distinct
+    ids' rows in ascending id order, and `index` is an integer array shaped
+    like `ids` naming the row of `rows` each position reads, so
+    rows.value[index] is the table lookup `table[ids]`. Gradients scatter
+    only into unlocked rows (see `autodiff.gather_rows`).
+
+    The distinct ids come from a flag per vocabulary row rather than a
+    sort: on a 256 x 30 request batch of 65 distinct ids (2-core x86) that
+    took 0.03 ms against 0.4 ms for `np.unique(..., return_inverse=True)`.
+    """
+    ids = ad._row_index(ids, matrix.vocab_size, "embed")
+    seen = np.zeros(matrix.vocab_size, dtype=bool)
+    seen[ids] = True
+    distinct = np.flatnonzero(seen)
+    slot = np.empty(matrix.vocab_size, dtype=np.intp)
+    slot[distinct] = np.arange(distinct.size)
+    rows = ad.gather_rows(matrix.table, distinct, row_grad_mask=matrix.unlocked_mask())
+    return rows, slot[ids]
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +157,18 @@ def init_bilstm(rng, input_dim, hidden):
 
 
 def bilstm(params, x, mask):
-    """Run both directions over [N x T x d] inputs as one node and return
-    per-position concatenated states [N x T x 2h], forward half first.
+    """Run both directions over the [N x T] positions of `x` as one node
+    and return per-position concatenated states [N x T x 2h], forward half
+    first.
 
-    The [N x T] mask must be right-padding (a prefix of ones per row);
-    padded positions emit zero activations and no state is carried through
-    them, so each row reads like its unpadded sequence.
+    `x` is the (rows, index) pair that `embed` returns: a Var [U x d] of
+    input vectors and an [N x T] integer array naming the row each position
+    reads. The [N x T] mask must be right-padding (a prefix of ones per
+    row); padded positions emit zero activations and no state is carried
+    through them, so each row reads like its unpadded sequence.
     """
-    return ad.bilstm(x, mask, params.fwd.w, params.fwd.b, params.bwd.w, params.bwd.b)
+    rows, index = x
+    return ad.bilstm(rows, index, mask, params.fwd.w, params.fwd.b, params.bwd.w, params.bwd.b)
 
 
 # ---------------------------------------------------------------------------

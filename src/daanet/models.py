@@ -3,8 +3,10 @@
 Three variants share one skeleton: an embedding layer and BiLSTM encoder
 feed per-task attention heads (context -> dropout -> dense relu -> dense
 two-class logits) and, when adversarial training is enabled, a domain
-classifier branch behind a gradient-reversal layer. The losses read the
-logits directly (`autodiff.softmax_cross_entropy`).
+classifier branch behind a gradient-reversal layer. The embedding gathers
+each distinct token of a batch once, and the encoder reads every position
+by index from those rows. The losses read the logits directly
+(`autodiff.softmax_cross_entropy`).
 
     st       one task head, no domain branch
     st-daan  one task head + domain branch
@@ -229,12 +231,7 @@ def _forward(
     lengths = mask.sum(axis=-1)
     if np.any(lengths == 0):
         raise DegenerateMaskError("mask keeps no position in at least one row")
-    ids = np.asarray(ids)
-    table = model.embedding.table.value
-    # The embedded batch is read only by the encoder, so it is scratch.
-    embedded = ad.scratch("embedded", ids.shape + table.shape[1:], table.dtype)
-    emb = embed(model.embedding, ids, out=embedded)
-    states = bilstm(model.encoder, emb, mask)
+    states = bilstm(model.encoder, embed(model.embedding, ids), mask)
     domain_states, domain_lengths = None, lengths
     if n_task is not None:
         states, domain_states = ad.split_rows(states, n_task)

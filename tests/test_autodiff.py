@@ -445,24 +445,31 @@ def assert_bilstm_matches_reference(
     """Run `ad.bilstm` on `dtype` inputs against the float64 per-step
     reference for each direction, fed the same (rounded) values; every
     output must be within `tol` x max |value|. Without a tape only the
-    states are compared; the op then steps in its scratch buffers."""
+    states are compared; the op then steps in its scratch buffers.
+
+    The positions read a table of 6 input rows: live positions draw from
+    the first 5, so most rows repeat, and every padded position reads the
+    last, whose gradient must then be exactly 0."""
     rng = np.random.default_rng(seed)
     n = len(lengths)
     mask = (np.arange(t_x) < np.asarray(lengths)[:, None]).astype(np.float64)
-    xv = rng.normal(size=(n, t_x, d)).astype(dtype)
+    table = rng.normal(size=(6, d)).astype(dtype)
+    ids = rng.integers(0, 5, size=(n, t_x))
+    ids[mask == 0] = 5
     wv = rng.normal(scale=0.5, size=(2, 4 * h, d + h)).astype(dtype)
     bv = rng.normal(scale=0.5, size=(2, 4 * h)).astype(dtype)
     g_out = rng.normal(size=(n, t_x, 2 * h)).astype(dtype)
-    x = ad.Var(xv.copy())
+    x = ad.Var(table.copy())
     w = [ad.Var(wv[j].copy()) for j in range(2)]
     b = [ad.Var(bv[j].copy()) for j in range(2)]
     if taped:
         with ad.Tape() as tape:
-            states = ad.bilstm(x, mask, w[0], b[0], w[1], b[1])
+            states = ad.bilstm(x, ids, mask, w[0], b[0], w[1], b[1])
             ad.backward(tape, asum(ad.mul(states, g_out)))
+        assert np.all(x.grad[5] == 0.0), "a row read only at padded positions got a gradient"
     else:
-        states = ad.bilstm(x, mask, w[0], b[0], w[1], b[1])
-    wide = [a.astype(np.float64) for a in (xv, wv, bv, g_out)]
+        states = ad.bilstm(x, ids, mask, w[0], b[0], w[1], b[1])
+    wide = [a.astype(np.float64) for a in (table[ids], wv, bv, g_out)]
     fwd = reference_lstm(wide[0], mask, wide[1][0], wide[2][0], False, wide[3][:, :, :h])
     bwd = reference_lstm(wide[0], mask, wide[1][1], wide[2][1], True, wide[3][:, :, h:])
     checks = [
@@ -470,8 +477,10 @@ def assert_bilstm_matches_reference(
         ("reverse states", states.value[:, :, h:], bwd[0]),
     ]
     if taped:
+        dx = np.zeros(table.shape)
+        np.add.at(dx, ids, fwd[1] + bwd[1])
         checks += [
-            ("dx", x.grad, fwd[1] + bwd[1]),
+            ("dx", x.grad, dx),
             ("forward dw", w[0].grad, fwd[2]),
             ("forward db", b[0].grad, fwd[3]),
             ("reverse dw", w[1].grad, bwd[2]),
@@ -485,11 +494,12 @@ def assert_bilstm_matches_reference(
 
 
 def bilstm_operands(d=3, h=2, h_reverse=None, d_forward=None, d_reverse=None):
-    """Random Vars x [1 x 4 x d], w_f, b_f, w_b, b_b, with the given sizes
-    overridden per direction."""
+    """Random Vars x [4 x d], the ids [[0, 1, 2, 3]] that read its rows in
+    turn, and Vars w_f, b_f, w_b, b_b, with the given sizes overridden per
+    direction."""
     rng = np.random.default_rng(2)
-    x = ad.Var(rng.normal(size=(1, 4, d)))
-    ops = [x]
+    x = ad.Var(rng.normal(size=(4, d)))
+    ops = [x, np.arange(4)[None]]
     for hd, dd in ((h, d_forward or d), (h_reverse or h, d_reverse or d)):
         ops += [ad.Var(rng.normal(size=(4 * hd, dd + hd))), ad.Var(np.zeros(4 * hd))]
     return ops
@@ -534,21 +544,21 @@ class TestLstm:
 
     @pytest.mark.parametrize("mask", [[[1, 0, 1, 0]], [[1, 0.5, 0, 0]]], ids=["gap", "fractional"])
     def test_non_prefix_mask_rejected(self, mask):
-        x, w_f, b_f, w_b, b_b = bilstm_operands()
+        x, ids, w_f, b_f, w_b, b_b = bilstm_operands()
         with pytest.raises(ContractError):
-            ad.bilstm(x, np.array(mask, dtype=np.float64), w_f, b_f, w_b, b_b)
+            ad.bilstm(x, ids, np.array(mask, dtype=np.float64), w_f, b_f, w_b, b_b)
 
     def test_directions_with_different_hidden_sizes_rejected(self):
-        x, w_f, b_f, w_b, b_b = bilstm_operands(h=2, h_reverse=3)
+        x, ids, w_f, b_f, w_b, b_b = bilstm_operands(h=2, h_reverse=3)
         with pytest.raises(DimensionError, match="reverse gate weights"):
-            ad.bilstm(x, np.ones((1, 4)), w_f, b_f, w_b, b_b)
+            ad.bilstm(x, ids, np.ones((1, 4)), w_f, b_f, w_b, b_b)
 
     @pytest.mark.parametrize("direction", ["forward", "reverse"])
     def test_weights_not_fitting_input_dim_rejected(self, direction):
         sizes = {"d_forward": 4} if direction == "forward" else {"d_reverse": 4}
-        x, w_f, b_f, w_b, b_b = bilstm_operands(d=3, **sizes)
+        x, ids, w_f, b_f, w_b, b_b = bilstm_operands(d=3, **sizes)
         with pytest.raises(DimensionError, match=f"{direction} gate weights .* input dim 3"):
-            ad.bilstm(x, np.ones((1, 4)), w_f, b_f, w_b, b_b)
+            ad.bilstm(x, ids, np.ones((1, 4)), w_f, b_f, w_b, b_b)
 
 
 class TestScratch:
@@ -581,11 +591,11 @@ class TestScratch:
         assert not np.shares_memory(a, other[0])
 
     def test_bilstm_output_does_not_alias_scratch(self):
-        x, w_f, b_f, w_b, b_b = bilstm_operands()
-        first = ad.bilstm(x, np.ones((1, 4)), w_f, b_f, w_b, b_b).value
+        x, ids, w_f, b_f, w_b, b_b = bilstm_operands()
+        first = ad.bilstm(x, ids, np.ones((1, 4)), w_f, b_f, w_b, b_b).value
         kept = first.copy()
         x.value = -x.value
-        second = ad.bilstm(x, np.ones((1, 4)), w_f, b_f, w_b, b_b).value
+        second = ad.bilstm(x, ids, np.ones((1, 4)), w_f, b_f, w_b, b_b).value
         assert np.array_equal(first, kept)
         assert not np.array_equal(first, second)
 
@@ -605,13 +615,15 @@ def test_every_op_passes_grad_check_on_random_shapes():
     a = ad.Var(rng.normal(size=(3, 4)))
     b = ad.Var(rng.normal(size=(3, 4)))
     acts = ad.Var(rng.normal(size=(2, 3, 4)))
-    # both LSTM directions over a ragged batch: row lengths (T, 2, 1)
     seq = ad.Var(rng.normal(size=(3, 4, 3)))
+    # both LSTM directions over a ragged batch: row lengths (T, 2, 1)
     lstm_w = ad.Var(rng.normal(size=(8, 5)))
     lstm_b = ad.Var(rng.normal(size=8))
     lstm_w_rev = ad.Var(rng.normal(size=(8, 5)))
     lstm_b_rev = ad.Var(rng.normal(size=8))
     lstm_mask = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    # input rows 0 and 1 repeat, and row 3 is read only at padded positions
+    lstm_ids = np.array([[0, 1, 0, 2], [1, 1, 3, 3], [2, 3, 3, 3]])
     lstm_weights = rng.normal(size=(3, 4, 4))
     aff_w = ad.Var(rng.normal(size=(2, 4)))
     aff_b = ad.Var(rng.normal(size=2))
@@ -625,12 +637,16 @@ def test_every_op_passes_grad_check_on_random_shapes():
     att_mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
     pooled_weights = rng.normal(size=(2, 4))
     split_weights = [rng.normal(size=(1, 4, 3)), rng.normal(size=(2, 4, 3))]
+    lstm_rows = ad.Var(rng.normal(size=(4, 3)))
 
     cases = {
         "mul": lambda: asum(ad.mul(a, b)),
         "affine": lambda: asum(ad.mul(ad.affine(a, aff_w, aff_b), aff_weights)),
         "bilstm": lambda: asum(
-            ad.mul(ad.bilstm(seq, lstm_mask, lstm_w, lstm_b, lstm_w_rev, lstm_b_rev), lstm_weights)
+            ad.mul(
+                ad.bilstm(lstm_rows, lstm_ids, lstm_mask, lstm_w, lstm_b, lstm_w_rev, lstm_b_rev),
+                lstm_weights,
+            )
         ),
         "relu": lambda: asum(ad.relu(a)),
         "softmax_cross_entropy": lambda: ad.softmax_cross_entropy(a, xent_targets, xent_weights),
@@ -649,7 +665,7 @@ def test_every_op_passes_grad_check_on_random_shapes():
         ),
     }
     for name, f in cases.items():
-        params = [a, b, acts, seq, lstm_w, lstm_b, lstm_w_rev, lstm_b_rev]
+        params = [a, b, acts, seq, lstm_rows, lstm_w, lstm_b, lstm_w_rev, lstm_b_rev]
         err = ad.grad_check(f, params + [aff_w, aff_b, att_w, att_b, att_v])
         assert err < 1e-4, f"{name}: grad check error {err}"
 
@@ -698,4 +714,26 @@ def test_misfit_operands_rejected(case):
         "weight count": lambda: ad.weighted_sum([asum(acts)], [1.0, 1.0]),
     }[case]
     with pytest.raises(DimensionError):
+        call()
+
+
+@pytest.mark.parametrize("op", ["gather_rows", "bilstm"])
+@pytest.mark.parametrize(
+    "ids, error",
+    [
+        # numpy would read a boolean array as a mask and return 2 rows
+        (np.array([[True, False, True, False]]), ContractError),
+        (np.array([[0.0, 1.0, 2.0, 3.0]]), ContractError),
+        (np.array([[0, 1, 2, 4]]), DimensionError),
+        (np.array([[0, 1, -1, 3]]), DimensionError),
+    ],
+    ids=["bool", "float", "past the end", "negative"],
+)
+def test_bad_row_ids_rejected(op, ids, error):
+    x, _, w_f, b_f, w_b, b_b = bilstm_operands()  # x has 4 rows
+    call = {
+        "gather_rows": lambda: ad.gather_rows(x, ids),
+        "bilstm": lambda: ad.bilstm(x, ids, np.ones((1, 4)), w_f, b_f, w_b, b_b),
+    }[op]
+    with pytest.raises(error):
         call()

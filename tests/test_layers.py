@@ -14,21 +14,62 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def positions(raw):
+    """[N x T x d] inputs as the (rows, index) pair `layers.bilstm` reads,
+    with each position reading a row of its own."""
+    n, t_x, d = raw.shape
+    return ad.Var(raw.reshape(n * t_x, d)), np.arange(n * t_x).reshape(n, t_x)
+
+
 class TestEmbed:
     def test_pad_ids_give_zero_rows(self, rng):
         emb = layers.random_embedding(5, 4, rng)
-        out = layers.embed(emb, np.array([0, 0, 0]))
-        assert out.value.shape == (3, 4)
-        assert np.array_equal(out.value, np.zeros((3, 4)))
+        rows, index = layers.embed(emb, np.array([0, 0, 0]))
+        assert rows.value[index].shape == (3, 4)
+        assert np.array_equal(rows.value[index], np.zeros((3, 4)))
+
+    def test_rows_are_the_distinct_ids_and_index_reads_the_lookup(self, rng):
+        emb = layers.random_embedding(6, 3, rng)
+        ids = np.array([[4, 2, 4], [2, 5, 0]])
+        rows, index = layers.embed(emb, ids)
+        assert rows.value.shape == (4, 3) and index.shape == ids.shape
+        assert np.array_equal(rows.value, emb.table.value[[0, 2, 4, 5]])
+        assert np.array_equal(rows.value[index], emb.table.value[ids])
+
+    @pytest.mark.parametrize(
+        "ids, error",
+        [
+            ([True, False, True], ContractError),
+            ([0.0, 2.0], ContractError),
+            ([0, 5], DimensionError),
+            ([0, -1], DimensionError),  # would wrap to the last row
+        ],
+        ids=["bool", "float", "past the end", "negative"],
+    )
+    def test_bad_ids_rejected(self, rng, ids, error):
+        emb = layers.random_embedding(5, 4, rng)
+        with pytest.raises(error):
+            layers.embed(emb, np.array(ids))
 
     def test_duplicate_ids_share_rows_and_sum_grads(self, rng):
+        # ids [2, 2] read one row, whose gradient is the sum of what ids
+        # [2, 3] send to two rows holding the same vector
+        params = layers.init_bilstm(rng, 4, 3)
+        weights = rng.normal(size=(1, 2, 6))
         emb = layers.random_embedding(5, 4, rng)
-        with ad.Tape() as tape:
-            out = layers.embed(emb, np.array([2, 2]))
-            assert np.array_equal(out.value[0], out.value[1])
-            loss = asum(out)
-            ad.backward(tape, loss)
-        assert np.array_equal(emb.table.grad[2], np.full(4, 2.0))
+        emb.table.value[3] = emb.table.value[2]
+        grads = []
+        for ids in ([[2, 3]], [[2, 2]]):
+            emb.table.zero_grad()
+            with ad.Tape() as tape:
+                rows, index = layers.embed(emb, np.array(ids))
+                states = layers.bilstm(params, (rows, index), np.ones((1, 2)))
+                ad.backward(tape, asum(ad.mul(states, weights)))
+            grads.append(emb.table.grad.copy())
+        apart, together = grads
+        assert rows.value.shape == (1, 4)
+        assert np.array_equal(together[2], apart[2] + apart[3])
+        assert np.array_equal(together[3], np.zeros(4))
 
     def test_locked_row_not_updated_by_adam_despite_gradient(self, rng):
         emb = layers.random_embedding(6, 3, rng)
@@ -38,7 +79,7 @@ class TestEmbed:
         slots = [ParamSlot("emb", emb.table, emb.unlocked_mask()[:, None])]
         opt = Adam(slots, lr=0.1)
         with ad.Tape() as tape:
-            loss = asum(layers.embed(emb, np.array([2, 4])))
+            loss = asum(layers.embed(emb, np.array([2, 4]))[0])
             ad.backward(tape, loss)
         # the loss did depend on row 4, but its update must be suppressed
         opt.step()
@@ -50,24 +91,24 @@ class TestEmbed:
 class TestBiLstm:
     def test_zero_input_zero_biases_gives_zero_activations(self, rng):
         params = layers.init_bilstm(rng, 3, 4)
-        x = ad.Var(np.zeros((1, 5, 3)))
+        x = positions(np.zeros((1, 5, 3)))
         acts = layers.bilstm(params, x, np.ones((1, 5)))
         assert np.array_equal(acts.value, np.zeros((1, 5, 8)))
 
     def test_single_position_shapes(self, rng):
         params = layers.init_bilstm(rng, 3, 4)
-        x = ad.Var(rng.normal(size=(1, 1, 3)))
+        x = positions(rng.normal(size=(1, 1, 3)))
         acts = layers.bilstm(params, x, np.ones((1, 1)))
         assert acts.value.shape == (1, 1, 8)
 
     def test_single_example_without_batch_axis_rejected(self, rng):
         params = layers.init_bilstm(rng, 3, 4)
         with pytest.raises(DimensionError):
-            layers.bilstm(params, ad.Var(rng.normal(size=(5, 3))), np.ones(5))
+            layers.bilstm(params, (ad.Var(rng.normal(size=(5, 3))), np.arange(5)), np.ones(5))
 
     def test_masked_positions_emit_zeros(self, rng):
         params = layers.init_bilstm(rng, 3, 4)
-        x = ad.Var(rng.normal(size=(1, 5, 3)))
+        x = positions(rng.normal(size=(1, 5, 3)))
         acts = layers.bilstm(params, x, np.array([[1, 1, 1, 0, 0]]))
         assert np.array_equal(acts.value[0, 3:], np.zeros((2, 8)))
         assert not np.allclose(acts.value[0, :3], 0.0)
@@ -77,22 +118,22 @@ class TestBiLstm:
         raw = rng.normal(size=(3, 6, 3))
         lengths = (6, 3, 1)
         mask = np.array([[1.0] * n + [0.0] * (6 - n) for n in lengths])
-        full = layers.bilstm(params, ad.Var(raw), mask).value
+        full = layers.bilstm(params, positions(raw), mask).value
         for r, n in enumerate(lengths):
-            alone = layers.bilstm(params, ad.Var(raw[r : r + 1, :n]), np.ones((1, n))).value
+            alone = layers.bilstm(params, positions(raw[r : r + 1, :n]), np.ones((1, n))).value
             # both halves: forward states [:4] and backward states [4:]
             assert np.allclose(full[r, :n], alone[0], atol=1e-12)
 
     def test_forward_records_one_node(self, rng):
         params = layers.init_bilstm(rng, 3, 4)
-        x = ad.Var(rng.normal(size=(2, 5, 3)))
+        x = positions(rng.normal(size=(2, 5, 3)))
         with ad.Tape() as tape:
             layers.bilstm(params, x, np.array([[1, 1, 1, 1, 1], [1, 1, 0, 0, 0]]))
         assert len(tape.nodes) == 1
 
     def test_non_prefix_mask_rejected(self, rng):
         params = layers.init_bilstm(rng, 3, 4)
-        x = ad.Var(rng.normal(size=(1, 4, 3)))
+        x = positions(rng.normal(size=(1, 4, 3)))
         with pytest.raises(ContractError):
             layers.bilstm(params, x, np.array([[1, 0, 1, 0]]))
 
@@ -102,8 +143,8 @@ class TestBiLstm:
         changed = base.copy()
         changed[0, 4:] = rng.normal(size=(2, 3))
         mask = np.ones((1, 6))
-        a1 = layers.bilstm(params, ad.Var(base), mask).value[0]
-        a2 = layers.bilstm(params, ad.Var(changed), mask).value[0]
+        a1 = layers.bilstm(params, positions(base), mask).value[0]
+        a2 = layers.bilstm(params, positions(changed), mask).value[0]
         # forward half (first 4 dims) at positions <= 3 ignores later tokens
         assert np.array_equal(a1[:4, :4], a2[:4, :4])
         assert not np.allclose(a1[:4, 4:], a2[:4, 4:])
@@ -111,14 +152,14 @@ class TestBiLstm:
     def test_five_step_unroll_matches_finite_differences(self, rng):
         params = layers.init_bilstm(rng, 2, 3)
         to_float64(var for _, var in params.variables())
-        x = ad.Var(rng.normal(size=(1, 5, 2)))
+        x = positions(rng.normal(size=(1, 5, 2)))
         mask = np.array([[1, 1, 1, 1, 0]])
         weights = rng.normal(size=(1, 5, 6))
 
         def f():
             return asum(ad.mul(layers.bilstm(params, x, mask), weights))
 
-        all_vars = [var for _, var in params.variables()] + [x]
+        all_vars = [var for _, var in params.variables()] + [x[0]]
         assert ad.grad_check(f, all_vars) < 1e-4
 
 
