@@ -8,7 +8,13 @@ is a single reverse sweep.
 Gradient semantics: leaf Vars (parameters, inputs created directly)
 accumulate gradients across backward calls until `zero_grad`; op outputs
 use their grad slot as transient working storage that is consumed during
-the sweep. The optimizer is responsible for zeroing parameter grads.
+the sweep. The optimizer is responsible for zeroing parameter grads. A
+gradient is dense, or row-tracked when only `gather_rows` has written it:
+then the Var keeps one [rows x d] buffer across steps, records the rows
+each pullback adds into (`Var.grad_rows`), and `zero_grad` clears only
+those rows, so a large embedding table is neither allocated nor cleared
+whole per step. A dense `add_grad`, or a write through `Var.grad`, makes
+the gradient dense again, and `zero_grad` then drops it.
 
 The ops are the ones the model runs, one node each: `gather_rows` (the
 embedding's distinct rows), `bilstm` (the encoder, which reads each
@@ -112,9 +118,15 @@ class Tape:
 
 class Var:
     """A differentiable value: a float32 or float64 array (anything else
-    becomes float64) plus a lazily allocated gradient of the same dtype."""
+    becomes float64) plus a lazily allocated gradient of the same dtype.
 
-    __slots__ = ("value", "_grad")
+    The gradient is either dense, which may be non-zero on any row, or
+    row-tracked, which is non-zero only on the rows `add_grad_rows` wrote.
+    `zero_grad` clears only those rows and keeps the buffer, which the
+    next gradient reuses while it matches the value's shape and dtype.
+    """
+
+    __slots__ = ("value", "_grad", "_rows", "_spare")
 
     def __init__(self, value):
         value = np.asarray(value)
@@ -122,6 +134,8 @@ class Var:
             value = np.asarray(value, dtype=np.float64)
         self.value = value
         self._grad = None
+        self._rows = None  # while _grad is set: a list of the rows written, or None for dense
+        self._spare = None  # an all-zeros gradient buffer that zero_grad kept
 
     @property
     def shape(self):
@@ -129,13 +143,25 @@ class Var:
 
     @property
     def grad(self):
-        """The gradient, allocated as zeros on first use; `np.zeros` leaves
-        the pages of a large table untouched until rows are written."""
+        """The gradient, allocated as zeros on first use. The caller may
+        write any row of it, so from then on it counts as dense."""
         if self._grad is None:
-            self._grad = np.zeros(self.value.shape, dtype=self.value.dtype)
+            self._grad = self._zeros()
+        self._rows = None
         return self._grad
 
+    def _zeros(self):
+        """An all-zeros gradient buffer: the one `zero_grad` kept, if it
+        still has the value's shape and dtype, or else a new one. A new
+        one costs its whole size: glibc can serve a freed block from the
+        heap, and `np.zeros` then clears all of it."""
+        buf, self._spare = self._spare, None
+        if buf is None or buf.shape != self.value.shape or buf.dtype != self.value.dtype:
+            buf = np.zeros(self.value.shape, dtype=self.value.dtype)
+        return buf
+
     def add_grad(self, g):
+        """Add a gradient of the value's shape; the sum counts as dense."""
         if g.shape != self.value.shape:
             raise DimensionError(
                 f"gradient shape {g.shape} does not match value shape {self.value.shape}"
@@ -144,9 +170,39 @@ class Var:
             self._grad = np.array(g, dtype=self.value.dtype)
         else:
             self._grad += g
+        self._rows = None
+
+    def add_grad_rows(self, rows, block):
+        """Add `block` into the gradient rows `rows` (distinct ids, one per
+        row of `block`) and record them as written."""
+        if self._grad is None:
+            self._grad = self._zeros()
+            self._rows = []
+        if self._rows is not None:
+            self._rows.append(rows)
+        self._grad[rows] += block
+
+    def grad_rows(self):
+        """The rows the gradient may be non-zero on, as an integer array
+        that can repeat ids, or None when that may be any row."""
+        if self._grad is None:
+            return np.empty(0, dtype=np.intp)
+        if self._rows is None:
+            return None
+        return np.concatenate(self._rows) if self._rows else np.empty(0, dtype=np.intp)
 
     def zero_grad(self):
-        self._grad = None
+        """Clear the gradient. A row-tracked buffer is kept for reuse, with
+        the rows it recorded set back to zero; a dense one is dropped."""
+        if self._grad is not None and self._rows is not None:
+            for rows in self._rows:
+                self._grad[rows] = 0
+            self._spare = self._grad
+        self._grad = self._rows = None
+
+    def drop_grad(self):
+        """Clear the gradient and drop the buffer `zero_grad` keeps."""
+        self._grad = self._rows = self._spare = None
 
     def __repr__(self):
         return f"Var(shape={self.value.shape})"
@@ -405,9 +461,12 @@ def gather_rows(table, ids, row_grad_mask=None):
 
     The pullback sums the incoming rows per distinct id into a block of
     only the touched rows, in `ids` order, and adds that block into the
-    table's gradient rows; untouched rows are never written. The sum is one
-    `np.add.at` over the flattened block, which adds in the same order as a
-    row-wise `np.add.at` but runs on numpy's 1-D indexed path.
+    table's gradient rows with `Var.add_grad_rows`, which records them;
+    untouched rows are never written. The sum is one `np.add.at` over the
+    flattened block, which adds in the same order as a row-wise
+    `np.add.at` but runs on numpy's 1-D indexed path. When the ids are
+    strictly increasing (as `layers.embed` passes them) each row is its
+    own sum, so the incoming rows are added as they are.
     `row_grad_mask`, when given, is a {0,1} vector over rows; rows with 0
     receive no gradient (locked embedding rows), and their ids are dropped
     before the sum.
@@ -419,13 +478,16 @@ def gather_rows(table, ids, row_grad_mask=None):
         dim = table.value.shape[1]
         flat_ids = ids.reshape(-1)
         flat_g = g.reshape(-1, dim)
+        increasing = bool(np.all(flat_ids[1:] > flat_ids[:-1]))
         if row_grad_mask is not None:
             kept = row_grad_mask[flat_ids] != 0
             flat_ids, flat_g = flat_ids[kept], flat_g[kept]
-        rows, slots = np.unique(flat_ids, return_inverse=True)
-        block = np.zeros((rows.size, dim), dtype=table.value.dtype)
-        np.add.at(block.reshape(-1), _flat_slots(slots, dim), flat_g.reshape(-1))
-        table.grad[rows] += block
+        if not increasing:
+            rows, slots = np.unique(flat_ids, return_inverse=True)
+            block = np.zeros((rows.size, dim), dtype=table.value.dtype)
+            np.add.at(block.reshape(-1), _flat_slots(slots, dim), flat_g.reshape(-1))
+            flat_ids, flat_g = rows, block
+        table.add_grad_rows(flat_ids, flat_g)
 
     return _record(out, (table,), pullback)
 

@@ -59,9 +59,14 @@ class Adam:
     """Bias-corrected Adam over ParamSlots, updating parameters in place.
 
     A slot with an update mask (locked embedding rows) is updated only on
-    its unlocked rows, and its moments m and v hold those rows alone, so
-    locked rows cost neither memory nor time. Adam is elementwise, so this
-    gives the same numbers as a full-table step that zeroes locked rows.
+    its active rows: the unlocked rows that its gradient has reached at
+    some step (`Var.grad_rows`; a dense gradient reaches every row). Its
+    moments m and v hold the active rows alone, in order of activation; a
+    row gets zero moments appended when it first becomes active. Locked
+    rows never get moments, and rows not yet reached cost no time. Adam is
+    elementwise, and a row whose gradient and moments are all zero moves
+    by exactly 0, so this gives the same numbers, bit for bit, as a
+    full-table step that zeroes locked rows.
     """
 
     def __init__(self, slots, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -71,22 +76,48 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.rows = [_update_rows(s) for s in self.slots]
+        # per slot: the rows it updates (`...` for the whole array, or a
+        # masked slot's active rows), and for a masked slot a flag per
+        # table row for the unlocked rows not yet active
+        self.rows = []
+        self.waiting = []
+        for slot in self.slots:
+            unlocked = _update_rows(slot)
+            flags = None
+            if unlocked is not ...:
+                flags = np.zeros(slot.var.value.shape[0], dtype=bool)
+                flags[unlocked] = True
+                unlocked = np.empty(0, dtype=np.intp)
+            self.rows.append(unlocked)
+            self.waiting.append(flags)
         self.m = [np.zeros_like(s.var.value[r]) for s, r in zip(self.slots, self.rows)]
         self.v = [np.zeros_like(m) for m in self.m]
+
+    def _activate(self, i, var):
+        """Make the waiting rows that masked slot i's gradient reaches
+        active, with zero moments."""
+        touched = var.grad_rows()
+        waiting = self.waiting[i]
+        new = np.flatnonzero(waiting) if touched is None else np.unique(touched[waiting[touched]])
+        if new.size:
+            waiting[new] = False
+            self.rows[i] = np.concatenate([self.rows[i], new])
+            pad = np.zeros((new.size,) + self.m[i].shape[1:], dtype=self.m[i].dtype)
+            self.m[i] = np.concatenate([self.m[i], pad])
+            self.v[i] = np.concatenate([self.v[i], pad])
 
     def step(self):
         self.t += 1
         correct1 = 1.0 - self.beta1**self.t
         correct2 = 1.0 - self.beta2**self.t
-        for i, (slot, rows) in enumerate(zip(self.slots, self.rows)):
+        for i, slot in enumerate(self.slots):
             g = slot.var._grad
-            if g is None:
-                g = 0.0
-            elif g.shape != slot.var.value.shape:
+            if g is not None and g.shape != slot.var.value.shape:
                 raise DimensionError(f"gradient shape mismatch for {slot.name}: {g.shape}")
-            else:
-                g = g[rows]
+            if self.waiting[i] is not None:
+                self._activate(i, slot.var)
+            rows = self.rows[i]
+            g = 0.0 if g is None else g[rows]
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
             delta = self.lr * (self.m[i] / correct1) / (np.sqrt(self.v[i] / correct2) + self.eps)
@@ -257,29 +288,37 @@ def train(model, split, cfg):
         )
         epoch_loss = 0.0
         epoch_domain = 0.0
-        for bi, batch in enumerate(task_batches):
-            dbatch = next_domain_batch() if use_domain else None
-            with ad.Tape() as tape:
-                task_losses, _, domain_term = _batch_losses(
-                    model, batch, training=True, rng=dropout_rng, domain_batch=dbatch
-                )
-                total = mt_daan_loss(task_losses, spec.w_tasks, domain_term, spec.w_domain)
-                total_val = float(total.value)
-                if not np.isfinite(total_val):
-                    parts = {
-                        t: float(l.value) for t, l in zip(spec.task_names, task_losses)
-                    }
-                    if domain_term is not None:
-                        parts["domain"] = float(domain_term.value)
-                    raise NumericalAbort(
-                        "non-finite training loss", epoch=epoch, batch=bi, loss_parts=parts
+        try:
+            for bi, batch in enumerate(task_batches):
+                dbatch = next_domain_batch() if use_domain else None
+                with ad.Tape() as tape:
+                    task_losses, _, domain_term = _batch_losses(
+                        model, batch, training=True, rng=dropout_rng, domain_batch=dbatch
                     )
-                ad.backward(tape, total)
-            optimizer.step()
-            optimizer.zero_grad()
-            epoch_loss += total_val
-            if domain_term is not None:
-                epoch_domain += float(domain_term.value)
+                    total = mt_daan_loss(task_losses, spec.w_tasks, domain_term, spec.w_domain)
+                    total_val = float(total.value)
+                    if not np.isfinite(total_val):
+                        parts = {
+                            t: float(l.value) for t, l in zip(spec.task_names, task_losses)
+                        }
+                        if domain_term is not None:
+                            parts["domain"] = float(domain_term.value)
+                        raise NumericalAbort(
+                            "non-finite training loss", epoch=epoch, batch=bi, loss_parts=parts
+                        )
+                    ad.backward(tape, total)
+                optimizer.step()
+                optimizer.zero_grad()
+                epoch_loss += total_val
+                if domain_term is not None:
+                    epoch_domain += float(domain_term.value)
+        finally:
+            # Free the gradient buffers that zero_grad keeps for the next
+            # step, so that validation and the best-epoch snapshot do not
+            # run on top of them, and so that train leaves none on the
+            # model, also when a step raises.
+            for slot in optimizer.slots:
+                slot.var.drop_grad()
 
         history.train_loss.append(epoch_loss / max(len(task_batches), 1))
         if use_domain:
@@ -349,7 +388,8 @@ def binary_f1(y_true, y_pred):
 def evaluate(model, examples, batch_size=256):
     """Accuracy and F1 per task, over the examples where that task is
     labeled; an example is predicted positive when its positive-class logit
-    is at least its negative-class one (probability >= 0.5)."""
+    is at least its negative-class one (probability >= 0.5). Examples that
+    label none of the model's tasks raise `ContractError`."""
     spec = model.spec
     batches = make_batches(
         examples, model.vocab, spec.t_x, batch_size, rng=None, tasks=spec.task_names
@@ -375,6 +415,8 @@ def evaluate(model, examples, batch_size=256):
         if degenerate:
             log.warning("degenerate F1 for task %r (no positives predicted or present)", task)
         per_task[task] = TaskMetrics(accuracy=acc, f1=float(f1), n=int(y_true.size), degenerate=degenerate)
+    if not per_task:
+        raise ContractError("no example carries a label for any of the model's tasks")
     return Metrics(per_task=per_task)
 
 

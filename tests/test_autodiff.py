@@ -350,6 +350,23 @@ class TestStructuralOps:
         assert table.grad.dtype == np.float32
         assert table.grad.tobytes() == ref.tobytes()
 
+    def test_gather_rows_increasing_ids_match_dense_scatter(self):
+        # strictly increasing ids, as layers.embed passes them, over two
+        # backward calls that share rows
+        rng = np.random.default_rng(41)
+        table = ad.Var(rng.normal(size=(8, 3)).astype(np.float32))
+        keep = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+        ids = [np.array([0, 2, 3, 5]), np.array([1, 2, 5, 7])]
+        weights = [rng.normal(size=(4, 3)).astype(np.float32) for _ in ids]
+        for i, w in zip(ids, weights):
+            with ad.Tape() as tape:
+                out = ad.gather_rows(table, i, row_grad_mask=keep)
+                ad.backward(tape, asum(ad.mul(out, w)))
+        ref = np.zeros((8, 3), dtype=np.float32)
+        for i, w in zip(ids, weights):
+            ref[i] += w * keep[i, None].astype(np.float32)
+        assert table.grad.tobytes() == ref.tobytes()
+
     def test_split_rows_views_and_one_gradient_buffer(self):
         x = ad.Var(np.arange(24.0).reshape(4, 3, 2))
         weights = np.random.default_rng(13).normal(size=(3, 3, 2))
@@ -503,6 +520,63 @@ def bilstm_operands(d=3, h=2, h_reverse=None, d_forward=None, d_reverse=None):
     for hd, dd in ((h, d_forward or d), (h_reverse or h, d_reverse or d)):
         ops += [ad.Var(rng.normal(size=(4 * hd, dd + hd))), ad.Var(np.zeros(4 * hd))]
     return ops
+
+
+class TestRowTrackedGradient:
+    """The table gradient that `gather_rows` writes is kept across steps
+    and cleared by rows (autodiff's gradient semantics)."""
+
+    @staticmethod
+    def gather_backward(table, ids, seed=0):
+        w = np.random.default_rng(seed).normal(size=(len(ids), table.shape[1]))
+        with ad.Tape() as tape:
+            out = ad.gather_rows(table, np.array(ids))
+            ad.backward(tape, asum(ad.mul(out, w.astype(table.value.dtype))))
+        return w
+
+    def test_records_rows_and_zero_grad_clears_the_reused_buffer(self):
+        table = ad.Var(np.ones((6, 3), dtype=np.float32))
+        self.gather_backward(table, [1, 4], seed=1)
+        self.gather_backward(table, [4, 2, 4], seed=2)  # duplicate ids
+        assert sorted(set(table.grad_rows().tolist())) == [1, 2, 4]
+        buf = table._grad
+        table.zero_grad()
+        assert table._grad is None
+        assert table.grad is buf and np.array_equal(buf, np.zeros((6, 3)))
+        table.zero_grad()  # a write through .grad made it dense: dropped
+        w = self.gather_backward(table, [0, 5], seed=3)
+        assert table.grad_rows().tolist() == [0, 5]
+        ref = np.zeros((6, 3), dtype=np.float32)
+        ref[[0, 5]] = w.astype(np.float32)
+        assert np.array_equal(table._grad, ref)
+        table.zero_grad()
+        self.gather_backward(table, [3], seed=4)
+        assert np.array_equal(np.flatnonzero(table._grad.any(axis=1)), [3])
+
+    def test_dense_add_grad_counts_as_every_row(self):
+        table = ad.Var(np.ones((4, 2)))
+        self.gather_backward(table, [1])
+        buf = table._grad
+        table.add_grad(np.ones((4, 2)))
+        assert table.grad_rows() is None
+        table.zero_grad()
+        assert table._grad is None
+        self.gather_backward(table, [2])
+        assert table._grad is not buf
+        assert np.array_equal(np.flatnonzero(table._grad.any(axis=1)), [2])
+
+    def test_gradient_follows_a_change_of_value_dtype_and_shape(self):
+        table = ad.Var(np.ones((5, 2), dtype=np.float32))
+        self.gather_backward(table, [1, 3])
+        table.zero_grad()
+        table.value = table.value.astype(np.float64)
+        w = self.gather_backward(table, [2], seed=5)
+        assert table._grad.dtype == np.float64
+        assert np.array_equal(table._grad[2], w[0])
+        table.zero_grad()
+        table.value = np.ones((7, 2))
+        self.gather_backward(table, [6])
+        assert table._grad.shape == (7, 2)
 
 
 class TestLstm:

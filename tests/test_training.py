@@ -9,7 +9,7 @@ from conftest import asum, make_micro_batch, make_micro_model, to_float64
 from daanet import autodiff as ad
 from daanet import models, training
 from daanet.data import build_vocab, leave_one_out_split
-from daanet.errors import NumericalAbort, ParameterError
+from daanet.errors import ContractError, NumericalAbort, ParameterError
 from daanet.models import (
     ModelSpec,
     ParamSlot,
@@ -36,6 +36,28 @@ from daanet.training import (
 
 def slot(var):
     return ParamSlot("p", var, None)
+
+
+class FullTableAdam(Adam):
+    """Reference Adam: moments over every row of every slot, out-of-place
+    arithmetic, and locked rows skipped only when the update is applied."""
+
+    def __init__(self, slots, **kwargs):
+        super().__init__(slots, **kwargs)
+        self.m = [np.zeros_like(s.var.value) for s in self.slots]
+        self.v = [np.zeros_like(s.var.value) for s in self.slots]
+
+    def step(self):
+        self.t += 1
+        correct1 = 1.0 - self.beta1**self.t
+        correct2 = 1.0 - self.beta2**self.t
+        for i, s in enumerate(self.slots):
+            g = 0.0 if s.var._grad is None else s.var._grad
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
+            delta = self.lr * (self.m[i] / correct1) / (np.sqrt(self.v[i] / correct2) + self.eps)
+            rows = ... if s.update_mask is None else s.update_mask[:, 0] != 0
+            s.var.value[rows] -= delta[rows]
 
 
 class TestAdam:
@@ -117,14 +139,68 @@ class TestAdam:
 
         w = ad.Var(w0.copy())
         opt = Adam([ParamSlot("table", w, mask)], lr=lr, beta1=b1, beta2=b2, eps=eps)
-        assert opt.m[0].shape == (np.count_nonzero(~locked), d)
+        assert opt.m[0].shape == (0, d)  # no row is active before a gradient
         for t in range(6):
             w.add_grad(grads[t])
             opt.step()
             opt.zero_grad()
+        assert opt.m[0].shape == (np.count_nonzero(~locked), d)
         assert np.array_equal(w.value, ref)
         assert np.array_equal(w.value[locked], w0[locked])
         assert not np.array_equal(w.value[2], w0[2])  # momentum carried it on
+
+    def test_active_rows_match_full_table_reference_bit_for_bit(self):
+        rng = np.random.default_rng(37)
+        rows, d = 10, 4
+        locked = np.zeros(rows, dtype=bool)
+        locked[[0, 3, 6]] = True
+        mask = (~locked).astype(np.float64)[:, None]
+        w0 = rng.normal(size=(2, rows, d)).astype(np.float32)
+        # per step, the gather_rows calls on table 0, each its own backward
+        # call as (ids, through the lock mask?); rows first touched at steps
+        # 1, 2 and 4, unlocked row 8 never, and locked row 3 at step 3
+        plan = [
+            [([1, 2], True)],
+            [([2, 4, 5], True), ([5, 7, 5], True)],
+            [([3, 4], False)],
+            [([9], True)],
+            [],
+            [([1], True)],
+        ]
+        weights = rng.normal(size=(len(plan), 2, 3, d)).astype(np.float32)
+        dense = rng.normal(size=(rows, d)).astype(np.float32)
+
+        def run(opt_class):
+            tables = [ad.Var(w.copy()) for w in w0]
+            opt = opt_class(
+                [ParamSlot(f"table{k}", t, mask) for k, t in enumerate(tables)], lr=0.05
+            )
+            for step, calls in enumerate(plan):
+                for c, (ids, masked) in enumerate(calls):
+                    with ad.Tape() as tape:
+                        out = ad.gather_rows(
+                            tables[0], np.array(ids), row_grad_mask=mask[:, 0] if masked else None
+                        )
+                        ad.backward(tape, asum(ad.mul(out, weights[step, c, : len(ids)])))
+                if step == 1:  # table 1: rows 2 and 5, then one dense gradient
+                    with ad.Tape() as tape:
+                        out = ad.gather_rows(tables[1], np.array([2, 5]), row_grad_mask=mask[:, 0])
+                        ad.backward(tape, asum(ad.mul(out, weights[step, 0, :2])))
+                if step == 2:
+                    tables[1].add_grad(dense)
+                opt.step()
+                opt.zero_grad()
+            return tables
+
+        got, ref = run(Adam), run(FullTableAdam)
+        for g, r in zip(got, ref):
+            assert g.value.dtype == np.float32
+            assert g.value.tobytes() == r.value.tobytes()
+        frozen = locked.copy()
+        frozen[8] = True  # never reached
+        assert np.array_equal(got[0].value[frozen], w0[0][frozen])
+        assert not np.array_equal(got[0].value[2], w0[0][2])  # momentum carried it on
+        assert np.array_equal(got[1].value[locked], w0[1][locked])
 
     @pytest.mark.parametrize(
         "mask",
@@ -310,6 +386,26 @@ class TestTrainLoop:
             train(model, split, cfg)
         assert excinfo.value.epoch == 1
 
+    def test_abort_after_a_step_leaves_no_gradient_buffer(self, monkeypatch):
+        # the second batch's loss is NaN, after one step whose zero_grad
+        # kept the embedding table's row-tracked buffer
+        split, vocab, tasks = tiny_split()
+        model = build_model(tiny_spec(vocab, tasks), vocab, seed=2)
+        cfg = TrainConfig(max_epochs=2, patience=1, batch_size=16, seed=2)
+        calls = []
+
+        def nan_on_second_call(*args):
+            total = mt_daan_loss(*args)
+            calls.append(None)
+            return ad.Var(np.nan) if len(calls) == 2 else total
+
+        monkeypatch.setattr(training, "mt_daan_loss", nan_on_second_call)
+        with pytest.raises(NumericalAbort) as excinfo:
+            train(model, split, cfg)
+        assert (excinfo.value.epoch, excinfo.value.batch) == (1, 1)
+        for slot in model.parameters():
+            assert slot.var._grad is None and slot.var._spare is None, slot.name
+
     def test_best_checkpoint_restored(self):
         split, vocab, tasks = tiny_split()
         model = build_model(tiny_spec(vocab, tasks), vocab, seed=3)
@@ -318,6 +414,29 @@ class TestTrainLoop:
         best = history.best_epoch
         assert best >= 1
         assert history.val_loss[best - 1] == min(history.val_loss)
+
+    def test_pretrained_rows_match_full_table_adam(self, monkeypatch):
+        # most rows locked, as with pretrained vectors: the active-row
+        # optimizer must train exactly as a full-table one
+        split, vocab, tasks = tiny_split()
+        spec = tiny_spec(vocab, tasks, dropout=0.2)
+        cfg = TrainConfig(max_epochs=4, patience=3, batch_size=16, seed=7)
+        from daanet.layers import random_embedding
+
+        def run():
+            emb = random_embedding(len(vocab), spec.d, np.random.default_rng(7))
+            emb.locked[2::3] = True
+            emb.__post_init__()
+            model = build_model(spec, vocab, embedding=emb, seed=7)
+            return model, train(model, split, cfg)
+
+        model, history = run()
+        monkeypatch.setattr(training, "Adam", FullTableAdam)
+        ref_model, ref_history = run()
+        assert history == ref_history
+        for slot, ref in zip(model.parameters(), ref_model.parameters()):
+            assert slot.var.value.tobytes() == ref.var.value.tobytes(), slot.name
+            assert slot.var._grad is None and slot.var._spare is None, slot.name
 
     def test_locked_rows_unchanged_after_training(self):
         split, vocab, tasks = tiny_split()
@@ -454,6 +573,15 @@ class TestMetrics:
         for task in tasks:
             assert m1.per_task[task].accuracy == m2.per_task[task].accuracy
             assert m1.per_task[task].f1 == m2.per_task[task].f1
+
+    def test_evaluate_without_task_labels_raises(self):
+        split, vocab, tasks = tiny_split(per_event=20)
+        model = build_model(tiny_spec(vocab, tasks), vocab, seed=6)
+        with pytest.raises(ContractError, match="no example carries a label"):
+            evaluate(model, [])
+        assert all(not ex.labels for ex in split.domain_examples)
+        with pytest.raises(ContractError, match="no example carries a label"):
+            evaluate(model, split.domain_examples)
 
     def test_evaluate_rejects_zero_batch_size(self):
         split, vocab, tasks = tiny_split(per_event=20)
