@@ -161,13 +161,15 @@ class Var:
         return buf
 
     def add_grad(self, g):
-        """Add a gradient of the value's shape; the sum counts as dense."""
+        """Add a gradient of the value's shape; the sum counts as dense. A
+        buffer it allocates is C-contiguous, like one `grad` allocates, so
+        a pullback may scatter into its flat view."""
         if g.shape != self.value.shape:
             raise DimensionError(
                 f"gradient shape {g.shape} does not match value shape {self.value.shape}"
             )
         if self._grad is None:
-            self._grad = np.array(g, dtype=self.value.dtype)
+            self._grad = np.array(g, dtype=self.value.dtype, order="C")
         else:
             self._grad += g
         self._rows = None
@@ -574,14 +576,23 @@ def bilstm(x, ids, mask, w_f, b_f, w_b, b_b):
     still inside their sequence at step t are a prefix of the packed batch
     and each step runs over that prefix only, with the recurrent GEMM
     h_{t-1} W_h^T. The per-step buffers are gate-major [4 x rows x h], so
-    each gate is one contiguous block. The pullback is backpropagation
-    through time over the same prefixes; it collects the gate gradients of
-    every position and then forms the w and b gradients with one GEMM or
-    one sum each, and the gradient of every live position's input with one
-    GEMM, which one `np.add.at` sums into the rows of x in position order.
-    The per-step values it needs are kept only while a tape is recording;
-    otherwise the step buffers and projections are `scratch`. Every buffer
-    has the dtype of the operands.
+    each gate is one contiguous block. The per-step values the pullback
+    needs are kept only while a tape is recording; otherwise the step
+    buffers and projections are `scratch`. Every buffer has the dtype of
+    the operands.
+
+    The pullback is backpropagation through time over the same prefixes,
+    and it touches the L live positions only, laid out packed time-major:
+    step t is the contiguous rows off[t]:off[t+1], off being the running
+    sum of the live counts. It gathers the state gradient and the input
+    vectors at those positions once. Each step writes its gate gradients
+    into its own block of one [L x 4h] array, and its h_{t-1} block from
+    the gates the forward pass kept (o * tanh(c) of the neighbouring step,
+    zero where that is padding or past either end). Then the w and b
+    gradients take one GEMM or one sum each over L rows, each direction's
+    input gradient one GEMM, and one `np.add.at` sums it into the rows of
+    x's gradient in position order. No padded position enters any sum, so
+    extra padding changes no bit of the states or gradients.
     """
     xv = x.value
     dtype = np.result_type(xv, w_f.value, b_f.value, w_b.value, b_b.value)
@@ -595,8 +606,8 @@ def bilstm(x, ids, mask, w_f, b_f, w_b, b_b):
     d = xv.shape[1]
     h = b_f.value.size // 4
     directions = (  # name, weights, biases, reverse, half of the output
-        ("forward", w_f, b_f, False, np.s_[:, :, :h]),
-        ("reverse", w_b, b_b, True, np.s_[:, :, h:]),
+        ("forward", w_f, b_f, False, np.s_[..., :h]),
+        ("reverse", w_b, b_b, True, np.s_[..., h:]),
     )
     for name, w, b, _, _ in directions:
         if b.value.shape != (4 * h,) or w.value.shape != (4 * h, d + h):
@@ -625,41 +636,36 @@ def bilstm(x, ids, mask, w_f, b_f, w_b, b_b):
         return out
 
     def pullback(g):
-        x_pos = xv[ids.reshape(-1)]  # every position's input vector
+        # The live positions in packed time-major order: step t is rows
+        # off[t]:off[t+1], whose row r is packed row r, caller row order[r].
+        steps = live[:t_max]
+        off = np.zeros(t_max + 1, dtype=np.intp)
+        np.cumsum(steps, out=off[1:])
+        t_of = np.repeat(np.arange(t_max), steps)
+        pos = order[np.arange(off[-1]) - off[t_of]] * t_x + t_of
+        ids_live = ids.reshape(-1)[pos]
+        g_live = g.reshape(-1, 2 * h)[pos]
+        x_live = xv[ids_live]
         dx = None
         for (_, w, b, reverse, half), buffers in zip(directions, saved):
             # a contiguous copy: the per-step GEMM on the strided slice was
             # slower at 32 rows, and the result is the same
             wh = np.ascontiguousarray(w.value[:, d:])
-            dpre = _lstm_direction_pullback(
-                g[half], wh, reverse, order, live, t_max, *buffers
-            ).reshape(-1, 4 * h)
-            # h_{t-1} of every position is its neighbour in the direction of
-            # travel: zero past the end it starts from, and zero (padding)
-            # where a reverse pass starts a row. dpre is zero on padding, so
-            # what h_prev and the input hold there adds nothing.
-            h_prev = np.zeros((n, t_x, h), dtype)
-            if reverse:
-                h_prev[:, :-1] = out_v[half][:, 1:]
-            else:
-                h_prev[:, 1:] = out_v[half][:, :-1]
-            dw_x = dpre.T @ x_pos
-            dw_h = dpre.T @ h_prev.reshape(-1, h)
-            w.add_grad(np.concatenate([dw_x, dw_h], axis=1))
+            dpre, h_prev = _lstm_direction_pullback(g_live[half], wh, reverse, off, *buffers)
+            w.add_grad(np.concatenate([dpre.T @ x_live, dpre.T @ h_prev], axis=1))
             b.add_grad(dpre.sum(axis=0))
             dx_dir = dpre @ w.value[:, :d]
             if dx is None:
                 dx = dx_dir
             else:
                 dx += dx_dir
-        # Drop the last direction's position-sized buffers before the scatter
-        # builds its index, so that the allocator can hand their pages over
-        # instead of faulting in fresh ones.
-        del x_pos, dpre, h_prev, dx_dir
-        kept = np.flatnonzero(mv)  # dpre, and so dx, is zero on padding
-        grad = np.zeros(xv.shape, dtype)
-        np.add.at(grad.reshape(-1), _flat_slots(ids.reshape(-1)[kept], d), dx[kept].reshape(-1))
-        x.add_grad(grad)
+            # Free this direction's buffers before the next direction (and
+            # then the scatter's index) allocates its own, so that the
+            # allocator can hand their pages over instead of faulting in
+            # fresh ones.
+            del dpre, h_prev, dx_dir
+        del x_live
+        np.add.at(x.grad.reshape(-1), _flat_slots(ids_live, d), dx.reshape(-1))
 
     return _record(out, (x, w_f, b_f, w_b, b_b), pullback)
 
@@ -726,25 +732,39 @@ def _lstm_direction(xv, packed_ids, wv, bv, reverse, out_v, order, live, t_max, 
     return gates, cand, cells
 
 
-def _lstm_direction_pullback(g, wh, reverse, order, live, t_max, gates, cand, cells):
-    """Backpropagation through time for one `bilstm` direction: the gate
-    gradients [N x T x 4h] in the caller's row order, from the [N x T x h]
-    state gradient `g` and the recurrent weights `wh` [4h x h]."""
-    n, t_x, h = g.shape
+def _lstm_direction_pullback(g, wh, reverse, off, gates, cand, cells):
+    """Backpropagation through time for one `bilstm` direction over its L
+    live positions in packed time-major order, step t being rows
+    off[t]:off[t+1]. From the [L x h] state gradient `g` and the recurrent
+    weights `wh` [4h x h] it returns the gate gradients [L x 4h] and the
+    h_{t-1} [L x h] each position read, in the direction of travel."""
+    n_live, h = g.shape
+    t_max = off.size - 1
     dtype = cells.dtype
     step = -1 if reverse else 1
-    dpre = np.zeros((n, t_x, 4 * h), dtype)
-    dh = np.zeros((n, h), dtype)  # gradient reaching the carried state, packed rows
-    dc = np.zeros((n, h), dtype)
+    dpre = np.empty((n_live, 4 * h), dtype)
+    h_prev = np.empty((n_live, h), dtype)
+    width = int(off[1]) if t_max else 0  # the first step is the widest
+    dh = np.zeros((width, h), dtype)  # gradient reaching the carried state, packed rows
+    dc = np.zeros((width, h), dtype)
     for t in range(t_max) if reverse else range(t_max - 1, -1, -1):
-        lv = live[t]
-        rows = order[:lv]
+        lo, hi = off[t], off[t + 1]
+        lv = hi - lo
+        # h_{t-1} is o * tanh(c) of the neighbouring step nb, the product the
+        # forward pass emitted; zero where that step is padding or past
+        # either end, which is the initial state.
+        nb = t - step
+        nw = off[nb + 1] - off[nb] if 0 <= nb < t_max else 0
+        ng = gates[nb + 1, : 4 * nw * h].reshape(4, nw, h)
+        k = min(lv, nw)
+        np.multiply(ng[2, :k], ng[3, :k], out=h_prev[lo : lo + k])
+        h_prev[lo + k : hi] = 0.0
         sg = gates[t + 1, : 4 * lv * h].reshape(4, lv, h)
         gi, gf, go, tc = sg
         gc = cand[t + 1, :lv]
-        dh_t = g[rows, t] + dh[:lv]
+        dh_t = g[lo:hi] + dh[:lv]
         dc_t = dc[:lv] + dh_t * go * (1.0 - tc * tc)
-        dp = np.empty((lv, 4 * h), dtype)
+        dp = dpre[lo:hi]
         dp_g = dp.reshape(lv, 4, h)
         np.multiply(dc_t, gc, out=dp_g[:, 0])
         np.multiply(dc_t, cells[t + 1 - step, :lv], out=dp_g[:, 1])
@@ -753,10 +773,9 @@ def _lstm_direction_pullback(g, wh, reverse, order, live, t_max, gates, cand, ce
         dp_g[:, :3] *= (sig * (1.0 - sig)).transpose(1, 0, 2)
         np.multiply(dc_t, gi, out=dp_g[:, 3])
         dp_g[:, 3] *= 1.0 - gc * gc
-        dpre[rows, t] = dp
         np.matmul(dp, wh, out=dh[:lv])
         np.multiply(dc_t, gf, out=dc[:lv])
-    return dpre
+    return dpre, h_prev
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,6 @@ class EmbeddingMatrix:
                 f"locked flags {self.locked.shape} do not match table rows "
                 f"{self.table.value.shape[0]}"
             )
-        self._unlocked_f = (~self.locked).astype(np.float64)
 
     @property
     def vocab_size(self):
@@ -78,7 +77,9 @@ class EmbeddingMatrix:
         return self.table.value.shape[1]
 
     def unlocked_mask(self):
-        return self._unlocked_f
+        """A {0, 1} float vector over rows, 1 where a row trains. It reads
+        `locked` at each call, so a flag changed after construction holds."""
+        return (~self.locked).astype(np.float64)
 
 
 def random_embedding(vocab_size, dim, rng, scale=0.25):

@@ -616,6 +616,38 @@ class TestLstm:
             lengths, t_x, d=5, h=4, seed=seed, dtype=np.float32, tol=1e-5, taped=taped
         )
 
+    def test_buffers_of_an_earlier_pass_do_not_leak_into_the_initial_state(self):
+        # A wider taped pass first leaves its values in memory that the
+        # reference case's fresh buffers may be handed; the rows that start
+        # a direction, or whose neighbouring step is padding, must read zeros.
+        assert_bilstm_matches_reference((20,) * 8 + (3,), t_x=20, d=4, h=3, seed=6)
+        assert_bilstm_matches_reference((3, 9, 1, 5, 9, 2, 7), t_x=9, d=4, h=3, seed=5)
+
+    def test_extra_padding_changes_no_bit(self):
+        # The same float32 batch at t_x=20 and t_x=30: the states and every
+        # gradient are bit-identical, since no sum runs over a padded position.
+        rng = np.random.default_rng(11)
+        n, d, h = 64, 100, 64
+        lengths = rng.integers(1, 21, size=n)
+        table = rng.normal(size=(50, d)).astype(np.float32)
+        ids = rng.integers(0, 50, size=(n, 30))
+        weights = rng.normal(scale=0.1, size=(2, 4 * h, d + h)).astype(np.float32)
+        g_out = rng.normal(size=(n, 30, 2 * h)).astype(np.float32)
+        runs = []
+        for t_x in (20, 30):
+            mask = (np.arange(t_x) < lengths[:, None]).astype(np.float32)
+            x = ad.Var(table.copy())
+            w_f, w_b = (ad.Var(w.copy()) for w in weights)
+            b_f, b_b = (ad.Var(np.zeros(4 * h, np.float32)) for _ in range(2))
+            params = [x, w_f, b_f, w_b, b_b]
+            with ad.Tape() as tape:
+                states = ad.bilstm(x, ids[:, :t_x], mask, w_f, b_f, w_b, b_b)
+                ad.backward(tape, asum(ad.mul(states, g_out[:, :t_x])))
+            assert not states.value[:, 20:].any()
+            runs.append([states.value[:, :20]] + [p.grad for p in params])
+        for name, short, long in zip(["states", "x", "w_f", "b_f", "w_b", "b_b"], *runs):
+            assert short.tobytes() == long.tobytes(), name
+
     @pytest.mark.parametrize("mask", [[[1, 0, 1, 0]], [[1, 0.5, 0, 0]]], ids=["gap", "fractional"])
     def test_non_prefix_mask_rejected(self, mask):
         x, ids, w_f, b_f, w_b, b_b = bilstm_operands()

@@ -74,7 +74,6 @@ class TestEmbed:
     def test_locked_row_not_updated_by_adam_despite_gradient(self, rng):
         emb = layers.random_embedding(6, 3, rng)
         emb.locked[4] = True
-        emb.__post_init__()  # refresh the cached unlocked mask
         before = emb.table.value.copy()
         slots = [ParamSlot("emb", emb.table, emb.unlocked_mask()[:, None])]
         opt = Adam(slots, lr=0.1)
@@ -86,6 +85,21 @@ class TestEmbed:
         assert np.array_equal(emb.table.value[4], before[4])
         assert np.array_equal(emb.table.value[0], before[0])
         assert not np.array_equal(emb.table.value[2], before[2])
+
+    def test_lock_flags_changed_after_construction_hold(self, rng):
+        locked = np.array([True, False, False, True, False, False])
+        emb = layers.EmbeddingMatrix(ad.Var(rng.normal(size=(6, 3))), locked)
+        emb.locked[3] = False
+        emb.locked[4] = True
+        before = emb.table.value.copy()
+        opt = Adam([ParamSlot("emb", emb.table, emb.unlocked_mask()[:, None])], lr=0.1)
+        with ad.Tape() as tape:
+            ad.backward(tape, asum(layers.embed(emb, np.array([2, 3, 4]))[0]))
+        assert np.array_equal(emb.table.grad[3], np.ones(3))
+        assert np.array_equal(emb.table.grad[4], np.zeros(3))
+        opt.step()
+        assert not np.array_equal(emb.table.value[3], before[3])
+        assert np.array_equal(emb.table.value[4], before[4])
 
 
 class TestBiLstm:

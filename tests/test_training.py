@@ -426,7 +426,6 @@ class TestTrainLoop:
         def run():
             emb = random_embedding(len(vocab), spec.d, np.random.default_rng(7))
             emb.locked[2::3] = True
-            emb.__post_init__()
             model = build_model(spec, vocab, embedding=emb, seed=7)
             return model, train(model, split, cfg)
 
@@ -447,7 +446,6 @@ class TestTrainLoop:
         emb = random_embedding(len(vocab), spec.d, rng)
         emb.locked[5] = True
         emb.locked[9] = True
-        emb.__post_init__()
         frozen_before = emb.table.value[[0, 5, 9]].copy()
         model = build_model(spec, vocab, embedding=emb, seed=4)
         train(model, split, TrainConfig(max_epochs=3, patience=2, batch_size=16, seed=4))
