@@ -73,9 +73,6 @@ class Vocab:
     def __len__(self):
         return len(self.tokens)
 
-    def __contains__(self, token):
-        return token in self.index
-
     def id_of(self, token):
         return self.index.get(token, UNK_ID)
 

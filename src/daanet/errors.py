@@ -2,7 +2,7 @@
 
 Kept in one place so that a command-line front end can map them onto exit
 codes (usage=1, data/parse=2, numerical abort=3). The package has no such
-front end yet: the map waits for the CLI of ROADMAP item 3.
+front end yet: the map waits for the CLI of ROADMAP item 5.
 """
 
 

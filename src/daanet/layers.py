@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError, DimensionError, ParameterError
+from .errors import DimensionError, ParameterError
 
 MODEL_DTYPE = np.float32  # every model parameter, so the model computes in float32
 RECURRENT_INIT_SCALE = 0.08
@@ -234,17 +234,16 @@ def dense(params, x, activation=None):
     return ad.relu(out) if activation == "relu" else out
 
 
-def dropout(x, rate, rng, training):
-    """Inverted dropout: survivors scaled by 1/(1-rate); eval mode is identity.
+def dropout(x, rate, rng):
+    """Inverted dropout: survivors scaled by 1/(1-rate). It draws from `rng`
+    when one is given and is the identity when `rng` is None (evaluation).
 
     The keep-mask is drawn as float64 uniforms (the seeded stream) and built
     in the dtype of `x`."""
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
-    if rng is None:
-        raise ContractError("training-mode dropout needs a random generator (rng)")
     dtype = x.value.dtype
     keep = (rng.random(x.value.shape) >= rate).astype(dtype)
     keep *= dtype.type(1.0 / (1.0 - rate))

@@ -11,6 +11,12 @@ by index from those rows. The losses read the logits directly
     st       one task head, no domain branch
     st-daan  one task head + domain branch
     mt-daan  one head per task + domain branch
+
+`_forward` is the model's one forward path; training, validation,
+evaluation and the discriminator diagnostic all run through it. It encodes
+a batch once, sends rows [:n_task] to the task heads and the remaining
+rows to the domain branch, and drops out only when it is given a random
+generator.
 """
 
 from __future__ import annotations
@@ -95,10 +101,14 @@ class ModelSpec:
             raise ParameterError(
                 f"{len(self.w_tasks)} task weights for {self.m} tasks"
             )
-        if min(self.t_x, self.d, self.h, self.attn_size, self.head_hidden) < 1:
+        if min(self.t_x, self.d, self.h, self.attn_size, self.head_hidden, self.domain_hidden) < 1:
             raise ParameterError("all layer sizes must be positive")
         if self.adversarial and self.n_domains < 2:
             raise ParameterError("adversarial training needs at least 2 source domains")
+        if not self.adversarial and self.n_domains != 0:
+            raise ParameterError(
+                f"n_domains={self.n_domains} without a domain branch (adversarial=False)"
+            )
         if not all(0.0 <= w < math.inf for w in (self.lam, self.w_domain, *self.w_tasks)):
             raise ParameterError("loss weights and reversal strength must be finite and >= 0")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -200,101 +210,62 @@ def build_model(spec, vocab, embedding=None, seed=0):
 
 @dataclass
 class ForwardResult:
-    task_logits: list  # per task: Var [N x 2], negative class first
-    alphas: list  # per task: Var [N x T_x]
-    domain_logits: object = None  # Var [N x n_domains] or None
+    task_logits: list  # per task: Var [n_task x 2], negative class first
+    alphas: list  # per task: Var [n_task x T_x]
+    domain_logits: object = None  # Var [N - n_task x n_domains], or None without domain rows
 
 
-def _forward(
-    model,
-    ids,
-    mask,
-    training=False,
-    rng=None,
-    want_tasks=True,
-    want_domain=False,
-    reverse_domain=True,
-    n_task=None,
-):
-    """Embed and encode the [N x T] `ids` once, then run the task heads
-    and, when wanted, the domain branch on the encoder states.
+def _forward(model, ids, mask, rng=None, n_task=None, reverse_domain=True):
+    """Embed and encode the [N x T_x] `ids` once, then send rows [:n_task]
+    to the task heads and rows [n_task:] to the domain branch.
 
-    By default both branches read every row, through one dropout draw. With
-    `n_task`, the rows are a task batch stacked on a domain batch (a joint
-    pass): the heads read rows [:n_task] and the domain branch the rest,
-    through `autodiff.split_rows`, and dropout is drawn in the order two
-    single-batch passes draw it: the task rows, each head's context, then
-    the domain rows.
+    `n_task=None` sends every row to the heads and `n_task=0` every row to
+    the domain branch; leaving rows to a model without one raises
+    `ContractError`. When both parts have rows, `autodiff.split_rows` hands
+    them to their branches. Dropout runs only when `rng` is given, drawing
+    for the task rows, then each head's context, then the domain rows.
+    `reverse_domain=False` bypasses the gradient reversal, so that finite
+    differences can check the true derivative.
     """
     spec = model.spec
+    if np.shape(ids)[1:] != (spec.t_x,):
+        raise DimensionError(f"ids {np.shape(ids)} do not encode the model's T_x={spec.t_x}")
+    n = len(ids)
+    n_task = n if n_task is None else n_task
+    if not 0 <= n_task <= n:
+        raise DimensionError(f"n_task={n_task} outside the {n} rows of the batch")
+    if n_task < n and model.domain is None:
+        raise ContractError(
+            f"n_task={n_task} leaves {n - n_task} rows for a domain branch, and the model has none"
+        )
     mask = np.asarray(mask, dtype=np.float64)
     lengths = mask.sum(axis=-1)
     if np.any(lengths == 0):
         raise DegenerateMaskError("mask keeps no position in at least one row")
     states = bilstm(model.encoder, embed(model.embedding, ids), mask)
-    domain_states, domain_lengths = None, lengths
-    if n_task is not None:
-        states, domain_states = ad.split_rows(states, n_task)
-        mask, domain_lengths = mask[:n_task], lengths[n_task:]
-    acts = dropout(states, spec.dropout_rate, rng, training)
+    task_states = domain_states = states
+    if 0 < n_task < n:
+        task_states, domain_states = ad.split_rows(states, n_task)
 
     task_logits, alphas = [], []
-    if want_tasks:
+    if n_task > 0:
+        acts = dropout(task_states, spec.dropout_rate, rng)
         for head in model.heads:
-            context, alpha = attention_head(head.attention, acts, mask)
-            context = dropout(context, spec.dropout_rate, rng, training)
+            context, alpha = attention_head(head.attention, acts, mask[:n_task])
+            context = dropout(context, spec.dropout_rate, rng)
             hidden = dense(head.hidden, context, "relu")
             task_logits.append(dense(head.out, hidden))
             alphas.append(alpha)
 
     domain_logits = None
-    if want_domain and model.domain is not None:
-        if domain_states is not None:
-            acts = dropout(domain_states, spec.dropout_rate, rng, training)
-        pooled = ad.masked_mean(acts, domain_lengths)
+    if n_task < n:
+        acts = dropout(domain_states, spec.dropout_rate, rng)
+        pooled = ad.masked_mean(acts, lengths[n_task:])
         if reverse_domain:
             pooled = ad.gradient_reversal(pooled, spec.lam)
         hidden = dense(model.domain.hidden, pooled, "relu")
         domain_logits = dense(model.domain.out, hidden)
     return ForwardResult(task_logits=task_logits, alphas=alphas, domain_logits=domain_logits)
-
-
-def _check_batch(model, batch, need_labels):
-    if batch.ids.shape[1] != model.spec.t_x:
-        raise DimensionError(
-            f"batch encodes T_x={batch.ids.shape[1]} but model expects {model.spec.t_x}"
-        )
-    if need_labels:
-        missing = [t for t in model.spec.task_names if t not in batch.labels]
-        if missing:
-            raise ContractError(f"batch is missing labels for tasks {missing}")
-
-
-def st_forward(model, batch, training=False, rng=None):
-    """Single-task forward: returns (logits [N x 2], alpha [N x T_x]) as
-    Vars; the logits put the negative class first."""
-    if model.spec.m != 1:
-        raise ContractError(f"st_forward requires a single-task model, got m={model.spec.m}")
-    _check_batch(model, batch, need_labels=False)
-    out = _forward(model, batch.ids, batch.mask, training=training, rng=rng, want_tasks=True)
-    return out.task_logits[0], out.alphas[0]
-
-
-def mt_daan_forward(model, batch, training=False, rng=None):
-    """Multi-task forward: per-task [N x 2] logits and attention vectors
-    from the shared encoder, plus [N x n_domains] domain logits when the
-    branch exists."""
-    _check_batch(model, batch, need_labels=True)
-    out = _forward(
-        model,
-        batch.ids,
-        batch.mask,
-        training=training,
-        rng=rng,
-        want_tasks=True,
-        want_domain=model.domain is not None,
-    )
-    return out.task_logits, out.alphas, out.domain_logits
 
 
 # ---------------------------------------------------------------------------

@@ -178,22 +178,24 @@ def stratified_val_split(examples, val_split, rng):
     return train, val
 
 
-def _batch_losses(model, batch, training, rng, domain_batch=None, reverse_domain=True):
+def _batch_losses(model, batch, rng=None, domain_batch=None, reverse_domain=True):
     """Per-task losses and label counts of `batch`, and the domain loss of
     `domain_batch` (None without one). With a domain batch, both batches
-    run through the encoder in one joint pass."""
+    run through the encoder in one joint pass. Dropout draws from `rng`
+    when one is given."""
+    missing = [t for t in model.spec.task_names if t not in batch.labels]
+    if missing:
+        raise ContractError(f"batch is missing labels for tasks {missing}")
     if domain_batch is None:
-        out = _forward(model, batch.ids, batch.mask, training=training, rng=rng)
+        out = _forward(model, batch.ids, batch.mask, rng=rng)
     else:
         out = _forward(
             model,
             np.concatenate([batch.ids, domain_batch.ids]),
             np.concatenate([batch.mask, domain_batch.mask]),
-            training=training,
             rng=rng,
-            want_domain=True,
-            reverse_domain=reverse_domain,
             n_task=batch.size,
+            reverse_domain=reverse_domain,
         )
     losses = []
     counts = []
@@ -214,7 +216,7 @@ def _validation_losses(model, val_batches):
     sums = {t: 0.0 for t in tasks}
     counts = {t: 0.0 for t in tasks}
     for batch in val_batches:
-        losses, ns, _ = _batch_losses(model, batch, training=False, rng=None)
+        losses, ns, _ = _batch_losses(model, batch)
         for t, loss, n in zip(tasks, losses, ns):
             sums[t] += float(loss.value) * n
             counts[t] += n
@@ -223,6 +225,15 @@ def _validation_losses(model, val_batches):
         raise ContractError("validation set carries no labels for any task")
     monitor = float(np.mean(list(per_task.values())))
     return monitor, per_task
+
+
+def _check_domain_count(model, split):
+    """A domain branch must have one output per source event of the split."""
+    if model.domain is not None and model.spec.n_domains != split.n_domains:
+        raise ContractError(
+            f"the model's domain branch has {model.spec.n_domains} outputs, "
+            f"but the split has {split.n_domains} source events"
+        )
 
 
 def _snapshot(model):
@@ -246,6 +257,7 @@ def train(model, split, cfg):
     spec = model.spec
     if not split.train_labeled:
         raise ContractError("empty training set")
+    _check_domain_count(model, split)
     shuffle_rng = np.random.default_rng([cfg.seed, 101])
     dropout_rng = np.random.default_rng([cfg.seed, 102])
     val_rng = np.random.default_rng([cfg.seed, 103])
@@ -293,7 +305,7 @@ def train(model, split, cfg):
                 dbatch = next_domain_batch() if use_domain else None
                 with ad.Tape() as tape:
                     task_losses, _, domain_term = _batch_losses(
-                        model, batch, training=True, rng=dropout_rng, domain_batch=dbatch
+                        model, batch, rng=dropout_rng, domain_batch=dbatch
                     )
                     total = mt_daan_loss(task_losses, spec.w_tasks, domain_term, spec.w_domain)
                     total_val = float(total.value)
@@ -397,7 +409,7 @@ def evaluate(model, examples, batch_size=256):
     preds = {t: [] for t in spec.task_names}
     truths = {t: [] for t in spec.task_names}
     for batch in batches:
-        out = _forward(model, batch.ids, batch.mask, training=False, want_tasks=True)
+        out = _forward(model, batch.ids, batch.mask)
         for k, task in enumerate(spec.task_names):
             y, present = batch.labels[task]
             keep = present > 0
@@ -424,6 +436,7 @@ def domain_discriminator_accuracy(model, split, batch_size=256):
     """Diagnostic: how well the domain branch identifies source events."""
     if model.domain is None:
         return None
+    _check_domain_count(model, split)
     batches = make_batches(
         split.domain_examples,
         model.vocab,
@@ -436,9 +449,7 @@ def domain_discriminator_accuracy(model, split, batch_size=256):
     correct = 0
     total = 0
     for batch in batches:
-        out = _forward(
-            model, batch.ids, batch.mask, training=False, want_tasks=False, want_domain=True
-        )
+        out = _forward(model, batch.ids, batch.mask, n_task=0)
         pred = out.domain_logits.value.argmax(axis=1)
         truth = batch.domain_onehot.argmax(axis=1)
         correct += int(np.sum(pred == truth))
@@ -476,6 +487,8 @@ def lr_baseline(
     full-batch gradient descent until the loss moves less than `tol`."""
     train_examples = [ex for ex in train_examples if task in ex.labels]
     test_examples = [ex for ex in test_examples if task in ex.labels]
+    if not train_examples:
+        raise ContractError(f"no training example carries a label for task {task!r}")
     x = mean_embedding_features(train_examples, vocab, embedding, t_x)
     y = np.array([ex.labels[task] for ex in train_examples], dtype=np.float64)
     w = np.zeros(x.shape[1])

@@ -87,8 +87,7 @@ def full_loss(model, batch, domain_batch, reverse_domain=False):
     -lam x upstream) and is verified separately.
     """
     task_losses, _, domain_term = _batch_losses(
-        model, batch, training=False, rng=None, domain_batch=domain_batch,
-        reverse_domain=reverse_domain,
+        model, batch, domain_batch=domain_batch, reverse_domain=reverse_domain
     )
     spec = model.spec
     return mt_daan_loss(task_losses, spec.w_tasks, domain_term, spec.w_domain)

@@ -268,25 +268,23 @@ class TestDense:
 class TestDropout:
     def test_eval_mode_is_identity(self, rng):
         x = ad.Var(rng.normal(size=(4, 4)))
-        out = layers.dropout(x, 0.4, rng, training=False)
+        out = layers.dropout(x, 0.4, None)
         assert out is x
 
     def test_zero_rate_is_identity(self, rng):
         x = ad.Var(rng.normal(size=(4, 4)))
-        out = layers.dropout(x, 0.0, rng, training=True)
+        out = layers.dropout(x, 0.0, rng)
         assert out is x
 
     def test_rate_one_rejected(self, rng):
         with pytest.raises(ParameterError):
-            layers.dropout(ad.Var(np.ones(3)), 1.0, rng, training=True)
-
-    def test_training_mode_without_rng_rejected(self):
-        with pytest.raises(ContractError, match="rng"):
-            layers.dropout(ad.Var(np.ones(3)), 0.4, None, training=True)
+            layers.dropout(ad.Var(np.ones(3)), 1.0, rng)
+        with pytest.raises(ParameterError):
+            layers.dropout(ad.Var(np.ones(3)), 1.0, None)
 
     def test_survivor_fraction_and_mean(self, rng):
         x = ad.Var(np.ones(100_000))
-        out = layers.dropout(x, 0.4, rng, training=True)
+        out = layers.dropout(x, 0.4, rng)
         survivors = np.count_nonzero(out.value) / x.value.size
         assert abs(survivors - 0.6) < 0.01
         assert abs(out.value.mean() - 1.0) < 0.02
@@ -295,7 +293,7 @@ class TestDropout:
     def test_keep_mask_matches_float64_draw_bit_for_bit(self, dtype):
         # the earlier mask: float64 (draw >= rate) / (1 - rate), cast by ad.mul
         x = ad.Var(np.random.default_rng(5).normal(size=(32, 30, 128)).astype(dtype))
-        out = layers.dropout(x, 0.4, np.random.default_rng(9), training=True)
+        out = layers.dropout(x, 0.4, np.random.default_rng(9))
         draw = np.random.default_rng(9).random(x.value.shape)
         expected = x.value * ((draw >= 0.4) / (1.0 - 0.4)).astype(dtype)
         assert out.value.dtype == dtype
@@ -310,5 +308,5 @@ class TestDropout:
 
         monkeypatch.setattr(layers.ad, "mul", spy)
         x = ad.Var(np.ones((4, 6), dtype=np.float32))
-        layers.dropout(x, 0.4, rng, training=True)
+        layers.dropout(x, 0.4, rng)
         assert [keep.dtype for keep in seen] == [np.dtype(np.float32)]

@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from conftest import (
 )
 
 from daanet import autodiff as ad
-from daanet import models
+from daanet import models, training
 from daanet.errors import (
     ContractError,
     DataError,
@@ -29,10 +31,8 @@ from daanet.models import (
     covid_relevance,
     domain_cce_loss,
     load_model,
-    mt_daan_forward,
     mt_daan_loss,
     save_model,
-    st_forward,
 )
 from daanet.verify import full_loss, make_verification_batch, make_verification_model
 
@@ -40,6 +40,22 @@ from daanet.verify import full_loss, make_verification_batch, make_verification_
 def log_softmax(z):
     shifted = z - z.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def forward(model, batch, **kwargs):
+    return models._forward(model, batch.ids, batch.mask, **kwargs)
+
+
+def forward_both(model, batch, **kwargs):
+    """One joint pass over `batch` stacked on itself: the task heads and the
+    domain branch read the same examples."""
+    return models._forward(
+        model,
+        np.concatenate([batch.ids, batch.ids]),
+        np.concatenate([batch.mask, batch.mask]),
+        n_task=batch.size,
+        **kwargs,
+    )
 
 
 def loss_and_grad(loss_fn, logits, *args):
@@ -136,7 +152,9 @@ class TestStForward:
         model.heads[0].out.w.value = np.zeros_like(model.heads[0].out.w.value)
         model.heads[0].out.b.value = np.zeros_like(model.heads[0].out.b.value)
         batch = make_micro_batch(model, n=6)
-        logits, alpha = st_forward(model, batch)
+        out = forward(model, batch)
+        logits, alpha = out.task_logits[0], out.alphas[0]
+        assert out.domain_logits is None
         assert logits.value.shape == (6, 2)
         assert np.array_equal(logits.value[:, 0], logits.value[:, 1])
         assert alpha.value.shape == (6, 5)
@@ -146,28 +164,33 @@ class TestStForward:
         batch = make_micro_batch(model, n=2)
         batch.ids[1] = batch.ids[0]
         batch.mask[1] = batch.mask[0]
-        logits, alpha = st_forward(model, batch)
+        out = forward(model, batch)
+        logits, alpha = out.task_logits[0], out.alphas[0]
         assert np.array_equal(logits.value[0], logits.value[1])
         assert np.array_equal(alpha.value[0], alpha.value[1])
-
-    def test_multi_task_model_rejected(self):
-        model = make_micro_model(m=2)
-        batch = make_micro_batch(model)
-        with pytest.raises(ContractError):
-            st_forward(model, batch)
 
     def test_t_x_mismatch_rejected(self):
         model = make_micro_model()
         batch = make_micro_batch(model)
-        batch.ids = batch.ids[:, :4]
-        with pytest.raises(DimensionError):
-            st_forward(model, batch)
+        with pytest.raises(DimensionError, match="T_x=5"):
+            models._forward(model, batch.ids[:, :4], batch.mask[:, :4])
 
-    def test_training_dropout_without_rng_rejected(self):
-        model = make_micro_model(dropout=0.3)
+    def test_dropout_only_with_rng(self):
+        model = make_micro_model(dropout=0.3, seed=4)
+        batch = make_micro_batch(model, n=6, seed=4)
+        plain = forward(model, batch).task_logits[0].value
+        dropped = forward(model, batch, rng=np.random.default_rng(0)).task_logits[0].value
+        model.spec.dropout_rate = 0.0
+        assert np.array_equal(plain, forward(model, batch).task_logits[0].value)
+        assert not np.array_equal(plain, dropped)
+
+    def test_domain_rows_need_a_domain_branch(self):
+        model = make_micro_model()
         batch = make_micro_batch(model)
-        with pytest.raises(ContractError, match="rng"):
-            st_forward(model, batch, training=True)
+        with pytest.raises(ContractError, match="domain branch"):
+            forward(model, batch, n_task=2)
+        with pytest.raises(DimensionError, match="n_task=5"):
+            forward(model, batch, n_task=5)
 
     def test_micro_loss_passes_grad_check(self):
         model = make_verification_model(m=1, adversarial=False, n_domains=0, seed=3)
@@ -175,8 +198,7 @@ class TestStForward:
         y, present = batch.labels["task0"]
 
         def f():
-            logits, _ = st_forward(model, batch)
-            return bce_loss(logits, y, present)
+            return bce_loss(forward(model, batch).task_logits[0], y, present)
 
         params = [slot.var for slot in model.parameters()]
         assert ad.grad_check(f, params) < 1e-4
@@ -212,24 +234,17 @@ class TestStDaanLoss:
         y, present = batch.labels["task0"]
         encoder_vars = [var for _, var in model.encoder.variables()]
 
-        def run(want_tasks, want_domain, reverse):
+        def run(pass_):
             for slot in model.parameters():
                 slot.var.zero_grad()
             with ad.Tape() as tape:
-                out = models._forward(
-                    model,
-                    batch.ids,
-                    batch.mask,
-                    want_tasks=want_tasks,
-                    want_domain=want_domain,
-                    reverse_domain=reverse,
-                )
+                out = pass_()
                 parts = []
-                if want_tasks:
+                if out.task_logits:
                     parts.append(bce_loss(out.task_logits[0], y, present))
-                if want_domain:
+                if out.domain_logits is not None:
                     dl = domain_cce_loss(out.domain_logits, batch.domain_onehot)
-                    parts.append(ad.mul(dl, w_domain) if not want_tasks else dl)
+                    parts.append(ad.mul(dl, w_domain) if not out.task_logits else dl)
                 if len(parts) == 1:
                     loss = parts[0]
                 else:
@@ -237,9 +252,11 @@ class TestStDaanLoss:
                 ad.backward(tape, loss)
             return [v.grad.copy() for v in encoder_vars]
 
-        full = run(want_tasks=True, want_domain=True, reverse=True)
-        task_only = run(want_tasks=True, want_domain=False, reverse=False)
-        domain_only = run(want_tasks=False, want_domain=True, reverse=False)
+        # the joint pass reads the batch twice: once for the heads, once
+        # for the domain branch
+        full = run(lambda: forward_both(model, batch))
+        task_only = run(lambda: forward(model, batch))
+        domain_only = run(lambda: forward(model, batch, n_task=0, reverse_domain=False))
         for g_full, g_task, g_dom in zip(full, task_only, domain_only):
             assert np.allclose(g_full, g_task - g_dom, atol=1e-12)
 
@@ -253,28 +270,27 @@ class TestMtDaanForward:
             for (_, sv), (_, dv) in zip(src.variables("a"), dst.variables("b")):
                 dv.value = sv.value.copy()
         batch = make_micro_batch(model, n=4, with_domain=True)
-        logits, alphas, domain_logits = mt_daan_forward(model, batch)
+        out = forward_both(model, batch)
+        logits, alphas = out.task_logits, out.alphas
         assert np.array_equal(logits[0].value, logits[1].value)
         assert np.array_equal(alphas[0].value, alphas[1].value)
-        assert domain_logits.value.shape == (4, 3)
+        assert logits[0].value.shape == (4, 2)
+        assert out.domain_logits.value.shape == (4, 3)
 
     def test_alphas_sum_to_one_per_task(self):
         model = make_micro_model(m=3, adversarial=True, n_domains=2)
         batch = make_micro_batch(model, n=5, with_domain=True)
-        _, alphas, _ = mt_daan_forward(model, batch)
-        for alpha in alphas:
+        for alpha in forward(model, batch).alphas:
             assert np.allclose(alpha.value.sum(axis=1), 1.0, atol=1e-9)
 
-    @pytest.mark.parametrize("want_tasks", [False, True], ids=["domain_only", "tasks"])
-    def test_all_padding_row_rejected(self, want_tasks):
+    @pytest.mark.parametrize("n_task", [0, None], ids=["domain_only", "tasks"])
+    def test_all_padding_row_rejected(self, n_task):
         model = make_micro_model(m=2, adversarial=True, n_domains=3)
         batch = make_micro_batch(model, n=4, with_domain=True)
         batch.ids[2] = 0
         batch.mask[2] = 0.0
         with pytest.raises(DegenerateMaskError):
-            models._forward(
-                model, batch.ids, batch.mask, want_tasks=want_tasks, want_domain=True
-            )
+            forward(model, batch, n_task=n_task)
 
     def test_every_parameter_gets_a_gradient_with_reversal(self):
         model = make_verification_model()
@@ -289,8 +305,8 @@ class TestMtDaanForward:
         model = make_micro_model(m=2)
         batch = make_micro_batch(model)
         del batch.labels["task1"]
-        with pytest.raises(ContractError):
-            mt_daan_forward(model, batch)
+        with pytest.raises(ContractError, match="task1"):
+            training._batch_losses(model, batch)
 
     def test_full_loss_passes_grad_check(self):
         # the reversal edge is bypassed inside full_loss: finite differences
@@ -313,10 +329,15 @@ class TestFloat32Model:
         # rounding moves each output by up to about 5e-7 of its largest value
         model = make_micro_model(m=2, adversarial=True, n_domains=3, seed=12)
         batch = make_micro_batch(model, n=6, seed=12, with_domain=True)
-        logits32, alphas32, domain32 = mt_daan_forward(model, batch)
+        out32 = forward_both(model, batch)
         to_float64(slot.var for slot in model.parameters())
-        logits64, alphas64, domain64 = mt_daan_forward(model, batch)
-        pairs = list(zip(logits32 + alphas32 + [domain32], logits64 + alphas64 + [domain64]))
+        out64 = forward_both(model, batch)
+        pairs = list(
+            zip(
+                out32.task_logits + out32.alphas + [out32.domain_logits],
+                out64.task_logits + out64.alphas + [out64.domain_logits],
+            )
+        )
         for got, ref in pairs:
             assert got.value.dtype == np.float32 and ref.value.dtype == np.float64
             assert np.max(np.abs(got.value - ref.value)) <= 1e-5 * np.max(np.abs(ref.value))
@@ -374,7 +395,7 @@ class TestHeadIsolationAndDetachment:
         model = make_micro_model(m=3, seed=2)
         batch = make_micro_batch(model, n=4, seed=2)
         with ad.Tape() as tape:
-            logits, _, _ = mt_daan_forward(model, batch)
+            logits = forward(model, batch).task_logits
             loss = bce_loss(logits[0], *batch.labels["task0"])
             ad.backward(tape, loss)
         for k in (1, 2):
@@ -391,9 +412,7 @@ class TestHeadIsolationAndDetachment:
             for slot in model.parameters():
                 slot.var.zero_grad()
             with ad.Tape() as tape:
-                out = models._forward(
-                    model, batch.ids, batch.mask, want_tasks=True, want_domain=with_domain
-                )
+                out = forward_both(model, batch) if with_domain else forward(model, batch)
                 loss = bce_loss(out.task_logits[0], y, present)
                 if with_domain:
                     d_loss = domain_cce_loss(out.domain_logits, batch.domain_onehot)
@@ -436,12 +455,15 @@ class TestPersistence:
     def test_forward_identical_after_round_trip(self, tmp_path):
         model = make_micro_model(m=2, adversarial=True, n_domains=2, seed=6)
         batch = make_micro_batch(model, n=4, seed=6, with_domain=True)
-        logits_before, _, _ = mt_daan_forward(model, batch)
+        before = forward_both(model, batch)
         path = tmp_path / "model.npz"
         save_model(model, path)
         loaded = load_model(path)
-        logits_after, _, _ = mt_daan_forward(loaded, batch)
-        for a, b in zip(logits_before, logits_after):
+        after = forward_both(loaded, batch)
+        pairs = zip(
+            before.task_logits + [before.domain_logits], after.task_logits + [after.domain_logits]
+        )
+        for a, b in pairs:
             assert np.array_equal(a.value, b.value)
 
 
@@ -531,8 +553,14 @@ class TestArchiveErrors:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("dropout_rate", 1.5), ("w_tasks", ["abc", 1.0]), ("task_names", 5)],
-        ids=["out_of_range", "not_a_number", "not_a_list"],
+        [
+            ("dropout_rate", 1.5),
+            ("w_tasks", ["abc", 1.0]),
+            ("task_names", 5),
+            ("domain_hidden", 0),
+            ("adversarial", False),
+        ],
+        ids=["out_of_range", "not_a_number", "not_a_list", "domain_hidden", "domains_unused"],
     )
     def test_bad_spec_value(self, saved, tmp_path, key, value):
         meta = saved[1]
@@ -559,6 +587,19 @@ class TestModelSpecValidation:
         with pytest.raises(ParameterError):
             micro_spec(lam=-1.0)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"adversarial": True, "n_domains": 2, "domain_hidden": 0}, "sizes"),
+            ({"adversarial": True, "n_domains": 2, "domain_hidden": -3}, "sizes"),
+            ({"n_domains": 7}, "n_domains=7"),
+        ],
+        ids=["domain_hidden_zero", "domain_hidden_negative", "domains_without_branch"],
+    )
+    def test_domain_fields_checked(self, fields, message):
+        with pytest.raises(ParameterError, match=message):
+            ModelSpec(t_x=5, d=8, **fields)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["lam", "w_domain", "w_tasks"])
     def test_non_finite_weight_rejected(self, field, value):
@@ -569,9 +610,11 @@ class TestModelSpecValidation:
 
 class TestTapeNodes:
     def test_one_node_per_layer_call(self, monkeypatch):
-        # embed, bilstm, dropout (3); per head attention, dropout and the two
-        # dense layers (4 nodes, relu included: 5 x 2); masked mean, reversal
-        # and the domain's dense layers (5); three losses and their sum (4)
+        # the joint pass of a training step: embed, bilstm, the two parts of
+        # split_rows and the task rows' dropout (5); per head attention,
+        # dropout and the two dense layers (4 nodes, relu included: 5 x 2);
+        # the domain rows' dropout, masked mean, reversal and the domain's
+        # dense layers (6); three losses and their sum (4)
         model = make_micro_model(m=2, adversarial=True, n_domains=3, dropout=0.3)
         batch = make_micro_batch(model, n=4, with_domain=True)
         head_nodes = []
@@ -585,13 +628,40 @@ class TestTapeNodes:
 
         monkeypatch.setattr(models, "attention_head", counted)
         with ad.Tape() as tape:
-            logits, _, domain_logits = mt_daan_forward(
-                model, batch, training=True, rng=np.random.default_rng(0)
-            )
+            out = forward_both(model, batch, rng=np.random.default_rng(0))
             task_losses = [
-                bce_loss(z, *batch.labels[task]) for z, task in zip(logits, model.spec.task_names)
+                bce_loss(z, *batch.labels[task])
+                for z, task in zip(out.task_logits, model.spec.task_names)
             ]
-            domain_loss = domain_cce_loss(domain_logits, batch.domain_onehot)
+            domain_loss = domain_cce_loss(out.domain_logits, batch.domain_onehot)
             mt_daan_loss(task_losses, model.spec.w_tasks, domain_loss, model.spec.w_domain)
         assert head_nodes == [1, 1]
-        assert len(tape.nodes) == 22
+        assert len(tape.nodes) == 25
+
+
+FORWARD_LAYERS = {"embed", "bilstm", "attention_head"}
+
+
+def test_one_forward_path():
+    # every call in the package to the embedding, the encoder or an attention
+    # head sits inside models._forward, so the model has one forward path
+    package = Path(models.__file__).parent
+    callers = set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = node.name
+            if isinstance(node, ast.Call):
+                fn = node.func
+                called = fn.id if isinstance(fn, ast.Name) else None
+                if isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name):
+                    called = fn.attr if fn.value.id == "layers" else None
+                if called in FORWARD_LAYERS:
+                    callers.add((path.stem, where, called))
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(tree, None)
+    assert callers == {("models", "_forward", name) for name in FORWARD_LAYERS}

@@ -16,7 +16,6 @@ from daanet.models import (
     bce_loss,
     build_model,
     domain_cce_loss,
-    mt_daan_forward,
     mt_daan_loss,
 )
 from daanet.synth import synth_domains, synth_separable_embedding_corpus
@@ -220,11 +219,9 @@ class TestFloat32Step:
         spec = model.spec
         optimizer = Adam(model.parameters())
         with ad.Tape() as tape:
-            logits, _, domain_logits = mt_daan_forward(
-                model, batch, training=True, rng=np.random.default_rng(3)
+            task_losses, _, domain_loss = training._batch_losses(
+                model, batch, rng=np.random.default_rng(3), domain_batch=batch
             )
-            task_losses = [bce_loss(z, *batch.labels[t]) for z, t in zip(logits, spec.task_names)]
-            domain_loss = domain_cce_loss(domain_logits, batch.domain_onehot)
             total = mt_daan_loss(task_losses, spec.w_tasks, domain_loss, spec.w_domain)
             ad.backward(tape, total)
         f32 = np.dtype(np.float32)
@@ -251,21 +248,13 @@ class TestJointStep:
 
         def joint(rng):
             task_losses, _, domain_loss = training._batch_losses(
-                model, batch, training=True, rng=rng, domain_batch=domain_batch
+                model, batch, rng=rng, domain_batch=domain_batch
             )
             return task_losses, domain_loss
 
         def two_pass(rng):
-            out = models._forward(model, batch.ids, batch.mask, training=True, rng=rng)
-            dout = models._forward(
-                model,
-                domain_batch.ids,
-                domain_batch.mask,
-                training=True,
-                rng=rng,
-                want_tasks=False,
-                want_domain=True,
-            )
+            out = models._forward(model, batch.ids, batch.mask, rng=rng)
+            dout = models._forward(model, domain_batch.ids, domain_batch.mask, rng=rng, n_task=0)
             task_losses = [
                 bce_loss(z, *batch.labels[t]) for z, t in zip(out.task_logits, spec.task_names)
             ]
@@ -377,6 +366,23 @@ class TestTrainLoop:
         acc = domain_discriminator_accuracy(model, split)
         assert 0.0 <= acc <= 1.0
 
+    def test_domain_count_mismatch_rejected(self, monkeypatch):
+        # 4 source events against a 2-output domain branch, caught before
+        # any forward pass
+        split, vocab, tasks = tiny_split(n_events=5, per_event=12)
+        model = build_model(tiny_spec(vocab, tasks, adversarial=True, n_domains=2), vocab)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward pass reached")
+
+        monkeypatch.setattr(training, "_forward", no_forward)
+        cfg = TrainConfig(max_epochs=2, patience=1, batch_size=16)
+        message = "2 outputs, but the split has 4 source events"
+        with pytest.raises(ContractError, match=message):
+            train(model, split, cfg)
+        with pytest.raises(ContractError, match=message):
+            domain_discriminator_accuracy(model, split)
+
     def test_nan_loss_aborts_with_diagnostics(self):
         split, vocab, tasks = tiny_split()
         model = build_model(tiny_spec(vocab, tasks), vocab, seed=2)
@@ -477,11 +483,12 @@ class TestScratchRule:
         model = make_micro_model(m=2, adversarial=True, n_domains=3, seed=1)
         first = make_micro_batch(model, n=6, seed=1, with_domain=True)
         second = make_micro_batch(model, n=6, seed=2, with_domain=True)
-        logits, alphas, _ = mt_daan_forward(model, first)
-        kept = [v.value.copy() for v in logits + alphas]
-        again, _, _ = mt_daan_forward(model, second)
+        out = models._forward(model, first.ids, first.mask)
+        outputs = out.task_logits + out.alphas
+        kept = [v.value.copy() for v in outputs]
+        again = models._forward(model, second.ids, second.mask).task_logits
         assert not np.array_equal(again[0].value, kept[0])
-        for v, k in zip(logits + alphas, kept):
+        for v, k in zip(outputs, kept):
             assert np.array_equal(v.value, k)
 
     def test_concurrent_evaluate_matches_sequential(self):
@@ -522,19 +529,15 @@ class TestScratchRule:
             for slot in model.parameters():
                 slot.var.zero_grad()
             with ad.Tape() as tape:
-                logits, _, domain_logits = mt_daan_forward(
-                    model, batch, training=True, rng=np.random.default_rng(3)
+                task_losses, _, domain_loss = training._batch_losses(
+                    model, batch, rng=np.random.default_rng(3), domain_batch=batch
                 )
-                task_losses = [
-                    bce_loss(z, *batch.labels[t]) for z, t in zip(logits, spec.task_names)
-                ]
-                domain_loss = domain_cce_loss(domain_logits, batch.domain_onehot)
                 total = mt_daan_loss(task_losses, spec.w_tasks, domain_loss, spec.w_domain)
                 ad.backward(tape, total)
             return [slot.var.grad.copy() for slot in model.parameters()]
 
         first = step_grads()
-        mt_daan_forward(model, larger)
+        training._batch_losses(model, larger, domain_batch=larger)  # no tape
         after = step_grads()
         for a, b in zip(first, after):
             assert np.array_equal(a, b)
@@ -615,6 +618,11 @@ class TestLrBaseline:
         metrics = lr_baseline(train_ex, test_ex, vocab, emb, "cluster", t_x=8)
         base_rate = np.mean([e.labels["cluster"] == majority for e in test_ex])
         assert metrics.per_task["cluster"].accuracy == pytest.approx(base_rate)
+
+    def test_no_labelled_training_example_rejected(self):
+        train_ex, test_ex, vocab, emb = synth_separable_embedding_corpus(seed=3)
+        with pytest.raises(ContractError, match="'other'"):
+            lr_baseline(train_ex, test_ex, vocab, emb, "other", t_x=8)
 
     def test_deterministic(self):
         train_ex, test_ex, vocab, emb = synth_separable_embedding_corpus(seed=2)
