@@ -35,8 +35,8 @@ ABSENT = "-"
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@\w+")
-# #?\w+ runs, plus a placeholder only where it stands as a whole whitespace-separated piece
-_TOKEN_RE = re.compile(r"#?\w+|(?<!\S)<(?:url|user)>(?!\S)")
+_WORD_RE = re.compile(r"#?\w+")
+_PLACEHOLDERS = ("<url>", "<user>")
 
 EMBEDDING_CHUNK = 256  # in-vocabulary embedding lines parsed per np.loadtxt call
 # np.loadtxt strips these ASCII separators around a number as whitespace; float() rejects them
@@ -44,12 +44,32 @@ _FLOAT_REJECTS = "\x1c\x1d\x1e\x1f"
 
 
 def tokenize(text):
-    """Lowercase, map URLs to ``<url>`` and @mentions to ``<user>``, then
-    split on whitespace/punctuation keeping ``#tags`` intact."""
+    r"""The tokens of `text`, in order.
+
+    The text is lowercased. Each run ``(?:https?://|www\.)\S+`` is replaced
+    by `` <url> ``, and then each run ``@\w+`` by `` <user> ``. The result is
+    split on whitespace (``str.split()``). A piece that is all letters and
+    digits (``str.isalnum()``), or is exactly ``<url>`` or ``<user>``, is one
+    token; any other piece gives its ``#?\w+`` runs, so ``#tags`` stay whole
+    and punctuation separates tokens.
+
+    Since regex ``\w`` is ``str.isalnum()`` or ``_`` and regex ``\s`` is
+    ``str.isspace()``, this is ``#?\w+`` run over the whole substituted text,
+    with a placeholder kept only where it stands as a whole piece.
+    """
     t = text.lower()
-    t = _URL_RE.sub(" <url> ", t)
-    t = _MENTION_RE.sub(" <user> ", t)
-    return _TOKEN_RE.findall(t)
+    # each pattern needs this substring to match, and the regex call costs more than the test
+    if "://" in t or "www." in t:
+        t = _URL_RE.sub(" <url> ", t)
+    if "@" in t:
+        t = _MENTION_RE.sub(" <user> ", t)
+    tokens = []
+    for piece in t.split():
+        if piece.isalnum() or piece in _PLACEHOLDERS:
+            tokens.append(piece)
+        else:
+            tokens += _WORD_RE.findall(piece)
+    return tokens
 
 
 @dataclass
@@ -225,10 +245,33 @@ def binarize_priority(level):
 # corpus I/O
 
 
+_LABEL_OF_CELL = {"0": 0, "1": 1}
+_FIELD_BREAKS = ("\t", "\n", "\r")  # a tab ends a cell; text-mode reading ends a line at \n or \r
+
+
+def _check_task_names(task_names, path):
+    """Raise DataError at the header line for a task name that is empty,
+    repeated, or holds a tab or line break."""
+    seen = set()
+    for column, name in enumerate(task_names, start=3):
+        if not name:
+            raise DataError(f"empty task name in header column {column}", path=str(path), line=1)
+        if name in seen:
+            raise DataError(f"duplicate task name {name!r} in header", path=str(path), line=1)
+        if any(c in name for c in _FIELD_BREAKS):
+            raise DataError(
+                f"task name {name!r} holds a tab or line break", path=str(path), line=1
+            )
+        seen.add(name)
+
+
 def read_corpus(path):
     """Read a corpus TSV; returns (examples, task_names).
 
-    Examples whose text tokenizes to nothing are dropped (count logged).
+    Blank and whitespace-only lines are skipped. Examples whose text
+    tokenizes to nothing are dropped (count logged). A malformed header,
+    an empty or repeated task name, a wrong column count or a label cell
+    other than ``0``, ``1`` or ``-`` raises DataError naming its line.
     """
     examples = []
     dropped = 0
@@ -240,28 +283,31 @@ def read_corpus(path):
                 "header must be 'event_id<TAB>text<TAB><task>...'", path=str(path), line=1
             )
         task_names = cols[2:]
+        _check_task_names(task_names, path)
+        n_cols = len(cols)
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             fields = line.rstrip("\n").split("\t")
-            if len(fields) != len(cols):
+            if len(fields) != n_cols:
                 raise DataError(
-                    f"expected {len(cols)} columns, found {len(fields)}",
+                    f"expected {n_cols} columns, found {len(fields)}",
                     path=str(path),
                     line=lineno,
                 )
-            event_id, text = fields[0], fields[1]
             labels = {}
             for task, cell in zip(task_names, fields[2:]):
                 if cell == ABSENT:
                     continue
-                if cell not in ("0", "1"):
+                label = _LABEL_OF_CELL.get(cell)
+                if label is None:
                     raise DataError(
                         f"label for {task} must be 0, 1 or '-', found {cell!r}",
                         path=str(path),
                         line=lineno,
                     )
-                labels[task] = int(cell)
+                labels[task] = label
+            event_id, text = fields[0], fields[1]
             tokens = tokenize(text)
             if not tokens:
                 dropped += 1
@@ -273,11 +319,36 @@ def read_corpus(path):
 
 
 def write_corpus(path, examples, task_names):
+    """Write `examples` as a corpus TSV that `read_corpus` reads back as the
+    same records (an example whose text tokenizes to nothing is still
+    dropped on reading).
+
+    Every example is checked before the file is opened: a tab, newline or
+    carriage return in an event id, a text or a task name, or an empty or
+    repeated task name, raises DataError; a label other than 0 or 1 raises
+    LabelError.
+    """
+    _check_task_names(task_names, path)
+    lines = ["event_id\ttext\t" + "\t".join(task_names) + "\n"]
+    for i, ex in enumerate(examples):
+        event_id = str(ex.event_id)
+        for what, value in (("event id", event_id), ("text", ex.text)):
+            if any(c in value for c in _FIELD_BREAKS):
+                raise DataError(
+                    f"example {i}: {what} {value!r} holds a tab or line break", path=str(path)
+                )
+        cells = []
+        for task in task_names:
+            if task not in ex.labels:
+                cells.append(ABSENT)
+                continue
+            label = ex.labels[task]
+            if label not in (0, 1):
+                raise LabelError(f"example {i}: label for {task} must be 0 or 1, found {label!r}")
+            cells.append(str(int(label)))
+        lines.append(f"{event_id}\t{ex.text}\t" + "\t".join(cells) + "\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("event_id\ttext\t" + "\t".join(task_names) + "\n")
-        for ex in examples:
-            cells = [str(ex.labels[t]) if t in ex.labels else ABSENT for t in task_names]
-            fh.write(f"{ex.event_id}\t{ex.text}\t" + "\t".join(cells) + "\n")
+        fh.writelines(lines)
 
 
 # ---------------------------------------------------------------------------

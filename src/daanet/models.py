@@ -97,6 +97,10 @@ class ModelSpec:
         self.w_tasks = tuple(float(w) for w in self.w_tasks)
         if self.m < 1:
             raise ParameterError("need at least one task")
+        if "" in self.task_names:
+            raise ParameterError(f"empty task name in {self.task_names}")
+        if len(set(self.task_names)) != self.m:
+            raise ParameterError(f"duplicate task names in {self.task_names}")
         if len(self.w_tasks) != self.m:
             raise ParameterError(
                 f"{len(self.w_tasks)} task weights for {self.m} tasks"

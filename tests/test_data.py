@@ -1,4 +1,6 @@
+import logging
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -62,16 +64,52 @@ class TestTokenize:
                 tokens.extend(re.findall(r"#?\w+", piece))
         return tokens
 
+    @staticmethod
+    def whole_string_tokenize(text):
+        """The token regex run once over the whole substituted text."""
+        t = data._MENTION_RE.sub(" <user> ", data._URL_RE.sub(" <url> ", text.lower()))
+        return re.findall(r"#?\w+|(?<!\S)<(?:url|user)>(?!\S)", t)
+
     fragments = st.sampled_from(
         ["<url>", "a<url>b", "<user>", "@user", "@a_1", "http://t.co/x", "https://a.b/c?d=1",
          "www.x.org", "#tag_1", "#", "<", ">", "a", "Storm", "ÉTÉ", "straße", "٣", "_", "!",
-         ",", ".", " ", "\t", "\n", "\xa0", "\u3000", "\u2028", "\x1c", "\x85", "\u200b"]
+         ",", ".", " ", "\t", "\n", "\xa0", "\u3000", "\u2028", "\x1c", "\x85", "\u200b",
+         "İstanbul", "\u212a", "²", "a_b", "##x", "a#b", "<user>x", "x<url>", "://", "www.", "@"]
     )
+    texts = st.lists(st.one_of(fragments, st.text(max_size=3)), max_size=12).map("".join)
 
-    @given(st.lists(st.one_of(fragments, st.text(max_size=3)), max_size=12).map("".join))
+    @given(texts)
     @settings(max_examples=300, deadline=None)
     def test_matches_per_piece_reference(self, text):
         assert tokenize(text) == self.reference_tokenize(text)
+
+    @given(texts)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_whole_string_reference(self, text):
+        assert tokenize(text) == self.whole_string_tokenize(text)
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ("İstanbul", ["i", "stanbul"]),  # lowercases to i + U+0307, which is not \w
+            ("\u212a9", ["k9"]),  # the Kelvin sign lowercases to ASCII k
+            ("x² a_b", ["x²", "a_b"]),
+            ("##x a#b", ["#x", "a", "#b"]),
+            ("<user>x x<url> <url>", ["user", "x", "x", "url", "<url>"]),
+            ("a://b www. @", ["a", "b", "www"]),
+        ],
+    )
+    def test_fragments(self, text, tokens):
+        assert tokenize(text) == tokens == self.whole_string_tokenize(text)
+
+    def test_character_classes_match_str_methods(self):
+        # tokenize rests on these: regex \w is isalnum() or "_", regex \s is
+        # isspace(), and str.split() splits on exactly the \s characters
+        every = "".join(map(chr, range(sys.maxunicode + 1)))  # in code point order
+        assert re.fullmatch(r"\w", "_")
+        assert "".join(re.findall(r"[^\W_]", every)) == "".join(filter(str.isalnum, every))
+        assert "".join(re.findall(r"\s", every)) == "".join(filter(str.isspace, every))
+        assert "".join(every.split()) == re.sub(r"\s", "", every)
 
 
 class TestBuildVocab:
@@ -395,13 +433,114 @@ class TestCorpusIO:
         with pytest.raises(DataError, match=":2:"):
             read_corpus(path)
 
-    def test_empty_tokenization_dropped(self, tmp_path):
+    def test_empty_tokenization_dropped(self, tmp_path, caplog):
         path = tmp_path / "c.tsv"
         path.write_text(
-            "event_id\ttext\tpriority\ne1\t...\t1\ne1\treal text\t0\n", encoding="utf-8"
+            "event_id\ttext\tpriority\ne1\t...\t1\ne1\treal text\t0\ne2\t!? --\t-\n",
+            encoding="utf-8",
+        )
+        with caplog.at_level(logging.INFO, logger="daanet.data"):
+            loaded, _ = read_corpus(path)
+        assert [ex.text for ex in loaded] == ["real text"]
+        assert f"dropped 2 examples with empty tokenization from {path}" in caplog.messages
+
+    def test_blank_and_whitespace_only_lines_skipped(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text(
+            "event_id\ttext\tpriority\n\ne1\tstorm\t1\n \t \t \n\t\t\n   \ne2\tflood\t-\n\n",
+            encoding="utf-8",
         )
         loaded, _ = read_corpus(path)
-        assert len(loaded) == 1
+        assert [(ex.event_id, ex.text, ex.labels) for ex in loaded] == [
+            ("e1", "storm", {"priority": 1}),
+            ("e2", "flood", {}),
+        ]
+
+    def test_bad_cell_after_blank_lines_reports_its_line(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text(
+            "event_id\ttext\tpriority\ne1\tstorm\t1\n\n \t \ne1\tflood\tyes\n", encoding="utf-8"
+        )
+        with pytest.raises(DataError, match=":5: label for priority"):
+            read_corpus(path)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("foo\tbar\n", "1: header must be 'event_id<TAB>text<TAB><task>...'"),
+            ("event_id\ttext\n", "1: header must be 'event_id<TAB>text<TAB><task>...'"),
+            ("event_id\ttext\tp\ne1\thi\n", "2: expected 3 columns, found 2"),
+            ("event_id\ttext\tp\ne1\thi\t1\t0\n", "2: expected 3 columns, found 4"),
+            ("event_id\ttext\tp\tq\ne1\thi\t1\t2\n", "2: label for q must be 0, 1 or '-', found '2'"),
+            ("event_id\ttext\tp\ne1\thi\t 1\n", "2: label for p must be 0, 1 or '-', found ' 1'"),
+            ("event_id\ttext\tp\ne1\thi\t\n", "2: label for p must be 0, 1 or '-', found ''"),
+            ("event_id\ttext\tprio\tprio\n", "1: duplicate task name 'prio' in header"),
+            ("event_id\ttext\t\n", "1: empty task name in header column 3"),
+            ("event_id\ttext\tprio\t\ne1\thi\t1\t0\n", "1: empty task name in header column 4"),
+        ],
+        ids=["header", "no_task", "short_row", "long_row", "bad_label", "padded_label",
+             "empty_label", "duplicate_task", "empty_task", "trailing_tab_task"],
+    )
+    def test_error_messages(self, tmp_path, content, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(DataError) as excinfo:
+            read_corpus(path)
+        assert str(excinfo.value) == f"{path}:{message}"
+
+    @pytest.mark.parametrize("field", ["event_id", "text", "task"])
+    @pytest.mark.parametrize("bad", ["\t", "\n", "\r"], ids=["tab", "newline", "return"])
+    def test_write_rejects_field_breaks(self, tmp_path, field, bad):
+        # a text "x<TAB>1<LF>e9<TAB>forged" was written as two records
+        value = f"x{bad}1{bad}e9{bad}forged"
+        event_id, text, task = (value if f == field else "e1" for f in ("event_id", "text", "task"))
+        examples = [Example("e0", "fine", ["fine"], {}), Example(event_id, text, [], {task: 0})]
+        path = tmp_path / "c.tsv"
+        with pytest.raises(DataError, match="tab or line break"):
+            write_corpus(path, examples, [task])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("label", [7, -1, 0.5, "1", None, float("nan")])
+    def test_write_rejects_bad_label(self, tmp_path, label):
+        path = tmp_path / "c.tsv"
+        with pytest.raises(LabelError, match="label for t must be 0 or 1"):
+            write_corpus(path, [Example("e1", "storm", ["storm"], {"t": label})], ["t"])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("task_names", [["t", "t"], ["t", ""]], ids=["duplicate", "empty"])
+    def test_write_rejects_bad_task_names(self, tmp_path, task_names):
+        path = tmp_path / "c.tsv"
+        with pytest.raises(DataError, match=":1: (duplicate|empty) task name"):
+            write_corpus(path, [Example("e1", "storm", ["storm"], {})], task_names)
+        assert not path.exists()
+
+    record_fields = st.text(
+        alphabet=st.sampled_from("ab -#@!.\x0b\x0c\x1c\x1d\x1e\x85\xa0\u2028\u2029é٣"),
+        max_size=6,
+    )
+
+    @given(
+        st.lists(
+            st.tuples(record_fields, record_fields, st.lists(st.sampled_from([0, 1, None]),
+                                                              min_size=2, max_size=2)),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_write_read_round_trip(self, records):
+        examples = [
+            Example(event_id, text, tokenize(text),
+                    {t: y for t, y in zip(("p", "q"), cells) if y is not None})
+            for event_id, text, cells in records
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.tsv"
+            write_corpus(path, examples, ["p", "q"])
+            loaded, tasks = read_corpus(path)
+        assert tasks == ["p", "q"]
+        assert [(ex.event_id, ex.text, ex.tokens, ex.labels) for ex in loaded] == [
+            (ex.event_id, ex.text, ex.tokens, ex.labels) for ex in examples if ex.tokens
+        ]
 
 
 class TestLeaveOneOutSplit:

@@ -559,8 +559,10 @@ class TestArchiveErrors:
             ("task_names", 5),
             ("domain_hidden", 0),
             ("adversarial", False),
+            ("task_names", ["task0", "task0"]),
         ],
-        ids=["out_of_range", "not_a_number", "not_a_list", "domain_hidden", "domains_unused"],
+        ids=["out_of_range", "not_a_number", "not_a_list", "domain_hidden", "domains_unused",
+             "duplicate_task"],
     )
     def test_bad_spec_value(self, saved, tmp_path, key, value):
         meta = saved[1]
@@ -586,6 +588,16 @@ class TestModelSpecValidation:
     def test_negative_lambda(self):
         with pytest.raises(ParameterError):
             micro_spec(lam=-1.0)
+
+    @pytest.mark.parametrize(
+        "task_names, message",
+        [(("prio", "prio"), "duplicate task names"), (("prio", ""), "empty task name")],
+        ids=["duplicate", "empty"],
+    )
+    def test_task_names_checked(self, task_names, message):
+        # two heads named alike would read the same labels
+        with pytest.raises(ParameterError, match=message):
+            ModelSpec(t_x=5, d=8, task_names=task_names)
 
     @pytest.mark.parametrize(
         "fields, message",
