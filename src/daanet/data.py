@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, LabelError, ParameterError, SplitError
+from .errors import ContractError, DataError, LabelError, ParameterError, SplitError
 from .layers import MODEL_DTYPE, EmbeddingMatrix
 from . import autodiff as ad
 
@@ -78,7 +78,6 @@ class Example:
     text: str
     tokens: list
     labels: dict  # task -> {0, 1}; tasks without a label are absent, so unlabeled is {}
-    domain_idx: int | None = None
 
 
 class Vocab:
@@ -359,8 +358,8 @@ def write_corpus(path, examples, task_names):
 class SplitData:
     target_event: str
     train_labeled: list
-    domain_examples: list  # label-stripped source examples carrying domain_idx
-    domain_index: dict  # event_id -> 0..n_domains-1
+    domain_examples: list  # every source example, in corpus order
+    domain_index: dict  # source event_id -> its domain label 0..n_domains-1, in sorted order
     test: list
 
     @property
@@ -370,24 +369,27 @@ class SplitData:
 
 def leave_one_out_split(examples, target_event):
     """Hold out `target_event` entirely: its labeled examples become the
-    test set; every other event supplies labeled training data plus
-    label-stripped domain examples indexed 0..n_domains-1."""
-    events = sorted({ex.event_id for ex in examples})
+    test set; every other event supplies its labeled examples for training
+    and all of its examples, labeled or not, to the domain branch. The
+    lists hold the given `Example` objects in corpus order, and the source
+    events, sorted, are the domains 0..n_domains-1."""
+    events = set()
+    test, train_labeled, domain_examples = [], [], []
+    for ex in examples:
+        events.add(ex.event_id)
+        if ex.event_id == target_event:
+            if ex.labels:
+                test.append(ex)
+        else:
+            domain_examples.append(ex)
+            if ex.labels:
+                train_labeled.append(ex)
     if target_event not in events:
-        raise SplitError(f"unknown event {target_event!r}; corpus has {events}")
-    source_events = [e for e in events if e != target_event]
+        raise SplitError(f"unknown event {target_event!r}; corpus has {sorted(events)}")
+    source_events = sorted(events - {target_event})
     if not source_events:
         raise SplitError("corpus has a single event; no source domains remain")
     domain_index = {e: i for i, e in enumerate(source_events)}
-
-    test = [ex for ex in examples if ex.event_id == target_event and ex.labels]
-    train_labeled = [ex for ex in examples if ex.event_id != target_event and ex.labels]
-    domain_examples = [
-        Example(event_id=ex.event_id, text=ex.text, tokens=ex.tokens, labels={},
-                domain_idx=domain_index[ex.event_id])
-        for ex in examples
-        if ex.event_id != target_event
-    ]
     return SplitData(
         target_event=target_event,
         train_labeled=train_labeled,
@@ -406,20 +408,24 @@ class Batch:
     ids: np.ndarray  # [N x T_x] int
     mask: np.ndarray  # [N x T_x] float, prefix-of-ones rows; mask.sum(1) is the lengths
     labels: dict  # task -> (y [N], present [N]) float arrays
-    domain_onehot: np.ndarray | None = None  # [N x n_domains]
+    domain: np.ndarray | None = None  # [N] int, each row's domain index; None without `domains`
 
     @property
     def size(self):
         return self.ids.shape[0]
 
 
-def make_batches(examples, vocab, t_x, batch_size=32, rng=None, tasks=None, n_domains=0):
+def make_batches(examples, vocab, t_x, batch_size=32, rng=None, *, tasks, domains=None):
     """Encode and batch `examples`; shuffled when `rng` is given, with the
-    last partial batch kept."""
+    last partial batch kept.
+
+    Each batch carries the labels of `tasks` (none for ``tasks=()``) and,
+    when `domains` maps event ids to domain indices (a split's
+    `domain_index`), `Batch.domain`: each row's ``domains[ex.event_id]``.
+    An event outside `domains` raises ContractError naming it.
+    """
     if batch_size < 1:
         raise ParameterError(f"batch size must be positive, got {batch_size}")
-    if tasks is None:
-        tasks = sorted({t for ex in examples for t in ex.labels})
     order = np.arange(len(examples))
     if rng is not None:
         order = rng.permutation(len(examples))
@@ -439,10 +445,13 @@ def make_batches(examples, vocab, t_x, batch_size=32, rng=None, tasks=None, n_do
             cells = np.array([ex.labels.get(task, np.nan) for ex in chunk], dtype=np.float64)
             present = ~np.isnan(cells)
             labels[task] = (np.where(present, cells, 0.0), present.astype(np.float64))
-        onehot = None
-        if n_domains > 0:
-            onehot = np.zeros((n, n_domains))
-            tagged = [r for r, ex in enumerate(chunk) if ex.domain_idx is not None]
-            onehot[tagged, [chunk[r].domain_idx for r in tagged]] = 1.0
-        batches.append(Batch(ids=ids, mask=mask, labels=labels, domain_onehot=onehot))
+        domain = None
+        if domains is not None:
+            try:
+                domain = np.array([domains[ex.event_id] for ex in chunk], dtype=np.int64)
+            except KeyError as exc:
+                raise ContractError(
+                    f"event {exc.args[0]!r} has no domain index; domains are {sorted(domains)}"
+                ) from None
+        batches.append(Batch(ids=ids, mask=mask, labels=labels, domain=domain))
     return batches

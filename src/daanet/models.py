@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -71,6 +72,19 @@ class ParamSlot(NamedTuple):
     update_mask: np.ndarray | None
 
 
+def require_ints(what, **values):
+    """Raise ParameterError naming each of `values` that is not an integer
+    (a bool is not one), so that a size or seed fails here and not later
+    inside numpy."""
+    bad = [
+        f"{name}={value!r}"
+        for name, value in values.items()
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral)
+    ]
+    if bad:
+        raise ParameterError(f"{what} must be integers, got {', '.join(bad)}")
+
+
 @dataclass
 class ModelSpec:
     """Architecture hyperparameters; all loss weights live here so they are
@@ -91,6 +105,18 @@ class ModelSpec:
     domain_hidden: int = 64
 
     def __post_init__(self):
+        require_ints(
+            "layer sizes and n_domains",
+            t_x=self.t_x,
+            d=self.d,
+            h=self.h,
+            n_domains=self.n_domains,
+            attn_size=self.attn_size,
+            head_hidden=self.head_hidden,
+            domain_hidden=self.domain_hidden,
+        )
+        if isinstance(self.task_names, str):
+            raise ParameterError(f"task_names must be a sequence of names, got {self.task_names!r}")
         self.task_names = tuple(self.task_names)
         if not self.w_tasks:
             self.w_tasks = tuple(1.0 for _ in self.task_names)
@@ -292,17 +318,26 @@ def bce_loss(logits, y, present=None):
     return ad.softmax_cross_entropy(logits, np.stack([1.0 - y, y], axis=1), present / n)
 
 
-def domain_cce_loss(logits, y_onehot):
-    """Mean categorical cross entropy of [N x n_domains] logits against
-    one-hot domain labels."""
-    y = np.asarray(y_onehot, dtype=np.float64)
-    if logits.value.shape != y.shape:
-        raise DimensionError(f"logits {logits.value.shape} vs labels {y.shape}")
-    if not np.array_equal(y.sum(axis=-1), np.ones(y.shape[0])) or not np.all(
-        (y == 0.0) | (y == 1.0)
-    ):
-        raise LabelError("domain labels must be one-hot rows")
-    return ad.softmax_cross_entropy(logits, y, np.full(y.shape[0], 1.0 / y.shape[0]))
+def domain_cce_loss(logits, domains):
+    """Mean categorical cross entropy of [N x K] logits against `domains`
+    [N], each row's domain index in 0..K-1 (`Batch.domain`).
+
+    A label array of another shape raises DimensionError; labels that are
+    not integers, or lie outside 0..K-1, raise LabelError."""
+    domains = np.asarray(domains)
+    shape = logits.value.shape
+    if len(shape) != 2 or domains.shape != shape[:1]:
+        raise DimensionError(f"logits {shape} vs domain labels {domains.shape}")
+    if not np.issubdtype(domains.dtype, np.integer):
+        raise LabelError(f"domain labels must be integers, got dtype {domains.dtype}")
+    n, k = shape
+    if n and (domains.min() < 0 or domains.max() >= k):
+        raise LabelError(
+            f"domain labels must lie in 0..{k - 1}, got {domains.min()}..{domains.max()}"
+        )
+    targets = np.zeros(shape)
+    targets[np.arange(n), domains] = 1.0
+    return ad.softmax_cross_entropy(logits, targets, np.full(n, 1.0 / n))
 
 
 def mt_daan_loss(task_losses, w_tasks, domain_loss=None, w_domain=0.0):

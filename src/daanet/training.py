@@ -12,9 +12,15 @@ import numpy as np
 from . import autodiff as ad
 from .data import make_batches
 from .errors import ContractError, DimensionError, NumericalAbort, ParameterError
-from .models import _forward, bce_loss, domain_cce_loss, mt_daan_loss
+from .models import _forward, bce_loss, domain_cce_loss, mt_daan_loss, require_ints
 
 log = logging.getLogger(__name__)
+
+DIAGNOSTIC_BATCH = 256  # rows per forward pass of domain_discriminator_accuracy
+# lr_baseline's gradient descent: step size, convergence tolerance, step limit
+LR_STEP = 1.0
+LR_TOL = 1e-6
+LR_MAX_EPOCHS = 500
 
 
 @dataclass
@@ -27,8 +33,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_ints(
+            "epochs, patience, batch size and seed",
+            max_epochs=self.max_epochs,
+            patience=self.patience,
+            batch_size=self.batch_size,
+            seed=self.seed,
+        )
         if min(self.max_epochs, self.patience, self.batch_size) < 1:
             raise ParameterError("epochs, patience, and batch size must be positive")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.patience >= self.max_epochs:
             raise ParameterError("patience must be smaller than max_epochs")
         if not 0.0 < self.val_split < 1.0:
@@ -69,12 +84,13 @@ class Adam:
     full-table step that zeroes locked rows.
     """
 
-    def __init__(self, slots, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, slots, lr=1e-3):
         self.slots = list(slots)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         # per slot: the rows it updates (`...` for the whole array, or a
         # masked slot's active rows), and for a masked slot a flag per
@@ -205,7 +221,7 @@ def _batch_losses(model, batch, rng=None, domain_batch=None, reverse_domain=True
         counts.append(present.sum())
     domain_term = None
     if domain_batch is not None:
-        domain_term = domain_cce_loss(out.domain_logits, domain_batch.domain_onehot)
+        domain_term = domain_cce_loss(out.domain_logits, domain_batch.domain)
     return losses, counts, domain_term
 
 
@@ -249,10 +265,12 @@ def train(model, split, cfg):
     """Train `model` in place on a leave-one-event-out split.
 
     Each optimizer step consumes one labeled task batch and, when the
-    adversarial branch is active, one label-stripped domain batch, which
-    share one encoder pass; their losses are combined with the model's
-    task/domain weights. Validation loss (task terms only) drives early
-    stopping, and the best-epoch parameters are restored before returning.
+    adversarial branch is active, one domain batch; the two share one
+    encoder pass, and their losses are combined with the model's
+    task/domain weights. A domain batch holds source texts, read without
+    their task labels, and each row's source-event index. Validation loss
+    (task terms only) drives early stopping, and the best-epoch parameters
+    are restored before returning.
     """
     spec = model.spec
     if not split.train_labeled:
@@ -272,22 +290,25 @@ def train(model, split, cfg):
         val_ex, model.vocab, spec.t_x, cfg.batch_size, rng=None, tasks=spec.task_names
     )
 
-    use_domain = spec.adversarial and spec.w_domain > 0 and bool(split.domain_examples)
-    domain_batches = []
+    use_domain = spec.adversarial and spec.w_domain > 0
+    if use_domain and not split.domain_examples:
+        # the endless stream below would never yield a batch
+        raise ContractError("the split has no domain examples for the domain branch")
 
-    def next_domain_batch():
-        nonlocal domain_batches
-        if not domain_batches:
-            domain_batches = make_batches(
+    def domain_stream():
+        # one reshuffled pass over the domain examples after another
+        while True:
+            yield from make_batches(
                 split.domain_examples,
                 model.vocab,
                 spec.t_x,
                 cfg.batch_size,
                 rng=domain_rng,
                 tasks=(),
-                n_domains=split.n_domains,
+                domains=split.domain_index,
             )
-        return domain_batches.pop(0)
+
+    domain_batches = domain_stream()
 
     optimizer = Adam(model.parameters(), lr=cfg.learning_rate)
     stopper = EarlyStopper(cfg.patience)
@@ -302,7 +323,7 @@ def train(model, split, cfg):
         epoch_domain = 0.0
         try:
             for bi, batch in enumerate(task_batches):
-                dbatch = next_domain_batch() if use_domain else None
+                dbatch = next(domain_batches) if use_domain else None
                 with ad.Tape() as tape:
                     task_losses, _, domain_term = _batch_losses(
                         model, batch, rng=dropout_rng, domain_batch=dbatch
@@ -432,7 +453,7 @@ def evaluate(model, examples, batch_size=256):
     return Metrics(per_task=per_task)
 
 
-def domain_discriminator_accuracy(model, split, batch_size=256):
+def domain_discriminator_accuracy(model, split):
     """Diagnostic: how well the domain branch identifies source events."""
     if model.domain is None:
         return None
@@ -441,18 +462,17 @@ def domain_discriminator_accuracy(model, split, batch_size=256):
         split.domain_examples,
         model.vocab,
         model.spec.t_x,
-        batch_size,
+        DIAGNOSTIC_BATCH,
         rng=None,
         tasks=(),
-        n_domains=split.n_domains,
+        domains=split.domain_index,
     )
     correct = 0
     total = 0
     for batch in batches:
         out = _forward(model, batch.ids, batch.mask, n_task=0)
         pred = out.domain_logits.value.argmax(axis=1)
-        truth = batch.domain_onehot.argmax(axis=1)
-        correct += int(np.sum(pred == truth))
+        correct += int(np.sum(pred == batch.domain))
         total += batch.size
     return correct / total if total else None
 
@@ -472,19 +492,10 @@ def mean_embedding_features(examples, vocab, embedding, t_x):
     return feats
 
 
-def lr_baseline(
-    train_examples,
-    test_examples,
-    vocab,
-    embedding,
-    task,
-    t_x,
-    lr=1.0,
-    max_epochs=500,
-    tol=1e-6,
-):
+def lr_baseline(train_examples, test_examples, vocab, embedding, task, t_x):
     """Binary logistic regression over mean token embeddings, trained by
-    full-batch gradient descent until the loss moves less than `tol`."""
+    full-batch gradient descent (step `LR_STEP`) until the loss moves less
+    than `LR_TOL`, for at most `LR_MAX_EPOCHS` steps."""
     train_examples = [ex for ex in train_examples if task in ex.labels]
     test_examples = [ex for ex in test_examples if task in ex.labels]
     if not train_examples:
@@ -494,17 +505,17 @@ def lr_baseline(
     w = np.zeros(x.shape[1])
     b = 0.0
     prev_loss = np.inf
-    for _ in range(max_epochs):
+    for _ in range(LR_MAX_EPOCHS):
         z = x @ w + b
         p = 1.0 / (1.0 + np.exp(-z))
         pc = np.clip(p, 1e-12, 1 - 1e-12)
         loss = -np.mean(y * np.log(pc) + (1 - y) * np.log(1 - pc))
-        if abs(prev_loss - loss) < tol:
+        if abs(prev_loss - loss) < LR_TOL:
             break
         prev_loss = loss
         err = p - y
-        w -= lr * (x.T @ err) / len(y)
-        b -= lr * err.mean()
+        w -= LR_STEP * (x.T @ err) / len(y)
+        b -= LR_STEP * err.mean()
 
     xt = mean_embedding_features(test_examples, vocab, embedding, t_x)
     y_true = np.array([ex.labels[task] for ex in test_examples], dtype=int)

@@ -65,12 +65,10 @@ def make_verification_batch(model, n=6, seed=0):
         task: (rng.integers(0, 2, size=n).astype(float), np.ones(n))
         for task in spec.task_names
     }
-    onehot = None
+    domain = None
     if spec.adversarial:
-        onehot = np.zeros((n, spec.n_domains))
-        for r in range(n):
-            onehot[r, int(rng.integers(0, spec.n_domains))] = 1.0
-    return Batch(ids=ids, mask=mask, labels=labels, domain_onehot=onehot)
+        domain = np.array([rng.integers(0, spec.n_domains) for _ in range(n)], dtype=np.int64)
+    return Batch(ids=ids, mask=mask, labels=labels, domain=domain)
 
 
 def full_loss(model, batch, domain_batch, reverse_domain=False):

@@ -22,7 +22,7 @@ from daanet.data import (
     tokenize,
     write_corpus,
 )
-from daanet.errors import DataError, LabelError, ParameterError, SplitError
+from daanet.errors import ContractError, DataError, LabelError, ParameterError, SplitError
 
 
 def ex(event, text, labels=None):
@@ -576,14 +576,40 @@ class TestLeaveOneOutSplit:
         labeled = [e for e in corpus if e.labels]
         assert len(split.train_labeled) + len(split.test) == len(labeled)
 
-    def test_domain_examples_are_stripped_and_indexed(self):
-        corpus = self.make_corpus(4)
-        split = leave_one_out_split(corpus, "ev00")
-        assert split.domain_examples
-        for dex in split.domain_examples:
-            assert dex.labels == {}
-            assert dex.domain_idx == split.domain_index[dex.event_id]
-            assert dex.event_id != "ev00"
+    def interleaved_corpus(self):
+        # events interleaved, and every third example unlabeled
+        return [
+            ex(f"ev{i % 3:02d}", f"text {i}", {"t": i % 2} if i % 3 else {}) for i in range(18)
+        ]
+
+    def test_domain_examples_are_the_source_examples(self):
+        corpus = self.interleaved_corpus()
+        split = leave_one_out_split(corpus, "ev01")
+        sources = [e for e in corpus if e.event_id != "ev01"]
+        assert len(split.domain_examples) == len(sources) == 12
+        assert all(got is want for got, want in zip(split.domain_examples, sources))
+        assert any(not e.labels for e in split.domain_examples)
+        assert split.domain_index == {"ev00": 0, "ev02": 1}
+        labeled = [e for e in sources if e.labels]
+        assert all(got is want for got, want in zip(split.train_labeled, labeled))
+        assert len(split.train_labeled) == len(labeled)
+
+    def test_domain_batches_carry_event_indices(self):
+        split = leave_one_out_split(self.interleaved_corpus(), "ev01")
+        vocab = build_vocab(split.domain_examples)
+        batches = make_batches(
+            split.domain_examples, vocab, t_x=4, batch_size=5, tasks=(), domains=split.domain_index
+        )
+        got = np.concatenate([b.domain for b in batches])
+        want = [split.domain_index[e.event_id] for e in split.domain_examples]
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert all(b.labels == {} for b in batches)
+
+    def test_target_event_has_no_domain(self):
+        corpus = self.interleaved_corpus()
+        split = leave_one_out_split(corpus, "ev01")
+        with pytest.raises(ContractError, match="'ev01'"):
+            make_batches(corpus, build_vocab(corpus), t_x=4, tasks=(), domains=split.domain_index)
 
 
 class TestMakeBatches:
@@ -594,33 +620,33 @@ class TestMakeBatches:
 
     def test_batch_sizes(self):
         examples, vocab = self.build(70)
-        batches = make_batches(examples, vocab, t_x=5, batch_size=32)
+        batches = make_batches(examples, vocab, t_x=5, batch_size=32, tasks=("t",))
         assert [b.size for b in batches] == [32, 32, 6]
 
     @pytest.mark.parametrize("batch_size", [0, -4])
     def test_non_positive_batch_size_rejected(self, batch_size):
         examples, vocab = self.build(5)
         with pytest.raises(ParameterError, match="batch size"):
-            make_batches(examples, vocab, t_x=5, batch_size=batch_size)
+            make_batches(examples, vocab, t_x=5, batch_size=batch_size, tasks=("t",))
 
     def test_truncation_to_t_x(self):
         text = " ".join(f"w{i}" for i in range(40))
         examples = [ex("e", text, {"t": 1})]
         vocab = build_vocab(examples)
-        batches = make_batches(examples, vocab, t_x=30, batch_size=4)
+        batches = make_batches(examples, vocab, t_x=30, batch_size=4, tasks=("t",))
         assert batches[0].mask[0].sum() == 30
         assert np.all(batches[0].ids[0] != 0)
 
     def test_round_trip_decoding(self):
         examples, vocab = self.build(6)
-        batches = make_batches(examples, vocab, t_x=5, batch_size=8)
+        batches = make_batches(examples, vocab, t_x=5, batch_size=8, tasks=("t",))
         for row, example in zip(batches[0].ids, examples):
             decoded = vocab.decode(row)
             assert decoded == example.tokens[:5]
 
     def test_ids_below_vocab_size_and_padding(self):
         examples, vocab = self.build(10)
-        batches = make_batches(examples, vocab, t_x=6, batch_size=4)
+        batches = make_batches(examples, vocab, t_x=6, batch_size=4, tasks=("t",))
         for bi, b in enumerate(batches):
             assert b.ids.max() < len(vocab)
             chunk = examples[4 * bi : 4 * bi + 4]
@@ -633,19 +659,22 @@ class TestMakeBatches:
     def test_unknown_tokens_map_to_unk(self):
         examples, vocab = self.build(4)
         new = ex("e", "completely novel words", {"t": 0})
-        batches = make_batches([new], vocab, t_x=5, batch_size=4)
+        batches = make_batches([new], vocab, t_x=5, batch_size=4, tasks=("t",))
         assert np.all(batches[0].ids[0][:3] == data.UNK_ID)
 
     def test_shuffle_uses_rng(self):
         examples, vocab = self.build(40)
-        b1 = make_batches(examples, vocab, t_x=5, batch_size=8, rng=np.random.default_rng(1))
-        b2 = make_batches(examples, vocab, t_x=5, batch_size=8, rng=np.random.default_rng(1))
-        b3 = make_batches(examples, vocab, t_x=5, batch_size=8, rng=np.random.default_rng(2))
+
+        def shuffled(seed):
+            rng = np.random.default_rng(seed)
+            return make_batches(examples, vocab, t_x=5, batch_size=8, rng=rng, tasks=("t",))
+
+        b1, b2, b3 = shuffled(1), shuffled(1), shuffled(2)
         assert all(np.array_equal(x.ids, y.ids) for x, y in zip(b1, b2))
         assert any(not np.array_equal(x.ids, y.ids) for x, y in zip(b1, b3))
 
     @staticmethod
-    def reference_batch(chunk, vocab, t_x, tasks, n_domains):
+    def reference_batch(chunk, vocab, t_x, tasks, domains):
         """Per-token, per-task and per-row encoder."""
         n = len(chunk)
         ids = np.zeros((n, t_x), dtype=np.int64)
@@ -662,13 +691,10 @@ class TestMakeBatches:
                     y[r] = example.labels[task]
                     present[r] = 1.0
             labels[task] = (y, present)
-        onehot = None
-        if n_domains > 0:
-            onehot = np.zeros((n, n_domains))
-            for r, example in enumerate(chunk):
-                if example.domain_idx is not None:
-                    onehot[r, example.domain_idx] = 1.0
-        return ids, mask, labels, onehot
+        domain = np.zeros(n, dtype=np.int64)
+        for r, example in enumerate(chunk):
+            domain[r] = domains[example.event_id]
+        return ids, mask, labels, domain
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_reference_encoder(self, seed):
@@ -678,29 +704,32 @@ class TestMakeBatches:
         for i in range(int(rng.integers(1, 60))):
             tokens = [pool[k] for k in rng.integers(0, len(pool), size=rng.integers(1, 9))]
             labels = {t: int(rng.integers(0, 2)) for t in ("a", "b") if rng.random() < 0.6}
-            domain = int(rng.integers(0, 3)) if rng.random() < 0.8 else None
-            examples.append(Example("e", " ".join(tokens), tokens, labels, domain))
+            event = f"e{rng.integers(0, 3)}"
+            examples.append(Example(event, " ".join(tokens), tokens, labels))
         vocab = Vocab(pool[:8])  # w8..w11 map to <unk>
+        domains = {"e2": 0, "e0": 1, "e1": 2}
         t_x, size = 5, int(rng.integers(1, 9))
         shuffle = np.random.default_rng(seed)
-        batches = make_batches(examples, vocab, t_x, size, rng=shuffle, tasks=("a", "b"), n_domains=3)
+        batches = make_batches(
+            examples, vocab, t_x, size, rng=shuffle, tasks=("a", "b"), domains=domains
+        )
         order = np.random.default_rng(seed).permutation(len(examples))
         assert len(batches) == -(-len(examples) // size)
         for k, batch in enumerate(batches):
             chunk = [examples[i] for i in order[k * size : (k + 1) * size]]
-            ids, mask, labels, onehot = self.reference_batch(chunk, vocab, t_x, ("a", "b"), 3)
-            for got, want in [(batch.ids, ids), (batch.mask, mask), (batch.domain_onehot, onehot)]:
+            ids, mask, labels, domain = self.reference_batch(chunk, vocab, t_x, ("a", "b"), domains)
+            for got, want in [(batch.ids, ids), (batch.mask, mask), (batch.domain, domain)]:
                 assert got.dtype == want.dtype and np.array_equal(got, want)
             assert batch.labels.keys() == labels.keys()
             for task, (y, present) in labels.items():
                 for got, want in zip(batch.labels[task], (y, present)):
                     assert got.dtype == want.dtype and np.array_equal(got, want)
 
-    def test_domain_onehot(self):
-        examples = [
-            Example("a", "x y", ["x", "y"], {}, domain_idx=0),
-            Example("b", "y z", ["y", "z"], {}, domain_idx=2),
-        ]
+    def test_domain_labels(self):
+        examples = [ex("a", "x y", {"t": 1}), ex("b", "y z")]
         vocab = build_vocab(examples)
-        batches = make_batches(examples, vocab, t_x=3, batch_size=4, tasks=(), n_domains=3)
-        assert np.array_equal(batches[0].domain_onehot, [[1, 0, 0], [0, 0, 1]])
+        batches = make_batches(
+            examples, vocab, t_x=3, batch_size=4, tasks=(), domains={"a": 0, "b": 2}
+        )
+        assert batches[0].domain.tolist() == [0, 2] and batches[0].labels == {}
+        assert make_batches(examples, vocab, t_x=3, tasks=("t",))[0].domain is None

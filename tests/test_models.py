@@ -111,20 +111,17 @@ class TestBceLoss:
 class TestDomainCceLoss:
     def test_uniform_over_four_domains_gives_ln4(self):
         y_hat = ad.Var(np.full((3, 4), 0.25))
-        y = np.zeros((3, 4))
-        y[:, 2] = 1.0
-        loss = float(domain_cce_loss(y_hat, y).value)
+        loss = float(domain_cce_loss(y_hat, np.array([2, 2, 2])).value)
         assert abs(loss - math.log(4)) < 1e-12
 
     def test_confidently_wrong_row_keeps_full_gradient(self):
-        loss, grad = loss_and_grad(domain_cce_loss, [[0.0, 40.0]], np.array([[1.0, 0.0]]))
+        loss, grad = loss_and_grad(domain_cce_loss, [[0.0, 40.0]], np.array([0]))
         assert loss == pytest.approx(40.0, rel=1e-12)
         assert np.allclose(grad, [[-1.0, 1.0]], rtol=0, atol=1e-12)
 
     def test_extreme_logits_stay_finite(self):
-        y = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         loss, grad = loss_and_grad(
-            domain_cce_loss, [[-1000.0, 1000.0, 0.0], [1000.0, 0.0, -1000.0]], y
+            domain_cce_loss, [[-1000.0, 1000.0, 0.0], [1000.0, 0.0, -1000.0]], np.array([0, 2])
         )
         assert loss == pytest.approx(2000.0, rel=1e-12)
         assert np.allclose(grad, [[-0.5, 0.5, 0.0], [0.5, 0.0, -0.5]], rtol=0, atol=1e-12)
@@ -132,17 +129,27 @@ class TestDomainCceLoss:
     def test_random_instance_matches_brute_force(self):
         rng = np.random.default_rng(6)
         z = rng.normal(scale=2.0, size=(6, 3))
-        y = np.zeros((6, 3))
-        for i in range(6):
-            y[i, rng.integers(0, 3)] = 1.0
-        loss = float(domain_cce_loss(ad.Var(z), y).value)
-        brute = -np.sum(y * log_softmax(z)) / 6
+        domains = np.array([rng.integers(0, 3) for _ in range(6)])
+        loss = float(domain_cce_loss(ad.Var(z), domains).value)
+        brute = -sum(log_softmax(z)[i, k] for i, k in enumerate(domains)) / 6
         assert abs(loss - brute) < 1e-12
 
-    def test_non_onehot_rejected(self):
+    @pytest.mark.parametrize(
+        "domains, error",
+        [
+            (np.array([1.0, 0.0]), LabelError),
+            (np.array([True, False]), LabelError),
+            (np.array([0, 2]), LabelError),
+            (np.array([-1, 0]), LabelError),
+            (np.array([[1, 0], [0, 1]]), DimensionError),
+            (np.array([0, 1, 1]), DimensionError),
+        ],
+        ids=["float", "bool", "too_large", "negative", "one_hot_rows", "too_many"],
+    )
+    def test_bad_labels_rejected(self, domains, error):
         z = ad.Var(np.zeros((2, 2)))
-        with pytest.raises(LabelError):
-            domain_cce_loss(z, np.array([[0.5, 0.5], [1.0, 0.0]]))
+        with pytest.raises(error):
+            domain_cce_loss(z, domains)
 
 
 class TestStForward:
@@ -243,7 +250,7 @@ class TestStDaanLoss:
                 if out.task_logits:
                     parts.append(bce_loss(out.task_logits[0], y, present))
                 if out.domain_logits is not None:
-                    dl = domain_cce_loss(out.domain_logits, batch.domain_onehot)
+                    dl = domain_cce_loss(out.domain_logits, batch.domain)
                     parts.append(ad.mul(dl, w_domain) if not out.task_logits else dl)
                 if len(parts) == 1:
                     loss = parts[0]
@@ -377,16 +384,14 @@ class TestMtDaanLoss:
             weights = tuple(rng.uniform(0, 2, size=m))
             nd = int(rng.integers(2, 5))
             dz = ad.Var(rng.normal(scale=2.0, size=(n, nd)))
-            onehot = np.zeros((n, nd))
-            for i in range(n):
-                onehot[i, rng.integers(0, nd)] = 1.0
+            domains = np.array([rng.integers(0, nd) for _ in range(n)])
             w_d = float(rng.uniform(0, 1))
             task_losses = [bce_loss(z, y) for z, y in zip(logits, ys)]
-            total = float(mt_daan_loss(task_losses, weights, domain_cce_loss(dz, onehot), w_d).value)
+            total = float(mt_daan_loss(task_losses, weights, domain_cce_loss(dz, domains), w_d).value)
             want = sum(
                 w * float(bce_loss(ad.Var(z.value), y).value)
                 for w, z, y in zip(weights, logits, ys)
-            ) + w_d * float(domain_cce_loss(ad.Var(dz.value), onehot).value)
+            ) + w_d * float(domain_cce_loss(ad.Var(dz.value), domains).value)
             assert abs(total - want) < 1e-12
 
 
@@ -415,7 +420,7 @@ class TestHeadIsolationAndDetachment:
                 out = forward_both(model, batch) if with_domain else forward(model, batch)
                 loss = bce_loss(out.task_logits[0], y, present)
                 if with_domain:
-                    d_loss = domain_cce_loss(out.domain_logits, batch.domain_onehot)
+                    d_loss = domain_cce_loss(out.domain_logits, batch.domain)
                     loss = mt_daan_loss([loss], (1.0,), d_loss, model.spec.w_domain)
                 ad.backward(tape, loss)
             return [var.grad.copy() for _, var in shared]
@@ -560,9 +565,11 @@ class TestArchiveErrors:
             ("domain_hidden", 0),
             ("adversarial", False),
             ("task_names", ["task0", "task0"]),
+            ("h", 4.0),
+            ("t_x", 8.5),
         ],
         ids=["out_of_range", "not_a_number", "not_a_list", "domain_hidden", "domains_unused",
-             "duplicate_task"],
+             "duplicate_task", "float_size", "fractional_t_x"],
     )
     def test_bad_spec_value(self, saved, tmp_path, key, value):
         meta = saved[1]
@@ -598,6 +605,26 @@ class TestModelSpecValidation:
         # two heads named alike would read the same labels
         with pytest.raises(ParameterError, match=message):
             ModelSpec(t_x=5, d=8, task_names=task_names)
+
+    def test_bare_string_task_names_rejected(self):
+        # "ab" is not the two tasks "a" and "b"
+        with pytest.raises(ParameterError, match="task_names"):
+            ModelSpec(t_x=5, d=8, task_names="ab")
+
+    @pytest.mark.parametrize(
+        "field", ["t_x", "d", "h", "n_domains", "attn_size", "head_hidden", "domain_hidden"]
+    )
+    @pytest.mark.parametrize(
+        "value", [4.0, 8.5, "4", True], ids=["float", "fraction", "str", "bool"]
+    )
+    def test_non_integer_size_rejected(self, field, value):
+        fields = {"t_x": 5, "d": 8, "adversarial": True, "n_domains": 2, field: value}
+        with pytest.raises(ParameterError, match=f"{field}="):
+            ModelSpec(**fields)
+
+    def test_numpy_integer_sizes_accepted(self):
+        spec = ModelSpec(t_x=np.int64(5), d=np.int32(8), adversarial=True, n_domains=np.int64(2))
+        assert (spec.t_x, spec.d, spec.n_domains) == (5, 8, 2)
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -645,7 +672,7 @@ class TestTapeNodes:
                 bce_loss(z, *batch.labels[task])
                 for z, task in zip(out.task_logits, model.spec.task_names)
             ]
-            domain_loss = domain_cce_loss(out.domain_logits, batch.domain_onehot)
+            domain_loss = domain_cce_loss(out.domain_logits, batch.domain)
             mt_daan_loss(task_losses, model.spec.w_tasks, domain_loss, model.spec.w_domain)
         assert head_nodes == [1, 1]
         assert len(tape.nodes) == 25

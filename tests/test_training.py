@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -8,7 +9,7 @@ from conftest import asum, make_micro_batch, make_micro_model, to_float64
 
 from daanet import autodiff as ad
 from daanet import models, training
-from daanet.data import build_vocab, leave_one_out_split
+from daanet.data import Example, build_vocab, leave_one_out_split
 from daanet.errors import ContractError, NumericalAbort, ParameterError
 from daanet.models import (
     ModelSpec,
@@ -95,7 +96,7 @@ class TestAdam:
             ref = ref - lr * mhat / (np.sqrt(vhat) + eps)
 
         w = ad.Var(w0.copy())
-        opt = Adam([slot(w)], lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam([slot(w)], lr=lr)
         for _ in range(3):
             with ad.Tape() as tape:
                 diff = ad.affine(ad.Var(np.ones((1, 1))), ad.Var(-b[:, None]), w)  # [w - b]
@@ -137,7 +138,7 @@ class TestAdam:
             ref = ref - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps) * mask
 
         w = ad.Var(w0.copy())
-        opt = Adam([ParamSlot("table", w, mask)], lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam([ParamSlot("table", w, mask)], lr=lr)
         assert opt.m[0].shape == (0, d)  # no row is active before a gradient
         for t in range(6):
             w.add_grad(grads[t])
@@ -258,7 +259,7 @@ class TestJointStep:
             task_losses = [
                 bce_loss(z, *batch.labels[t]) for z, t in zip(out.task_logits, spec.task_names)
             ]
-            return task_losses, domain_cce_loss(dout.domain_logits, domain_batch.domain_onehot)
+            return task_losses, domain_cce_loss(dout.domain_logits, domain_batch.domain)
 
         def step(losses):
             for slot in model.parameters():
@@ -314,6 +315,23 @@ class TestTrainConfig:
     def test_non_finite_learning_rate_rejected(self, rate):
         with pytest.raises(ParameterError):
             TrainConfig(learning_rate=rate)
+
+    @pytest.mark.parametrize("field", ["max_epochs", "patience", "batch_size", "seed"])
+    @pytest.mark.parametrize(
+        "value", [2.5, 2.0, "2", True], ids=["fraction", "float", "str", "bool"]
+    )
+    def test_non_integer_field_rejected(self, field, value):
+        fields = {"max_epochs": 5, "patience": 2, field: value}
+        with pytest.raises(ParameterError, match=f"{field}="):
+            TrainConfig(**fields)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed"):
+            TrainConfig(seed=-1)
+
+    def test_numpy_integers_accepted(self):
+        cfg = TrainConfig(max_epochs=np.int64(5), batch_size=np.int32(8), seed=np.int64(3))
+        assert (cfg.max_epochs, cfg.batch_size, cfg.seed) == (5, 8, 3)
 
 
 def tiny_split(n_events=3, per_event=30, seed=0, **kwargs):
@@ -382,6 +400,14 @@ class TestTrainLoop:
             train(model, split, cfg)
         with pytest.raises(ContractError, match=message):
             domain_discriminator_accuracy(model, split)
+
+    def test_domain_branch_without_domain_examples_rejected(self):
+        split, vocab, tasks = tiny_split()
+        split = dataclasses.replace(split, domain_examples=[])
+        spec = tiny_spec(vocab, tasks, adversarial=True, n_domains=split.n_domains)
+        cfg = TrainConfig(max_epochs=2, patience=1, batch_size=16)
+        with pytest.raises(ContractError, match="no domain examples"):
+            train(build_model(spec, vocab), split, cfg)
 
     def test_nan_loss_aborts_with_diagnostics(self):
         split, vocab, tasks = tiny_split()
@@ -580,9 +606,9 @@ class TestMetrics:
         model = build_model(tiny_spec(vocab, tasks), vocab, seed=6)
         with pytest.raises(ContractError, match="no example carries a label"):
             evaluate(model, [])
-        assert all(not ex.labels for ex in split.domain_examples)
+        unlabeled = [Example(ex.event_id, ex.text, ex.tokens, {}) for ex in split.test]
         with pytest.raises(ContractError, match="no example carries a label"):
-            evaluate(model, split.domain_examples)
+            evaluate(model, unlabeled)
 
     def test_evaluate_rejects_zero_batch_size(self):
         split, vocab, tasks = tiny_split(per_event=20)
