@@ -72,17 +72,28 @@ class ParamSlot(NamedTuple):
     update_mask: np.ndarray | None
 
 
+def _require_numbers(kind, noun, what, values):
+    bad = [
+        f"{name}={value!r}"
+        for name, value in values.items()
+        if isinstance(value, bool) or not isinstance(value, kind)
+    ]
+    if bad:
+        raise ParameterError(f"{what} must be {noun}, got {', '.join(bad)}")
+
+
 def require_ints(what, **values):
     """Raise ParameterError naming each of `values` that is not an integer
     (a bool is not one), so that a size or seed fails here and not later
     inside numpy."""
-    bad = [
-        f"{name}={value!r}"
-        for name, value in values.items()
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral)
-    ]
-    if bad:
-        raise ParameterError(f"{what} must be integers, got {', '.join(bad)}")
+    _require_numbers(numbers.Integral, "integers", what, values)
+
+
+def require_reals(what, **values):
+    """Raise ParameterError naming each of `values` that is not a real
+    number (a bool or a string is not one), so that a rate or weight fails
+    here and not in a range check or inside numpy."""
+    _require_numbers(numbers.Real, "real numbers", what, values)
 
 
 @dataclass
@@ -105,21 +116,34 @@ class ModelSpec:
     domain_hidden: int = 64
 
     def __post_init__(self):
-        require_ints(
-            "layer sizes and n_domains",
-            t_x=self.t_x,
-            d=self.d,
-            h=self.h,
-            n_domains=self.n_domains,
-            attn_size=self.attn_size,
-            head_hidden=self.head_hidden,
-            domain_hidden=self.domain_hidden,
-        )
+        # numbers are stored as plain Python ints and floats, which JSON
+        # (`save_model`) can write
+        sizes = {
+            "t_x": self.t_x,
+            "d": self.d,
+            "h": self.h,
+            "n_domains": self.n_domains,
+            "attn_size": self.attn_size,
+            "head_hidden": self.head_hidden,
+            "domain_hidden": self.domain_hidden,
+        }
+        require_ints("layer sizes and n_domains", **sizes)
+        rates = {"lam": self.lam, "w_domain": self.w_domain, "dropout_rate": self.dropout_rate}
+        require_reals("loss weights, reversal strength and dropout rate", **rates)
+        for name, value in sizes.items():
+            setattr(self, name, int(value))
+        for name, value in rates.items():
+            setattr(self, name, float(value))
+        if not isinstance(self.adversarial, (bool, np.bool_)):
+            raise ParameterError(f"adversarial must be a bool, got {self.adversarial!r}")
+        self.adversarial = bool(self.adversarial)
         if isinstance(self.task_names, str):
             raise ParameterError(f"task_names must be a sequence of names, got {self.task_names!r}")
         self.task_names = tuple(self.task_names)
-        if not self.w_tasks:
-            self.w_tasks = tuple(1.0 for _ in self.task_names)
+        if isinstance(self.w_tasks, str) or not np.iterable(self.w_tasks):
+            raise ParameterError(f"w_tasks must be a sequence of weights, got {self.w_tasks!r}")
+        self.w_tasks = tuple(self.w_tasks) or tuple(1.0 for _ in self.task_names)
+        require_reals("task weights", **{f"w_tasks[{k}]": w for k, w in enumerate(self.w_tasks)})
         self.w_tasks = tuple(float(w) for w in self.w_tasks)
         if self.m < 1:
             raise ParameterError("need at least one task")
@@ -331,7 +355,9 @@ def domain_cce_loss(logits, domains):
     if not np.issubdtype(domains.dtype, np.integer):
         raise LabelError(f"domain labels must be integers, got dtype {domains.dtype}")
     n, k = shape
-    if n and (domains.min() < 0 or domains.max() >= k):
+    if n == 0:
+        raise DimensionError(f"domain loss of an empty batch: logits {shape}")
+    if domains.min() < 0 or domains.max() >= k:
         raise LabelError(
             f"domain labels must lie in 0..{k - 1}, got {domains.min()}..{domains.max()}"
         )

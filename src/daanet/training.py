@@ -12,7 +12,14 @@ import numpy as np
 from . import autodiff as ad
 from .data import make_batches
 from .errors import ContractError, DimensionError, NumericalAbort, ParameterError
-from .models import _forward, bce_loss, domain_cce_loss, mt_daan_loss, require_ints
+from .models import (
+    _forward,
+    bce_loss,
+    domain_cce_loss,
+    mt_daan_loss,
+    require_ints,
+    require_reals,
+)
 
 log = logging.getLogger(__name__)
 
@@ -39,6 +46,11 @@ class TrainConfig:
             patience=self.patience,
             batch_size=self.batch_size,
             seed=self.seed,
+        )
+        require_reals(
+            "validation split and learning rate",
+            val_split=self.val_split,
+            learning_rate=self.learning_rate,
         )
         if min(self.max_epochs, self.patience, self.batch_size) < 1:
             raise ParameterError("epochs, patience, and batch size must be positive")
@@ -253,12 +265,21 @@ def _check_domain_count(model, split):
 
 
 def _snapshot(model):
-    return [slot.var.value.copy() for slot in model.parameters()]
+    """Copy what training can change: each slot's `_update_rows`, so the
+    unlocked rows of a masked table and the whole of every other
+    parameter. Locked rows never change and are not copied."""
+    snapshot = []
+    for slot in model.parameters():
+        rows = _update_rows(slot)
+        value = slot.var.value
+        snapshot.append((slot.var, rows, value.copy() if rows is ... else value[rows]))
+    return snapshot
 
 
-def _restore(model, snapshot):
-    for slot, saved in zip(model.parameters(), snapshot):
-        slot.var.value = saved.copy()
+def _restore(snapshot):
+    """Write a `_snapshot` back into the arrays it was taken from."""
+    for var, rows, saved in snapshot:
+        var.value[rows] = saved
 
 
 def train(model, split, cfg):
@@ -270,7 +291,11 @@ def train(model, split, cfg):
     task/domain weights. A domain batch holds source texts, read without
     their task labels, and each row's source-event index. Validation loss
     (task terms only) drives early stopping, and the best-epoch parameters
-    are restored before returning.
+    are restored before returning. The best-epoch checkpoint holds only
+    what training can change: the unlocked rows of the embedding table and
+    every other parameter whole, so with U of V table rows unlocked it
+    copies U·d table entries, not V·d. It is written back into the live
+    arrays in place, so every parameter keeps its array object.
     """
     spec = model.spec
     if not split.train_labeled:
@@ -313,7 +338,7 @@ def train(model, split, cfg):
     optimizer = Adam(model.parameters(), lr=cfg.learning_rate)
     stopper = EarlyStopper(cfg.patience)
     history = History(val_task_loss={t: [] for t in spec.task_names})
-    best_params = _snapshot(model)
+    best_params = None  # epoch 1 always improves: a non-finite monitor raises
 
     for epoch in range(1, cfg.max_epochs + 1):
         task_batches = make_batches(
@@ -370,7 +395,7 @@ def train(model, split, cfg):
             history.stopped_epoch = epoch
             break
 
-    _restore(model, best_params)
+    _restore(best_params)
     history.best_epoch = stopper.best_epoch
     return history
 

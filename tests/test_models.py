@@ -151,6 +151,10 @@ class TestDomainCceLoss:
         with pytest.raises(error):
             domain_cce_loss(z, domains)
 
+    def test_empty_batch_rejected(self):
+        with pytest.raises(DimensionError, match="empty batch"):
+            domain_cce_loss(ad.Var(np.zeros((0, 3))), np.zeros(0, dtype=np.int64))
+
 
 class TestStForward:
     def test_zero_output_weights_give_half_probability(self):
@@ -457,6 +461,23 @@ class TestPersistence:
             assert slot.var.value.dtype == np.float32, slot.name
             assert np.array_equal(slot.var.value, originals[slot.name]), slot.name
 
+    def test_numpy_number_spec_round_trips(self, tmp_path):
+        spec = ModelSpec(
+            t_x=np.int64(5),
+            d=np.int32(8),
+            h=4,
+            adversarial=np.bool_(True),
+            n_domains=np.int64(3),
+            lam=np.float32(0.5),
+            w_tasks=(np.float32(2.0),),
+        )
+        model = build_model(spec, micro_vocab(), seed=1)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        loaded = load_model(path).spec
+        assert loaded == spec
+        assert (type(loaded.t_x), type(loaded.adversarial), type(loaded.lam)) == (int, bool, float)
+
     def test_forward_identical_after_round_trip(self, tmp_path):
         model = make_micro_model(m=2, adversarial=True, n_domains=2, seed=6)
         batch = make_micro_batch(model, n=4, seed=6, with_domain=True)
@@ -621,6 +642,25 @@ class TestModelSpecValidation:
         fields = {"t_x": 5, "d": 8, "adversarial": True, "n_domains": 2, field: value}
         with pytest.raises(ParameterError, match=f"{field}="):
             ModelSpec(**fields)
+
+    @pytest.mark.parametrize("field", ["lam", "w_domain", "dropout_rate", "w_tasks"])
+    @pytest.mark.parametrize("value", ["0.1", True], ids=["str", "bool"])
+    def test_non_real_weight_rejected(self, field, value):
+        fields = {"w_tasks": (value,)} if field == "w_tasks" else {field: value}
+        with pytest.raises(ParameterError, match=f"{field}"):
+            ModelSpec(t_x=5, d=8, adversarial=True, n_domains=2, **fields)
+
+    @pytest.mark.parametrize("w_tasks", [1.0, "1"], ids=["number", "str"])
+    def test_w_tasks_must_be_a_sequence(self, w_tasks):
+        # "1" would read as the one weight 1.0
+        with pytest.raises(ParameterError, match="w_tasks must be a sequence"):
+            ModelSpec(t_x=5, d=8, w_tasks=w_tasks)
+
+    @pytest.mark.parametrize("value", ["no", 1, None], ids=["str", "int", "none"])
+    def test_non_bool_adversarial_rejected(self, value):
+        # "no" would read as true and ask for a domain branch
+        with pytest.raises(ParameterError, match="adversarial must be a bool"):
+            ModelSpec(t_x=5, d=8, adversarial=value, n_domains=2)
 
     def test_numpy_integer_sizes_accepted(self):
         spec = ModelSpec(t_x=np.int64(5), d=np.int32(8), adversarial=True, n_domains=np.int64(2))

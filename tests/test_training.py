@@ -329,6 +329,12 @@ class TestTrainConfig:
         with pytest.raises(ParameterError, match="seed"):
             TrainConfig(seed=-1)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "val_split"])
+    @pytest.mark.parametrize("value", ["0.1", True, None], ids=["str", "bool", "none"])
+    def test_non_real_rate_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field}="):
+            TrainConfig(**{field: value})
+
     def test_numpy_integers_accepted(self):
         cfg = TrainConfig(max_epochs=np.int64(5), batch_size=np.int32(8), seed=np.int64(3))
         assert (cfg.max_epochs, cfg.batch_size, cfg.seed) == (5, 8, 3)
@@ -482,6 +488,84 @@ class TestTrainLoop:
         model = build_model(spec, vocab, embedding=emb, seed=4)
         train(model, split, TrainConfig(max_epochs=3, patience=2, batch_size=16, seed=4))
         assert np.array_equal(model.embedding.table.value[[0, 5, 9]], frozen_before)
+
+
+class TestCheckpoint:
+    """The best-epoch checkpoint copies only what training can change and
+    is written back into the live arrays."""
+
+    # at this seed and rate, validation improves at epochs 1, 2, 4 and 5,
+    # and training stops at epoch 7, so the restore moves parameters
+    cfg = TrainConfig(max_epochs=8, patience=2, batch_size=16, seed=1, learning_rate=0.02)
+
+    @staticmethod
+    def locked_model(vocab, tasks):
+        # three rows in four locked, as with pretrained vectors
+        from daanet.layers import random_embedding
+
+        spec = tiny_spec(vocab, tasks, dropout=0.2)
+        emb = random_embedding(len(vocab), spec.d, np.random.default_rng(1))
+        emb.locked[np.arange(len(vocab)) % 4 != 1] = True
+        return build_model(spec, vocab, embedding=emb, seed=1)
+
+    def test_restore_matches_full_copy_reference(self, monkeypatch):
+        split, vocab, tasks = tiny_split()
+        model = self.locked_model(vocab, tasks)
+        history = train(model, split, self.cfg)
+        assert 1 < history.best_epoch < len(history.val_loss)
+
+        def full_snapshot(model):
+            return [(slot.var, slot.var.value.copy()) for slot in model.parameters()]
+
+        def full_restore(snapshot):
+            for var, saved in snapshot:
+                var.value = saved.copy()
+
+        monkeypatch.setattr(training, "_snapshot", full_snapshot)
+        monkeypatch.setattr(training, "_restore", full_restore)
+        ref_model = self.locked_model(vocab, tasks)
+        assert train(ref_model, split, self.cfg) == history
+        for slot, ref in zip(model.parameters(), ref_model.parameters()):
+            assert slot.var.value.tobytes() == ref.var.value.tobytes(), slot.name
+
+    def test_holds_the_trainable_rows_and_restores_in_place(self, monkeypatch):
+        split, vocab, tasks = tiny_split()
+        model = self.locked_model(vocab, tasks)
+        slots = model.parameters()
+        arrays = [slot.var.value for slot in slots]
+        table = model.embedding.table.value
+        unlocked = np.count_nonzero(~model.embedding.locked)
+        assert unlocked < table.shape[0] // 3
+        trainable = unlocked * table.shape[1] * table.itemsize
+        trainable += sum(slot.var.value.nbytes for slot in slots[1:])
+
+        events = []
+        snapshot, validation_losses = training._snapshot, training._validation_losses
+
+        def spy_snapshot(model):
+            events.append(snapshot(model))
+            return events[-1]
+
+        def spy_validation_losses(*args):
+            events.append("validate")
+            return validation_losses(*args)
+
+        monkeypatch.setattr(training, "_snapshot", spy_snapshot)
+        monkeypatch.setattr(training, "_validation_losses", spy_validation_losses)
+        history = train(model, split, self.cfg)
+
+        # no snapshot before epoch 1, then one after each improving validation
+        expected = []
+        for epoch, loss in enumerate(history.val_loss):
+            expected.append("validate")
+            if loss < min(history.val_loss[:epoch], default=math.inf):
+                expected.append("snapshot")
+        assert [e if e == "validate" else "snapshot" for e in events] == expected
+        for taken in events:
+            if taken != "validate":
+                assert sum(saved.nbytes for _, _, saved in taken) == trainable
+        for slot, array in zip(model.parameters(), arrays):
+            assert slot.var.value is array, slot.name
 
 
 class TestStratifiedValSplit:
