@@ -1,13 +1,15 @@
 """Corpus ingestion: tokenization, vocabulary, pretrained embeddings,
 label binarization, leave-one-event-out splitting, and batching.
 
-Corpus files are UTF-8 TSV with a header line::
+Corpus files are UTF-8 TSV, with or without a byte-order mark, and a
+header line::
 
     event_id<TAB>text<TAB><task-1><TAB><task-2>...
 
 followed by one record per line; task cells are ``0``, ``1``, or ``-``
-(label absent). Embedding files are text lines ``token v1 ... v_dim``
-with an optional leading ``<count> <dim>`` header.
+(label absent). Embedding files are UTF-8 text lines ``token v1 ... v_dim``,
+also with or without a byte-order mark, with an optional leading
+``<count> <dim>`` header.
 """
 
 from __future__ import annotations
@@ -21,7 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError, LabelError, ParameterError, SplitError
+from .errors import (
+    ContractError,
+    DataError,
+    LabelError,
+    ParameterError,
+    SplitError,
+    require_ints,
+)
 from .layers import MODEL_DTYPE, EmbeddingMatrix
 from . import autodiff as ad
 
@@ -43,6 +52,15 @@ EMBEDDING_CHUNK = 256  # in-vocabulary embedding lines parsed per np.loadtxt cal
 _FLOAT_REJECTS = "\x1c\x1d\x1e\x1f"
 
 
+def _require_counts(what, **values):
+    """Raise ParameterError naming each of `values` that is not an integer
+    (`require_ints`) or is below 1."""
+    require_ints(what, **values)
+    bad = [f"{name}={value!r}" for name, value in values.items() if value < 1]
+    if bad:
+        raise ParameterError(f"{what} must be at least 1, got {', '.join(bad)}")
+
+
 def tokenize(text):
     r"""The tokens of `text`, in order.
 
@@ -57,6 +75,17 @@ def tokenize(text):
     ``str.isspace()``, this is ``#?\w+`` run over the whole substituted text,
     with a placeholder kept only where it stands as a whole piece.
     """
+    return _tokenize(text, {})
+
+
+def _tokenize(text, memo):
+    r"""`tokenize(text)`, with each token taken from `memo` when it is there.
+
+    `memo` maps to itself each piece seen that is its own one token: an
+    all-alphanumeric piece, a placeholder, or a ``#?\w+`` word found in
+    another piece. Other pieces run the regex again. So texts tokenized
+    with one memo share one `str` per distinct token.
+    """
     t = text.lower()
     # each pattern needs this substring to match, and the regex call costs more than the test
     if "://" in t or "www." in t:
@@ -65,15 +94,22 @@ def tokenize(text):
         t = _MENTION_RE.sub(" <user> ", t)
     tokens = []
     for piece in t.split():
-        if piece.isalnum() or piece in _PLACEHOLDERS:
+        token = memo.get(piece)
+        if token is not None:
+            tokens.append(token)
+        elif piece.isalnum() or piece in _PLACEHOLDERS:
+            memo[piece] = piece  # no setdefault: first sightings are common in a large vocabulary
             tokens.append(piece)
         else:
-            tokens += _WORD_RE.findall(piece)
+            tokens += [memo.setdefault(w, w) for w in _WORD_RE.findall(piece)]
     return tokens
 
 
 @dataclass
 class Example:
+    """One record. In the examples of one `read_corpus` call, equal tokens
+    and equal event ids are one shared `str` object each."""
+
     event_id: str
     text: str
     tokens: list
@@ -109,7 +145,9 @@ class Vocab:
 
 def build_vocab(examples, min_freq=1):
     """Frequency-thresholded vocabulary, ordered by (-freq, token) so the
-    index assignment is deterministic for a given corpus."""
+    index assignment is deterministic for a given corpus. A `min_freq`
+    that is not an integer of at least 1 raises ParameterError."""
+    _require_counts("min_freq", min_freq=min_freq)
     counts = Counter(itertools.chain.from_iterable(ex.tokens for ex in examples))
     kept = sorted(tok for tok, c in counts.items() if c >= min_freq)
     kept.sort(key=counts.__getitem__, reverse=True)  # stable, so ties stay alphabetical
@@ -165,8 +203,11 @@ def load_embeddings(path, vocab, dim, seed=0):
     vocabulary are skipped unread. A token on several lines takes the last
     line's vector, but every one of its lines is validated. Components are
     parsed `EMBEDDING_CHUNK` lines at a time with np.loadtxt, with a
-    per-line float() fallback, and errors are raised in file order.
+    per-line float() fallback, and errors are raised in file order. A
+    leading UTF-8 byte-order mark is skipped. A `dim` that is not an
+    integer of at least 1 raises ParameterError before the file is opened.
     """
+    _require_counts("embedding dim", dim=dim)
     v = len(vocab)
     table = np.zeros((v, dim), dtype=MODEL_DTYPE)
     last_line = {}  # table row -> line number of its last vector
@@ -180,7 +221,7 @@ def load_embeddings(path, vocab, dim, seed=0):
         rests.clear()
         linenos.clear()
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             token, sep, rest = line.rstrip("\n").partition(" ")
             if lineno == 1 and token.isdecimal() and rest.isdecimal():
@@ -218,7 +259,7 @@ def load_embeddings(path, vocab, dim, seed=0):
     if not finite.all():
         row = np.flatnonzero(~finite.all(axis=1))[0]
         lineno = last_line[row]
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             line = next(itertools.islice(fh, lineno - 1, None))
         vec = np.array(_line_floats(line.rstrip("\n").partition(" ")[2], dim, path, lineno))
         raise DataError(
@@ -267,14 +308,21 @@ def _check_task_names(task_names, path):
 def read_corpus(path):
     """Read a corpus TSV; returns (examples, task_names).
 
-    Blank and whitespace-only lines are skipped. Examples whose text
-    tokenizes to nothing are dropped (count logged). A malformed header,
-    an empty or repeated task name, a wrong column count or a label cell
-    other than ``0``, ``1`` or ``-`` raises DataError naming its line.
+    A leading UTF-8 byte-order mark, blank lines and whitespace-only lines
+    are skipped. Examples whose text tokenizes to nothing are dropped
+    (count logged). A malformed header, an empty or repeated task name, a
+    wrong column count or a label cell other than ``0``, ``1`` or ``-``
+    raises DataError naming its line.
+
+    Equal tokens across the file are one `str` object, and so are equal
+    event ids, so the examples hold one string per distinct token and not
+    one per occurrence.
     """
     examples = []
     dropped = 0
-    with open(path, encoding="utf-8") as fh:
+    memo = {}  # piece -> its one token; see _tokenize
+    event_ids = {}  # apart from `memo`: the event id "@" is not the token of the piece "@"
+    with open(path, encoding="utf-8-sig") as fh:
         header = fh.readline().rstrip("\n")
         cols = header.split("\t")
         if len(cols) < 3 or cols[0] != "event_id" or cols[1] != "text":
@@ -306,11 +354,12 @@ def read_corpus(path):
                         line=lineno,
                     )
                 labels[task] = label
-            event_id, text = fields[0], fields[1]
-            tokens = tokenize(text)
+            text = fields[1]
+            tokens = _tokenize(text, memo)
             if not tokens:
                 dropped += 1
                 continue
+            event_id = event_ids.setdefault(fields[0], fields[0])
             examples.append(Example(event_id, text, tokens, labels))
     if dropped:
         log.info("dropped %d examples with empty tokenization from %s", dropped, path)
@@ -422,10 +471,10 @@ def make_batches(examples, vocab, t_x, batch_size=32, rng=None, *, tasks, domain
     Each batch carries the labels of `tasks` (none for ``tasks=()``) and,
     when `domains` maps event ids to domain indices (a split's
     `domain_index`), `Batch.domain`: each row's ``domains[ex.event_id]``.
-    An event outside `domains` raises ContractError naming it.
+    An event outside `domains` raises ContractError naming it. A `t_x` or
+    `batch_size` that is not an integer of at least 1 raises ParameterError.
     """
-    if batch_size < 1:
-        raise ParameterError(f"batch size must be positive, got {batch_size}")
+    _require_counts("t_x and batch size", t_x=t_x, batch_size=batch_size)
     order = np.arange(len(examples))
     if rng is not None:
         order = rng.permutation(len(examples))

@@ -2,8 +2,12 @@
 
 Kept in one place so that a command-line front end can map them onto exit
 codes (usage=1, data/parse=2, numerical abort=3). The package has no such
-front end yet: the map waits for the CLI of ROADMAP item 6.
+front end yet: the map waits for the CLI of ROADMAP item 6. The argument
+checks that raise ParameterError for a value of the wrong kind live here
+too, so that every module can use them.
 """
+
+import numbers
 
 
 class DimensionError(ValueError):
@@ -60,3 +64,27 @@ class NumericalAbort(RuntimeError):
         self.epoch = epoch
         self.batch = batch
         self.loss_parts = dict(loss_parts or {})
+
+
+def _require_numbers(kind, noun, what, values):
+    bad = [
+        f"{name}={value!r}"
+        for name, value in values.items()
+        if isinstance(value, bool) or not isinstance(value, kind)
+    ]
+    if bad:
+        raise ParameterError(f"{what} must be {noun}, got {', '.join(bad)}")
+
+
+def require_ints(what, **values):
+    """Raise ParameterError naming each of `values` that is not an integer
+    (a bool is not one), so that a size or seed fails here and not later
+    inside numpy."""
+    _require_numbers(numbers.Integral, "integers", what, values)
+
+
+def require_reals(what, **values):
+    """Raise ParameterError naming each of `values` that is not a real
+    number (a bool or a string is not one), so that a rate or weight fails
+    here and not in a range check or inside numpy."""
+    _require_numbers(numbers.Real, "real numbers", what, values)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -38,6 +37,8 @@ from .errors import (
     DimensionError,
     LabelError,
     ParameterError,
+    require_ints,
+    require_reals,
 )
 from .layers import (
     AttentionHeadParams,
@@ -70,30 +71,6 @@ class ParamSlot(NamedTuple):
     name: str
     var: ad.Var
     update_mask: np.ndarray | None
-
-
-def _require_numbers(kind, noun, what, values):
-    bad = [
-        f"{name}={value!r}"
-        for name, value in values.items()
-        if isinstance(value, bool) or not isinstance(value, kind)
-    ]
-    if bad:
-        raise ParameterError(f"{what} must be {noun}, got {', '.join(bad)}")
-
-
-def require_ints(what, **values):
-    """Raise ParameterError naming each of `values` that is not an integer
-    (a bool is not one), so that a size or seed fails here and not later
-    inside numpy."""
-    _require_numbers(numbers.Integral, "integers", what, values)
-
-
-def require_reals(what, **values):
-    """Raise ParameterError naming each of `values` that is not a real
-    number (a bool or a string is not one), so that a rate or weight fails
-    here and not in a range check or inside numpy."""
-    _require_numbers(numbers.Real, "real numbers", what, values)
 
 
 @dataclass

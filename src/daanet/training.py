@@ -11,15 +11,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import make_batches
-from .errors import ContractError, DimensionError, NumericalAbort, ParameterError
-from .models import (
-    _forward,
-    bce_loss,
-    domain_cce_loss,
-    mt_daan_loss,
+from .errors import (
+    ContractError,
+    DimensionError,
+    NumericalAbort,
+    ParameterError,
     require_ints,
     require_reals,
 )
+from .models import _forward, bce_loss, domain_cce_loss, mt_daan_loss
 
 log = logging.getLogger(__name__)
 

@@ -129,6 +129,15 @@ class TestBuildVocab:
         v2 = build_vocab(corpus)
         assert v1.tokens == v2.tokens and v1.index == v2.index
 
+    @pytest.mark.parametrize(
+        "min_freq, message",
+        [("2", "must be integers"), (0.5, "must be integers"), (True, "must be integers"),
+         (0, "must be at least 1"), (-2, "must be at least 1")],
+    )
+    def test_bad_min_freq_rejected(self, min_freq, message):
+        with pytest.raises(ParameterError, match=f"min_freq {message}, got min_freq="):
+            build_vocab([ex("e", "a b")], min_freq=min_freq)
+
 
 def reference_load_embeddings(path, vocab, dim, seed=0):
     """Per-line loader: split each line, parse each component with float()."""
@@ -391,6 +400,33 @@ class TestLoadEmbeddings:
         emb = load_embeddings(path, vocab, dim=3)
         assert np.all(np.isfinite(emb.table.value))
 
+    def write_with_bom(self, tmp_path, lines, header=None):
+        path = self.write_file(tmp_path, lines, header=header)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return path
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # the mark once became part of the first token, which then missed the vocabulary
+        path = self.write_with_bom(tmp_path, ["storm 1 2", "flood 3 4"])
+        emb = load_embeddings(path, Vocab(["storm", "flood"]), dim=2)
+        assert emb.table.value[2:].tolist() == [[1, 2], [3, 4]]
+        assert emb.locked.tolist() == [True, False, True, True]
+
+    def test_header_after_byte_order_mark_is_checked(self, tmp_path):
+        path = self.write_with_bom(tmp_path, ["storm 1 2"], header="1 3")
+        with pytest.raises(DataError, match=":1: header gives dim 3, expected 2"):
+            load_embeddings(path, Vocab(["storm"]), dim=2)
+
+    @pytest.mark.parametrize(
+        "dim, message",
+        [(0, "must be at least 1"), (-1, "must be at least 1"), ("2", "must be integers"),
+         (2.0, "must be integers"), (True, "must be integers")],
+    )
+    def test_bad_dim_rejected_before_reading(self, tmp_path, dim, message):
+        # a dim of 0 was blamed on line 1 of the file; the file need not exist
+        with pytest.raises(ParameterError, match=f"embedding dim {message}, got dim="):
+            load_embeddings(tmp_path / "missing.txt", Vocab(["storm"]), dim=dim)
+
 
 class TestBinarizePriority:
     def test_mapping(self):
@@ -443,6 +479,52 @@ class TestCorpusIO:
             loaded, _ = read_corpus(path)
         assert [ex.text for ex in loaded] == ["real text"]
         assert f"dropped 2 examples with empty tokenization from {path}" in caplog.messages
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # the mark once failed the header check at line 1
+        path = tmp_path / "c.tsv"
+        path.write_text("\ufeffevent_id\ttext\tp\ne1\tstorm\t1\n", encoding="utf-8")
+        loaded, tasks = read_corpus(path)
+        assert tasks == ["p"]
+        assert [(ex.event_id, ex.tokens, ex.labels) for ex in loaded] == [("e1", ["storm"], {"p": 1})]
+
+    def test_event_id_is_not_a_token(self, tmp_path):
+        # the piece "@" has no token; sharing one memo with event ids made it "@"
+        path = tmp_path / "c.tsv"
+        path.write_text("event_id\ttext\tp\n@\tstorm\t1\n@\t@ a\t0\n", encoding="utf-8")
+        loaded, _ = read_corpus(path)
+        assert [ex.tokens for ex in loaded] == [["storm"], tokenize("@ a")] == [["storm"], ["a"]]
+
+    shared_pieces = st.sampled_from(
+        ["storm", "Storm", "storm!", "#storm", "#Flood", "flood,storm", "@alice", "@", "#", "_",
+         "a_b", "http://t.co/x", "www.x.org", "<url>", "x<user>", "...", "ÉTÉ", "٣", "éte"]
+    )
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["e1", "e2", "@", "storm", "#flood"]),
+                st.lists(shared_pieces, max_size=6).map(" ".join),
+                st.sampled_from([0, 1, None]),
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_read_tokens_are_shared_and_unchanged(self, records):
+        examples = [Example(e, text, tokenize(text), {} if y is None else {"p": y})
+                    for e, text, y in records]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.tsv"
+            write_corpus(path, examples, ["p"])
+            loaded, _ = read_corpus(path)
+        assert [ex.tokens for ex in loaded] == [tokenize(ex.text) for ex in loaded]
+        tokens = [tok for ex in loaded for tok in ex.tokens]
+        assert len({id(tok) for tok in tokens}) == len(set(tokens))
+        event_ids = [ex.event_id for ex in loaded]
+        assert len({id(e) for e in event_ids}) == len(set(event_ids))
+        one_of = {tok: tok for tok in tokens}
+        assert all(tok is one_of[tok] for tok in build_vocab(loaded).tokens[2:])
 
     def test_blank_and_whitespace_only_lines_skipped(self, tmp_path):
         path = tmp_path / "c.tsv"
@@ -628,6 +710,22 @@ class TestMakeBatches:
         examples, vocab = self.build(5)
         with pytest.raises(ParameterError, match="batch size"):
             make_batches(examples, vocab, t_x=5, batch_size=batch_size, tasks=("t",))
+
+    @pytest.mark.parametrize(
+        "t_x, batch_size, message",
+        [
+            (2.5, 4, "must be integers, got t_x=2.5"),
+            (True, 4, "must be integers, got t_x=True"),
+            (5, 2.5, "must be integers, got batch_size=2.5"),
+            (-1, 4, "must be at least 1, got t_x=-1"),
+            (0, 4, "must be at least 1, got t_x=0"),
+        ],
+    )
+    def test_bad_sizes_rejected(self, t_x, batch_size, message):
+        # each raised a bare TypeError or a numpy ValueError, or built empty rows
+        examples, vocab = self.build(5)
+        with pytest.raises(ParameterError, match=f"t_x and batch size {message}$"):
+            make_batches(examples, vocab, t_x=t_x, batch_size=batch_size, tasks=("t",))
 
     def test_truncation_to_t_x(self):
         text = " ".join(f"w{i}" for i in range(40))
