@@ -59,6 +59,23 @@ import numpy as np
 
 from .errors import ContractError, DegenerateMaskError, DimensionError, ParameterError
 
+__all__ = [
+    "Tape",
+    "Var",
+    "affine",
+    "attention",
+    "backward",
+    "bilstm",
+    "gather_rows",
+    "gradient_reversal",
+    "masked_mean",
+    "mul",
+    "relu",
+    "softmax_cross_entropy",
+    "split_rows",
+    "weighted_sum",
+]
+
 _STATE = threading.local()
 
 NEG_INF = -1e30  # additive mask constant; exp() underflows to exactly 0
@@ -776,43 +793,3 @@ def _lstm_direction_pullback(g, wh, reverse, off, gates, cand, cells):
         np.matmul(dp, wh, out=dh[:lv])
         np.multiply(dc_t, gf, out=dc[:lv])
     return dpre, h_prev
-
-
-# ---------------------------------------------------------------------------
-# verification
-
-
-def grad_check(f, params, eps=1e-5):
-    """Compare analytic gradients of the scalar function `f` against central
-    finite differences over every entry of `params`.
-
-    Returns the max over entries of |analytic - numeric| / max(1e-8,
-    |analytic| + |numeric|). `f` must be deterministic (dropout off, fixed
-    inputs) and rebuild its graph on every call.
-    """
-    for p in params:
-        p.zero_grad()
-    with Tape() as tape:
-        loss = f()
-        backward(tape, loss)
-    analytic = [p.grad.copy() for p in params]
-    for p in params:
-        p.zero_grad()
-
-    worst = 0.0
-    for p, ga in zip(params, analytic):
-        flat = p.value.reshape(-1)
-        ga_flat = ga.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = float(f().value)
-            flat[i] = orig - eps
-            down = float(f().value)
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * eps)
-            a = ga_flat[i]
-            err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-            if err > worst:
-                worst = err
-    return worst

@@ -1,5 +1,5 @@
 """Corpus ingestion: tokenization, vocabulary, pretrained embeddings,
-label binarization, leave-one-event-out splitting, and batching.
+corpus I/O, leave-one-event-out splitting, and batching.
 
 Corpus files are UTF-8 TSV, with or without a byte-order mark, and a
 header line::
@@ -29,10 +29,26 @@ from .errors import (
     LabelError,
     ParameterError,
     SplitError,
-    require_ints,
+    require_counts,
 )
 from .layers import MODEL_DTYPE, EmbeddingMatrix
 from . import autodiff as ad
+
+__all__ = [
+    "PAD_ID",
+    "UNK_ID",
+    "Batch",
+    "Example",
+    "SplitData",
+    "Vocab",
+    "build_vocab",
+    "leave_one_out_split",
+    "load_embeddings",
+    "make_batches",
+    "read_corpus",
+    "tokenize",
+    "write_corpus",
+]
 
 log = logging.getLogger(__name__)
 
@@ -50,15 +66,6 @@ _PLACEHOLDERS = ("<url>", "<user>")
 EMBEDDING_CHUNK = 256  # in-vocabulary embedding lines parsed per np.loadtxt call
 # np.loadtxt strips these ASCII separators around a number as whitespace; float() rejects them
 _FLOAT_REJECTS = "\x1c\x1d\x1e\x1f"
-
-
-def _require_counts(what, **values):
-    """Raise ParameterError naming each of `values` that is not an integer
-    (`require_ints`) or is below 1."""
-    require_ints(what, **values)
-    bad = [f"{name}={value!r}" for name, value in values.items() if value < 1]
-    if bad:
-        raise ParameterError(f"{what} must be at least 1, got {', '.join(bad)}")
 
 
 def tokenize(text):
@@ -136,9 +143,6 @@ class Vocab:
         index = self.index
         return [index.get(tok, UNK_ID) for tok in tokens[:t_x]]
 
-    def decode(self, ids):
-        return [self.tokens[i] for i in ids if i != PAD_ID]
-
     def sha256(self):
         return hashlib.sha256("\n".join(self.tokens).encode("utf-8")).hexdigest()
 
@@ -147,7 +151,7 @@ def build_vocab(examples, min_freq=1):
     """Frequency-thresholded vocabulary, ordered by (-freq, token) so the
     index assignment is deterministic for a given corpus. A `min_freq`
     that is not an integer of at least 1 raises ParameterError."""
-    _require_counts("min_freq", min_freq=min_freq)
+    require_counts("min_freq", min_freq=min_freq)
     counts = Counter(itertools.chain.from_iterable(ex.tokens for ex in examples))
     kept = sorted(tok for tok, c in counts.items() if c >= min_freq)
     kept.sort(key=counts.__getitem__, reverse=True)  # stable, so ties stay alphabetical
@@ -207,7 +211,7 @@ def load_embeddings(path, vocab, dim, seed=0):
     leading UTF-8 byte-order mark is skipped. A `dim` that is not an
     integer of at least 1 raises ParameterError before the file is opened.
     """
-    _require_counts("embedding dim", dim=dim)
+    require_counts("embedding dim", dim=dim)
     v = len(vocab)
     table = np.zeros((v, dim), dtype=MODEL_DTYPE)
     last_line = {}  # table row -> line number of its last vector
@@ -268,17 +272,6 @@ def load_embeddings(path, vocab, dim, seed=0):
     real_tokens = max(v - 2, 1)
     coverage = matched / real_tokens if v > 2 else 0.0
     return EmbeddingMatrix(table=ad.Var(table), locked=locked, coverage=coverage)
-
-
-_PRIORITY_MAP = {"low": 0, "medium": 1, "high": 1, "critical": 1}
-
-
-def binarize_priority(level):
-    """Collapse the four priority levels onto {0, 1}: only 'low' maps to 0."""
-    try:
-        return _PRIORITY_MAP[level.strip().lower()]
-    except (KeyError, AttributeError):
-        raise LabelError(f"unknown priority level {level!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +465,13 @@ def make_batches(examples, vocab, t_x, batch_size=32, rng=None, *, tasks, domain
     when `domains` maps event ids to domain indices (a split's
     `domain_index`), `Batch.domain`: each row's ``domains[ex.event_id]``.
     An event outside `domains` raises ContractError naming it. A `t_x` or
-    `batch_size` that is not an integer of at least 1 raises ParameterError.
+    `batch_size` that is not an integer of at least 1, or a bare string for
+    `tasks`, raises ParameterError.
     """
-    _require_counts("t_x and batch size", t_x=t_x, batch_size=batch_size)
+    require_counts("t_x and batch size", t_x=t_x, batch_size=batch_size)
+    if isinstance(tasks, str):
+        raise ParameterError(f"tasks must be a sequence of task names, got {tasks!r}")
+    tasks = tuple(tasks)  # read once per batch: a one-shot iterator would label only the first
     order = np.arange(len(examples))
     if rng is not None:
         order = rng.permutation(len(examples))

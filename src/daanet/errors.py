@@ -3,11 +3,25 @@
 Kept in one place so that a command-line front end can map them onto exit
 codes (usage=1, data/parse=2, numerical abort=3). The package has no such
 front end yet: the map waits for the CLI of ROADMAP item 6. The argument
-checks that raise ParameterError for a value of the wrong kind live here
-too, so that every module can use them.
+checks that raise ParameterError for a value of the wrong kind, or for a
+count below 1, live here too, so that every module can use them.
 """
 
 import numbers
+
+__all__ = [
+    "ContractError",
+    "DataError",
+    "DegenerateMaskError",
+    "DimensionError",
+    "LabelError",
+    "NumericalAbort",
+    "ParameterError",
+    "SplitError",
+    "require_counts",
+    "require_ints",
+    "require_reals",
+]
 
 
 class DimensionError(ValueError):
@@ -81,6 +95,15 @@ def require_ints(what, **values):
     (a bool is not one), so that a size or seed fails here and not later
     inside numpy."""
     _require_numbers(numbers.Integral, "integers", what, values)
+
+
+def require_counts(what, **values):
+    """Raise ParameterError naming each of `values` that is not an integer
+    (`require_ints`) or is below 1."""
+    require_ints(what, **values)
+    bad = [f"{name}={value!r}" for name, value in values.items() if value < 1]
+    if bad:
+        raise ParameterError(f"{what} must be at least 1, got {', '.join(bad)}")
 
 
 def require_reals(what, **values):

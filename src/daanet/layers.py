@@ -31,8 +31,27 @@ import numpy as np
 from . import autodiff as ad
 from .errors import DimensionError, ParameterError
 
+__all__ = [
+    "MODEL_DTYPE",
+    "AttentionHeadParams",
+    "BiLstmParams",
+    "DenseParams",
+    "EmbeddingMatrix",
+    "LstmParams",
+    "attention_head",
+    "bilstm",
+    "dense",
+    "dropout",
+    "embed",
+    "init_attention",
+    "init_bilstm",
+    "init_dense",
+    "random_embedding",
+]
+
 MODEL_DTYPE = np.float32  # every model parameter, so the model computes in float32
 RECURRENT_INIT_SCALE = 0.08
+EMBEDDING_INIT_SCALE = 0.25  # half-width of a fresh embedding row's uniform draw
 
 
 def uniform_init(rng, shape, scale=RECURRENT_INIT_SCALE):
@@ -82,11 +101,12 @@ class EmbeddingMatrix:
         return (~self.locked).astype(np.float64)
 
 
-def random_embedding(vocab_size, dim, rng, scale=0.25):
-    """Fresh tunable embedding table; pad row 0 is zero and locked, and the
-    reserved unknown-token row 1 starts at zero (tunable) so out-of-vocabulary
+def random_embedding(vocab_size, dim, rng):
+    """Fresh tunable embedding table drawn from uniform(-EMBEDDING_INIT_SCALE,
+    EMBEDDING_INIT_SCALE); pad row 0 is zero and locked, and the reserved
+    unknown-token row 1 starts at zero (tunable) so out-of-vocabulary
     tokens are neutral rather than a random direction."""
-    table = uniform_init(rng, (vocab_size, dim), scale)
+    table = uniform_init(rng, (vocab_size, dim), EMBEDDING_INIT_SCALE)
     table[0] = 0.0
     if vocab_size > 1:
         table[1] = 0.0

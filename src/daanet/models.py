@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -56,6 +57,23 @@ from .layers import (
     init_dense,
     random_embedding,
 )
+
+__all__ = [
+    "ARCHIVE_FORMAT",
+    "DomainBranch",
+    "ForwardResult",
+    "ModelSpec",
+    "ParamSlot",
+    "TaskHead",
+    "TrainedModel",
+    "bce_loss",
+    "build_model",
+    "covid_relevance",
+    "domain_cce_loss",
+    "load_model",
+    "mt_daan_loss",
+    "save_model",
+]
 
 ARCHIVE_FORMAT = 4  # 4: float32 parameters
 
@@ -392,39 +410,46 @@ def _require(entries, names, what, path):
 
 
 def load_model(path):
-    """Rebuild a model from a `save_model` archive; a malformed archive,
-    including one whose parameters are not float32, raises DataError
-    naming the path."""
-    with np.load(path, allow_pickle=False) as archive:
-        _require(
-            archive.files, ("meta.json", "embedding.locked", "param/embedding.table"), "archive", path
-        )
+    """Rebuild a model from a `save_model` archive. A file that is not a
+    readable .npz archive, and a malformed archive, including one whose
+    parameters are not float32, raise DataError naming the path."""
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        # ValueError: neither zip nor .npy, and np.load does not unpickle
+        raise DataError(f"not a model archive: {exc}", path=str(path)) from None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise DataError("not a model archive: the file holds one .npy array", path=str(path))
+    with archive:
         try:
-            meta = json.loads(str(archive["meta.json"]))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"corrupt meta.json: {exc}", path=str(path)) from None
-        if not isinstance(meta, dict) or not isinstance(meta.get("spec", {}), dict):
-            raise DataError("meta.json and its spec must be JSON objects", path=str(path))
-        if meta.get("format") != ARCHIVE_FORMAT:
-            raise DataError(f"unsupported archive format {meta.get('format')}", path=str(path))
-        _require(meta, ("spec", "vocab_tokens", "vocab_sha256"), "meta.json", path)
-        spec_dict = meta["spec"]
-        _require(spec_dict, ("task_names", "w_tasks"), "model spec", path)
-        try:
-            spec_dict["task_names"] = tuple(spec_dict["task_names"])
-            spec_dict["w_tasks"] = tuple(spec_dict["w_tasks"])
-            spec = ModelSpec(**spec_dict)
-        except (TypeError, ValueError) as exc:  # ValueError includes ParameterError
-            raise DataError(f"bad model spec: {exc}", path=str(path)) from None
-        vocab = Vocab(meta["vocab_tokens"])
-        if vocab.sha256() != meta["vocab_sha256"]:
-            raise DataError("vocabulary hash mismatch in archive", path=str(path))
-        params = {
-            name[len("param/") :]: archive[name]
-            for name in archive.files
-            if name.startswith("param/")
-        }
-        locked = archive["embedding.locked"].astype(bool)
+            members = {name: archive[name] for name in archive.files}
+        except (ValueError, zipfile.BadZipFile) as exc:
+            raise DataError(f"unreadable archive member: {exc}", path=str(path)) from None
+    _require(members, ("meta.json", "embedding.locked", "param/embedding.table"), "archive", path)
+    try:
+        meta = json.loads(str(members["meta.json"]))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"corrupt meta.json: {exc}", path=str(path)) from None
+    if not isinstance(meta, dict) or not isinstance(meta.get("spec", {}), dict):
+        raise DataError("meta.json and its spec must be JSON objects", path=str(path))
+    if meta.get("format") != ARCHIVE_FORMAT:
+        raise DataError(f"unsupported archive format {meta.get('format')}", path=str(path))
+    _require(meta, ("spec", "vocab_tokens", "vocab_sha256"), "meta.json", path)
+    spec_dict = meta["spec"]
+    _require(spec_dict, ("task_names", "w_tasks"), "model spec", path)
+    try:
+        spec_dict["task_names"] = tuple(spec_dict["task_names"])
+        spec_dict["w_tasks"] = tuple(spec_dict["w_tasks"])
+        spec = ModelSpec(**spec_dict)
+    except (TypeError, ValueError) as exc:  # ValueError includes ParameterError
+        raise DataError(f"bad model spec: {exc}", path=str(path)) from None
+    vocab = Vocab(meta["vocab_tokens"])
+    if vocab.sha256() != meta["vocab_sha256"]:
+        raise DataError("vocabulary hash mismatch in archive", path=str(path))
+    params = {
+        name[len("param/") :]: value for name, value in members.items() if name.startswith("param/")
+    }
+    locked = members["embedding.locked"].astype(bool)
 
     try:
         embedding = EmbeddingMatrix(table=ad.Var(params.pop("embedding.table")), locked=locked)

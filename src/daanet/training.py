@@ -16,10 +16,26 @@ from .errors import (
     DimensionError,
     NumericalAbort,
     ParameterError,
+    require_counts,
     require_ints,
     require_reals,
 )
 from .models import _forward, bce_loss, domain_cce_loss, mt_daan_loss
+
+__all__ = [
+    "Adam",
+    "EarlyStopper",
+    "History",
+    "Metrics",
+    "TaskMetrics",
+    "TrainConfig",
+    "binary_f1",
+    "domain_discriminator_accuracy",
+    "evaluate",
+    "lr_baseline",
+    "stratified_val_split",
+    "train",
+]
 
 log = logging.getLogger(__name__)
 
@@ -416,12 +432,6 @@ class TaskMetrics:
 class Metrics:
     per_task: dict  # task -> TaskMetrics
 
-    def task(self, name):
-        return self.per_task[name]
-
-    def mean_accuracy(self):
-        return float(np.mean([tm.accuracy for tm in self.per_task.values()]))
-
     def mean_f1(self):
         return float(np.mean([tm.f1 for tm in self.per_task.values()]))
 
@@ -443,6 +453,16 @@ def binary_f1(y_true, y_pred):
     return 2 * precision * recall / (precision + recall), False
 
 
+def _task_metrics(task, y_true, y_pred):
+    """Accuracy (0.0 with no example) and F1 of one task's int label and
+    prediction arrays; a degenerate F1 is logged."""
+    acc = float(np.mean(y_true == y_pred)) if y_true.size else 0.0
+    f1, degenerate = binary_f1(y_true, y_pred)
+    if degenerate:
+        log.warning("degenerate F1 for task %r (no positives predicted or present)", task)
+    return TaskMetrics(accuracy=acc, f1=float(f1), n=int(y_true.size), degenerate=degenerate)
+
+
 def evaluate(model, examples, batch_size=256):
     """Accuracy and F1 per task, over the examples where that task is
     labeled; an example is predicted positive when its positive-class logit
@@ -462,17 +482,11 @@ def evaluate(model, examples, batch_size=256):
             z = out.task_logits[k].value[keep]
             preds[task].extend((z[:, 1] >= z[:, 0]).astype(int))
             truths[task].extend(y[keep].astype(int))
-    per_task = {}
-    for task in spec.task_names:
-        y_true = np.array(truths[task], dtype=int)
-        y_pred = np.array(preds[task], dtype=int)
-        if y_true.size == 0:
-            continue
-        acc = float(np.mean(y_true == y_pred))
-        f1, degenerate = binary_f1(y_true, y_pred)
-        if degenerate:
-            log.warning("degenerate F1 for task %r (no positives predicted or present)", task)
-        per_task[task] = TaskMetrics(accuracy=acc, f1=float(f1), n=int(y_true.size), degenerate=degenerate)
+    per_task = {
+        task: _task_metrics(task, np.array(truths[task]), np.array(preds[task]))
+        for task in spec.task_names
+        if truths[task]
+    }
     if not per_task:
         raise ContractError("no example carries a label for any of the model's tasks")
     return Metrics(per_task=per_task)
@@ -520,7 +534,9 @@ def mean_embedding_features(examples, vocab, embedding, t_x):
 def lr_baseline(train_examples, test_examples, vocab, embedding, task, t_x):
     """Binary logistic regression over mean token embeddings, trained by
     full-batch gradient descent (step `LR_STEP`) until the loss moves less
-    than `LR_TOL`, for at most `LR_MAX_EPOCHS` steps."""
+    than `LR_TOL`, for at most `LR_MAX_EPOCHS` steps. A `t_x` that is not
+    an integer of at least 1 raises ParameterError."""
+    require_counts("t_x", t_x=t_x)
     train_examples = [ex for ex in train_examples if task in ex.labels]
     test_examples = [ex for ex in test_examples if task in ex.labels]
     if not train_examples:
@@ -545,10 +561,4 @@ def lr_baseline(train_examples, test_examples, vocab, embedding, task, t_x):
     xt = mean_embedding_features(test_examples, vocab, embedding, t_x)
     y_true = np.array([ex.labels[task] for ex in test_examples], dtype=int)
     y_pred = ((xt @ w + b) >= 0.0).astype(int)
-    acc = float(np.mean(y_true == y_pred)) if y_true.size else 0.0
-    f1, degenerate = binary_f1(y_true, y_pred)
-    if degenerate:
-        log.warning("degenerate F1 for LR baseline on task %r", task)
-    return Metrics(
-        per_task={task: TaskMetrics(accuracy=acc, f1=float(f1), n=int(y_true.size), degenerate=degenerate)}
-    )
+    return Metrics(per_task={task: _task_metrics(task, y_true, y_pred)})

@@ -1,11 +1,9 @@
-import ast
 import math
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import asum
+from conftest import asum, grad_check, names_taken_from, package_trees
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -255,7 +253,7 @@ class TestGradCheck:
     def test_linear_function_is_exact(self):
         w = ad.Var(np.array([1.0, -2.0, 3.0]))
         c = np.array([0.5, 1.5, -0.25])
-        err = ad.grad_check(lambda: asum(ad.mul(w, c)), [w])
+        err = grad_check(lambda: asum(ad.mul(w, c)), [w])
         assert err < 1e-10
 
     def test_small_composite(self):
@@ -268,7 +266,7 @@ class TestGradCheck:
         def f():
             return asum(ad.mul(ad.relu(ad.affine(x, w, b)), c))
 
-        assert ad.grad_check(f, [w, b]) < 1e-6
+        assert grad_check(f, [w, b]) < 1e-6
 
     def test_corrupted_backward_rule_is_caught(self):
         w = ad.Var(np.array([0.7, -0.2]))
@@ -281,7 +279,7 @@ class TestGradCheck:
                 t.record(out, (v,), lambda g: v.add_grad(g * 3.0 * v.value))
             return out
 
-        err = ad.grad_check(lambda: asum(bad_square(w)), [w])
+        err = grad_check(lambda: asum(bad_square(w)), [w])
         assert err > 1e-2
 
 
@@ -772,38 +770,23 @@ def test_every_op_passes_grad_check_on_random_shapes():
     }
     for name, f in cases.items():
         params = [a, b, acts, seq, lstm_rows, lstm_w, lstm_b, lstm_w_rev, lstm_b_rev]
-        err = ad.grad_check(f, params + [aff_w, aff_b, att_w, att_b, att_v])
+        err = grad_check(f, params + [aff_w, aff_b, att_w, att_b, att_v])
         assert err < 1e-4, f"{name}: grad check error {err}"
 
 
 # Called from the package without a model path needing them.
-OP_SET_EXEMPT = {"Var", "Tape", "backward", "scratch", "grad_check"}
+OP_SET_EXEMPT = {"Var", "Tape", "backward", "scratch"}
 
 
 def test_every_op_is_used_by_the_package():
     # autodiff holds the model's op set: an op no module of the package
     # uses is a general-purpose op to delete, not to keep
-    package = Path(ad.__file__).parent
     ops = {
         name
         for name, obj in vars(ad).items()
         if callable(obj) and not name.startswith("_") and obj.__module__ == ad.__name__
     }
-    used = set()
-    for path in package.glob("*.py"):
-        if path == Path(ad.__file__):
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        aliases = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
-                used |= {alias.name for alias in node.names}
-            elif isinstance(node, ast.ImportFrom):
-                aliases |= {a.asname or a.name for a in node.names if a.name == "autodiff"}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                if node.value.id in aliases:
-                    used.add(node.attr)
+    used = names_taken_from("autodiff", package_trees())
     assert sorted(ops - OP_SET_EXEMPT - used) == []
 
 

@@ -13,7 +13,6 @@ from daanet import data
 from daanet.data import (
     Example,
     Vocab,
-    binarize_priority,
     build_vocab,
     leave_one_out_split,
     load_embeddings,
@@ -428,19 +427,6 @@ class TestLoadEmbeddings:
             load_embeddings(tmp_path / "missing.txt", Vocab(["storm"]), dim=dim)
 
 
-class TestBinarizePriority:
-    def test_mapping(self):
-        assert binarize_priority("low") == 0
-        assert binarize_priority("medium") == 1
-        assert binarize_priority("high") == 1
-        assert binarize_priority("critical") == 1
-        assert binarize_priority("Critical") == 1
-
-    def test_unknown_rejected(self):
-        with pytest.raises(LabelError):
-            binarize_priority("urgent")
-
-
 class TestCorpusIO:
     def test_round_trip(self, tmp_path):
         examples = [
@@ -727,6 +713,18 @@ class TestMakeBatches:
         with pytest.raises(ParameterError, match=f"t_x and batch size {message}$"):
             make_batches(examples, vocab, t_x=t_x, batch_size=batch_size, tasks=("t",))
 
+    def test_bare_string_tasks_rejected(self):
+        # "t0" read as the tasks "t" and "0" left every label absent
+        examples, vocab = self.build(5)
+        with pytest.raises(ParameterError, match="tasks must be a sequence"):
+            make_batches(examples, vocab, t_x=5, tasks="t0")
+
+    def test_tasks_from_an_iterator_label_every_batch(self):
+        # a generator of task names was used up by the first batch
+        examples, vocab = self.build(10)
+        batches = make_batches(examples, vocab, t_x=5, batch_size=4, tasks=iter(["t"]))
+        assert [sorted(b.labels) for b in batches] == [["t"]] * 3
+
     def test_truncation_to_t_x(self):
         text = " ".join(f"w{i}" for i in range(40))
         examples = [ex("e", text, {"t": 1})]
@@ -739,7 +737,7 @@ class TestMakeBatches:
         examples, vocab = self.build(6)
         batches = make_batches(examples, vocab, t_x=5, batch_size=8, tasks=("t",))
         for row, example in zip(batches[0].ids, examples):
-            decoded = vocab.decode(row)
+            decoded = [vocab.tokens[i] for i in row if i != data.PAD_ID]
             assert decoded == example.tokens[:5]
 
     def test_ids_below_vocab_size_and_padding(self):

