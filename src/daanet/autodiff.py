@@ -43,7 +43,8 @@ Scratch rule: without a tape, memory that never leaves a call is reused
 by later calls instead of being allocated afresh, so that a stream of
 same-sized evaluation batches stops faulting new pages in. `scratch` hands
 out these buffers: the step buffers, input projections and projection
-block of `bilstm`. They are kept per thread, so concurrent callers in
+block of `bilstm`, and the scorer's hidden layer of `attention`
+("attention.hidden"). They are kept per thread, so concurrent callers in
 different threads never share one; nothing an op or a model function
 returns aliases them; and entering a `Tape` drops them, so a training step
 never holds a no-tape pass's memory on top of its own. While a tape is
@@ -333,6 +334,9 @@ def relu(x):
 # attention and losses
 
 
+ATTENTION_BLOCK = 1024  # scorer rows per GEMM
+
+
 def attention(acts, mask, w, b, v):
     """One attention head over [N x T x D] activations, recorded as a single
     node: each position scores v . tanh(W a_t + b), for w [s x D], b [s] and
@@ -345,6 +349,11 @@ def attention(acts, mask, w, b, v):
     the scores send them any gradient. A mask entry other than 0 or 1
     raises `ContractError`, and a row that keeps no position raises
     `DegenerateMaskError`.
+
+    The scorer's hidden layer tanh(W a + b) over all N·T positions is
+    `scratch`, formed by GEMMs of `ATTENTION_BLOCK` rows each, so a large
+    evaluation batch neither allocates it afresh nor runs one GEMM over
+    every position at once.
     """
     xv, wv, bv, vv = acts.value, w.value, b.value, v.value
     fits = xv.ndim == 3 and wv.ndim == 2 and xv.shape[2] == wv.shape[1]
@@ -362,7 +371,13 @@ def attention(acts, mask, w, b, v):
     if np.any(mv.sum(axis=-1) == 0):
         raise DegenerateMaskError("mask keeps no position in at least one row")
     flat = xv.reshape(n * t_x, dim)
-    hidden = np.tanh(flat @ wv.T + bv)
+    # tanh(flat @ w.T + b), in place, one ATTENTION_BLOCK of rows at a time
+    hidden = scratch("attention.hidden", (n * t_x, wv.shape[0]), np.result_type(xv, wv, bv))
+    for r0 in range(0, n * t_x, ATTENTION_BLOCK):
+        block = hidden[r0 : r0 + ATTENTION_BLOCK]
+        np.matmul(flat[r0 : r0 + ATTENTION_BLOCK], wv.T, out=block)
+        block += bv
+        np.tanh(block, out=block)
     scores = (hidden @ vv).reshape(n, t_x)
     # (mv - 1) is 0 on kept positions and -1 on masked ones, so masked scores
     # drop to NEG_INF before normalization.

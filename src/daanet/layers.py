@@ -43,10 +43,9 @@ __all__ = [
     "dense",
     "dropout",
     "embed",
-    "init_attention",
-    "init_bilstm",
-    "init_dense",
+    "glorot_init",
     "random_embedding",
+    "uniform_init",
 ]
 
 MODEL_DTYPE = np.float32  # every model parameter, so the model computes in float32
@@ -58,9 +57,12 @@ def uniform_init(rng, shape, scale=RECURRENT_INIT_SCALE):
     return rng.uniform(-scale, scale, size=shape).astype(MODEL_DTYPE)
 
 
-def glorot_init(rng, n_out, n_in):
+def glorot_init(rng, shape):
+    """Glorot-uniform draw of an [out x in] weight; a vector [s] is drawn
+    as one row [1 x s]."""
+    n_out, n_in = shape if len(shape) == 2 else (1, *shape)
     limit = np.sqrt(6.0 / (n_in + n_out))
-    return rng.uniform(-limit, limit, size=(n_out, n_in)).astype(MODEL_DTYPE)
+    return rng.uniform(-limit, limit, size=shape).astype(MODEL_DTYPE)
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +82,10 @@ class EmbeddingMatrix:
     coverage: float | None = None
 
     def __post_init__(self):
+        if self.table.value.ndim != 2:
+            raise DimensionError(
+                f"embedding table must be [rows x d], got shape {self.table.value.shape}"
+            )
         self.locked = np.asarray(self.locked, dtype=bool)
         if self.locked.shape != (self.table.value.shape[0],):
             raise DimensionError(
@@ -163,20 +169,6 @@ class BiLstmParams:
         return self.fwd.variables(f"{prefix}.fwd") + self.bwd.variables(f"{prefix}.bwd")
 
 
-def init_lstm_cell(rng, input_dim, hidden):
-    return LstmParams(
-        w=ad.Var(uniform_init(rng, (4 * hidden, input_dim + hidden))),
-        b=ad.Var(np.zeros(4 * hidden, MODEL_DTYPE)),
-    )
-
-
-def init_bilstm(rng, input_dim, hidden):
-    return BiLstmParams(
-        fwd=init_lstm_cell(rng, input_dim, hidden),
-        bwd=init_lstm_cell(rng, input_dim, hidden),
-    )
-
-
 def bilstm(params, x, mask):
     """Run both directions over the [N x T] positions of `x` as one node
     and return per-position concatenated states [N x T x 2h], forward half
@@ -208,14 +200,6 @@ class AttentionHeadParams:
         return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b), (f"{prefix}.v", self.v)]
 
 
-def init_attention(rng, act_dim, score_dim):
-    return AttentionHeadParams(
-        w=ad.Var(glorot_init(rng, score_dim, act_dim)),
-        b=ad.Var(np.zeros(score_dim, MODEL_DTYPE)),
-        v=ad.Var(glorot_init(rng, 1, score_dim)[0]),
-    )
-
-
 def attention_head(params, acts, mask):
     """Score positions of [N x T x 2h] activations, normalize with the
     [N x T] padding mask, and reduce, as one `autodiff.attention` node.
@@ -237,12 +221,6 @@ class DenseParams:
 
     def variables(self, prefix="dense"):
         return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
-
-
-def init_dense(rng, n_in, n_out):
-    return DenseParams(
-        w=ad.Var(glorot_init(rng, n_out, n_in)), b=ad.Var(np.zeros(n_out, MODEL_DTYPE))
-    )
 
 
 def dense(params, x, activation=None):

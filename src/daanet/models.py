@@ -46,16 +46,16 @@ from .layers import (
     BiLstmParams,
     DenseParams,
     EmbeddingMatrix,
+    LstmParams,
     MODEL_DTYPE,
     attention_head,
     bilstm,
     dense,
     dropout,
     embed,
-    init_attention,
-    init_bilstm,
-    init_dense,
+    glorot_init,
     random_embedding,
+    uniform_init,
 )
 
 __all__ = [
@@ -218,39 +218,88 @@ class TrainedModel:
         return slots
 
 
-def build_model(spec, vocab, embedding=None, seed=0):
-    """Initialize a model. Components draw from independent seed streams so
-    e.g. adding a domain branch does not shift task-head initialization."""
-    if embedding is None:
-        emb_rng = np.random.default_rng([seed, 0])
-        embedding = random_embedding(len(vocab), spec.d, emb_rng)
+def _check_embedding(spec, vocab, embedding):
+    """An embedding must have one row per vocabulary entry and d columns."""
     if embedding.dim != spec.d:
         raise DimensionError(f"embedding dim {embedding.dim} does not match spec d={spec.d}")
     if embedding.vocab_size != len(vocab):
         raise DimensionError(
             f"embedding rows {embedding.vocab_size} do not match vocab size {len(vocab)}"
         )
-    encoder = init_bilstm(np.random.default_rng([seed, 1]), spec.d, spec.h)
+
+
+def _assemble(spec, vocab, embedding, fill):
+    """The model for `spec` around `embedding`, with every other parameter
+    laid out by its `ParamSlot` name and shape.
+
+    Each array comes from `fill(name, shape, stream, init)`, called in
+    `TrainedModel.parameters()` order. `stream` is the component's seed
+    stream (1 for the encoder, 10 + k for head k, 1000 for the domain
+    branch), and `init` says how a fresh array is drawn: `init(rng, shape)`,
+    or None for zeros. `build_model` draws by them; `load_model` reads the
+    archive and ignores them.
+    """
+    d, h, two_h = spec.d, spec.h, 2 * spec.h
+
+    def param(name, shape, stream, init=None):
+        return ad.Var(fill(name, shape, stream, init))
+
+    def lstm(prefix):
+        return LstmParams(
+            w=param(f"{prefix}.w", (4 * h, d + h), 1, uniform_init),
+            b=param(f"{prefix}.b", (4 * h,), 1),
+        )
+
+    def dense_params(prefix, n_in, n_out, stream):
+        return DenseParams(
+            w=param(f"{prefix}.w", (n_out, n_in), stream, glorot_init),
+            b=param(f"{prefix}.b", (n_out,), stream),
+        )
+
+    encoder = BiLstmParams(fwd=lstm("encoder.fwd"), bwd=lstm("encoder.bwd"))
     heads = []
     for k in range(spec.m):
-        rng = np.random.default_rng([seed, 10 + k])
+        stream, s = 10 + k, spec.attn_size
+        attention = AttentionHeadParams(
+            w=param(f"head{k}.attn.w", (s, two_h), stream, glorot_init),
+            b=param(f"head{k}.attn.b", (s,), stream),
+            v=param(f"head{k}.attn.v", (s,), stream, glorot_init),
+        )
         heads.append(
             TaskHead(
-                attention=init_attention(rng, 2 * spec.h, spec.attn_size),
-                hidden=init_dense(rng, 2 * spec.h, spec.head_hidden),
-                out=init_dense(rng, spec.head_hidden, 2),
+                attention=attention,
+                hidden=dense_params(f"head{k}.hidden", two_h, spec.head_hidden, stream),
+                out=dense_params(f"head{k}.out", spec.head_hidden, 2, stream),
             )
         )
     domain = None
     if spec.adversarial:
-        rng = np.random.default_rng([seed, 1000])
         domain = DomainBranch(
-            hidden=init_dense(rng, 2 * spec.h, spec.domain_hidden),
-            out=init_dense(rng, spec.domain_hidden, spec.n_domains),
+            hidden=dense_params("domain.hidden", two_h, spec.domain_hidden, 1000),
+            out=dense_params("domain.out", spec.domain_hidden, spec.n_domains, 1000),
         )
     return TrainedModel(
         spec=spec, vocab=vocab, embedding=embedding, encoder=encoder, heads=heads, domain=domain
     )
+
+
+def build_model(spec, vocab, embedding=None, seed=0):
+    """Initialize a model. Components draw from independent seed streams
+    (`[seed, 0]` for a fresh embedding, then the streams of `_assemble`),
+    so e.g. adding a domain branch does not shift task-head initialization."""
+    if embedding is None:
+        embedding = random_embedding(len(vocab), spec.d, np.random.default_rng([seed, 0]))
+    _check_embedding(spec, vocab, embedding)
+    rngs = {}
+
+    def draw(name, shape, stream, init):
+        if init is None:
+            return np.zeros(shape, MODEL_DTYPE)
+        if stream not in rngs:
+            rngs[stream] = np.random.default_rng([seed, stream])
+        return init(rngs[stream], shape)
+
+    return _assemble(spec, vocab, embedding, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +459,14 @@ def _require(entries, names, what, path):
 
 
 def load_model(path):
-    """Rebuild a model from a `save_model` archive. A file that is not a
-    readable .npz archive, and a malformed archive, including one whose
-    parameters are not float32, raise DataError naming the path."""
+    """Rebuild a model from a `save_model` archive.
+
+    The model is assembled from the archive's arrays alone, laid out as
+    `build_model` lays it out, and nothing is drawn. A file that is not a
+    readable .npz archive, and a malformed archive, raise DataError naming
+    the path: a missing, misshapen or unexpected parameter, one that is
+    not float32, a vocabulary that is not a list of distinct strings, or an
+    embedding that does not fit the spec."""
     try:
         archive = np.load(path, allow_pickle=False)
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
@@ -443,36 +497,44 @@ def load_model(path):
         spec = ModelSpec(**spec_dict)
     except (TypeError, ValueError) as exc:  # ValueError includes ParameterError
         raise DataError(f"bad model spec: {exc}", path=str(path)) from None
-    vocab = Vocab(meta["vocab_tokens"])
+    tokens = meta["vocab_tokens"]
+    if not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens):
+        raise DataError("vocab_tokens must be a list of strings", path=str(path))
+    try:
+        vocab = Vocab(tokens)
+    except DataError as exc:  # duplicate tokens
+        raise DataError(str(exc), path=str(path)) from None
     if vocab.sha256() != meta["vocab_sha256"]:
         raise DataError("vocabulary hash mismatch in archive", path=str(path))
     params = {
         name[len("param/") :]: value for name, value in members.items() if name.startswith("param/")
     }
-    locked = members["embedding.locked"].astype(bool)
 
-    try:
-        embedding = EmbeddingMatrix(table=ad.Var(params.pop("embedding.table")), locked=locked)
-        model = build_model(spec, vocab, embedding=embedding, seed=0)
-    except DimensionError as exc:
-        raise DataError(f"embedding does not fit the model: {exc}", path=str(path)) from None
-    for slot in model.parameters():
-        placed = slot.name == "embedding.table"  # build_model took it from the archive
-        value = slot.var.value if placed else params.pop(slot.name, None)
+    def read(name, shape, _stream=None, _init=None):
+        value = params.pop(name, None)
         if value is None:
-            raise DataError(f"archive is missing parameter {slot.name}", path=str(path))
-        if value.shape != slot.var.value.shape:
+            raise DataError(f"archive is missing parameter {name}", path=str(path))
+        if value.shape != shape:
             raise DataError(
-                f"parameter {slot.name} has shape {value.shape}, "
-                f"expected {slot.var.value.shape}",
-                path=str(path),
+                f"parameter {name} has shape {value.shape}, expected {shape}", path=str(path)
             )
         if value.dtype != MODEL_DTYPE:
             raise DataError(
-                f"parameter {slot.name} is {value.dtype}, expected {np.dtype(MODEL_DTYPE)}",
+                f"parameter {name} is {value.dtype}, expected {np.dtype(MODEL_DTYPE)}",
                 path=str(path),
             )
-        slot.var.value = value
+        return value
+
+    table = params["embedding.table"]
+    try:
+        embedding = EmbeddingMatrix(
+            table=ad.Var(table), locked=members["embedding.locked"].astype(bool)
+        )
+        _check_embedding(spec, vocab, embedding)
+    except DimensionError as exc:
+        raise DataError(f"embedding does not fit the model: {exc}", path=str(path)) from None
+    read("embedding.table", table.shape)  # the fit is checked; this checks the dtype
+    model = _assemble(spec, vocab, embedding, read)
     if params:
         raise DataError(f"archive has unexpected parameters {sorted(params)}", path=str(path))
     return model

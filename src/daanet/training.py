@@ -467,25 +467,38 @@ def evaluate(model, examples, batch_size=256):
     """Accuracy and F1 per task, over the examples where that task is
     labeled; an example is predicted positive when its positive-class logit
     is at least its negative-class one (probability >= 0.5). Examples that
-    label none of the model's tasks raise `ContractError`."""
+    label none of the model's tasks raise `ContractError`, and a
+    `batch_size` that is not an integer of at least 1 raises
+    ParameterError.
+
+    It streams: each slice of `batch_size` examples is batched and run
+    before the next is read, so one batch is held at a time."""
+    require_counts("batch size", batch_size=batch_size)
     spec = model.spec
-    batches = make_batches(
-        examples, model.vocab, spec.t_x, batch_size, rng=None, tasks=spec.task_names
-    )
     preds = {t: [] for t in spec.task_names}
     truths = {t: [] for t in spec.task_names}
-    for batch in batches:
+    for start in range(0, len(examples), batch_size):
+        (batch,) = make_batches(
+            examples[start : start + batch_size],
+            model.vocab,
+            spec.t_x,
+            batch_size,
+            rng=None,
+            tasks=spec.task_names,
+        )
         out = _forward(model, batch.ids, batch.mask)
         for k, task in enumerate(spec.task_names):
             y, present = batch.labels[task]
             keep = present > 0
             z = out.task_logits[k].value[keep]
-            preds[task].extend((z[:, 1] >= z[:, 0]).astype(int))
-            truths[task].extend(y[keep].astype(int))
+            preds[task].append(z[:, 1] >= z[:, 0])
+            truths[task].append(y[keep])
     per_task = {
-        task: _task_metrics(task, np.array(truths[task]), np.array(preds[task]))
+        task: _task_metrics(
+            task, np.concatenate(truths[task]).astype(int), np.concatenate(preds[task]).astype(int)
+        )
         for task in spec.task_names
-        if truths[task]
+        if sum(map(len, truths[task]))
     }
     if not per_task:
         raise ContractError("no example carries a label for any of the model's tasks")

@@ -1,6 +1,7 @@
-"""Helpers shared by the tests: micro models and batches, the gradient
-check and the models it runs on, a corpus for the logistic-regression
-baseline, and the parsed package for the structure tests."""
+"""Helpers shared by the tests: layer parameters, micro models and
+batches, the gradient check and the models it runs on, a corpus for the
+logistic-regression baseline, and the parsed package for the structure
+tests."""
 
 import ast
 from pathlib import Path
@@ -10,7 +11,16 @@ import pytest
 
 from daanet import autodiff as ad
 from daanet.data import Batch, Example, Vocab, tokenize
-from daanet.layers import MODEL_DTYPE, EmbeddingMatrix
+from daanet.layers import (
+    MODEL_DTYPE,
+    AttentionHeadParams,
+    BiLstmParams,
+    DenseParams,
+    EmbeddingMatrix,
+    LstmParams,
+    glorot_init,
+    uniform_init,
+)
 from daanet.models import ModelSpec, build_model, mt_daan_loss
 from daanet.training import _batch_losses
 
@@ -35,6 +45,35 @@ def asum(x):
     if tape is not None:
         tape.record(out, (x,), lambda g: x.add_grad(np.broadcast_to(g, x.value.shape)))
     return out
+
+
+def init_bilstm(rng, input_dim, hidden):
+    """Encoder parameters drawn from `rng` as `build_model` draws them:
+    each direction's stacked gate weights uniform, its biases zero."""
+
+    def direction():
+        return LstmParams(
+            w=ad.Var(uniform_init(rng, (4 * hidden, input_dim + hidden))),
+            b=ad.Var(np.zeros(4 * hidden, MODEL_DTYPE)),
+        )
+
+    return BiLstmParams(fwd=direction(), bwd=direction())
+
+
+def init_attention(rng, act_dim, score_dim):
+    """Attention scorer parameters drawn from `rng` as `build_model` draws them."""
+    return AttentionHeadParams(
+        w=ad.Var(glorot_init(rng, (score_dim, act_dim))),
+        b=ad.Var(np.zeros(score_dim, MODEL_DTYPE)),
+        v=ad.Var(glorot_init(rng, (score_dim,))),
+    )
+
+
+def init_dense(rng, n_in, n_out):
+    """Dense-layer parameters drawn from `rng` as `build_model` draws them."""
+    return DenseParams(
+        w=ad.Var(glorot_init(rng, (n_out, n_in))), b=ad.Var(np.zeros(n_out, MODEL_DTYPE))
+    )
 
 
 def micro_spec(m=1, adversarial=False, n_domains=0, dropout=0.0, lam=1.0, w_domain=0.25):

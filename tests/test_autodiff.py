@@ -703,6 +703,50 @@ class TestScratch:
         assert np.array_equal(first, kept)
         assert not np.array_equal(first, second)
 
+    def test_attention_outputs_do_not_alias_scratch(self):
+        acts, w, b, v = attention_operands(n=2, t_x=4, dim=3, s=2, seed=5)
+        mask = np.ones((2, 4))
+        context, alpha = ad.attention(acts, mask, w, b, v)
+        kept = context.value.copy(), alpha.value.copy()
+        acts.value = -acts.value
+        second, _ = ad.attention(acts, mask, w, b, v)
+        assert np.array_equal(context.value, kept[0]) and np.array_equal(alpha.value, kept[1])
+        assert not np.array_equal(context.value, second.value)
+
+
+def blocked_attention_outputs(monkeypatch, block, taped):
+    """Context, alpha and, when `taped`, the gradients of acts, w, b and v
+    of one float32 attention head over 117 x 20 = 2,340 positions (two full
+    blocks of 1,024 and one of 292), with the scorer GEMM run in blocks of
+    `block` rows."""
+    monkeypatch.setattr(ad, "ATTENTION_BLOCK", block)
+    rng = np.random.default_rng(31)
+    n, t_x, dim, s = 117, 20, 128, 32
+    acts, w, b, v = (
+        ad.Var(rng.normal(size=shape).astype(np.float32))
+        for shape in ((n, t_x, dim), (s, dim), (s,), (s,))
+    )
+    lengths = rng.integers(1, t_x + 1, size=n)
+    mask = (np.arange(t_x) < lengths[:, None]).astype(np.float32)
+    weights = rng.normal(size=(n, dim)).astype(np.float32)
+    if not taped:
+        context, alpha = ad.attention(acts, mask, w, b, v)
+        return [context.value, alpha.value]
+    with ad.Tape() as tape:
+        context, alpha = ad.attention(acts, mask, w, b, v)
+        ad.backward(tape, asum(ad.mul(context, weights)))
+    return [context.value, alpha.value] + [p.grad for p in (acts, w, b, v)]
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["no_tape", "tape"])
+def test_blocked_attention_scorer_matches_one_gemm(monkeypatch, taped):
+    assert ad.ATTENTION_BLOCK == 1024
+    one_gemm = blocked_attention_outputs(monkeypatch, 10**9, taped)
+    blocked = blocked_attention_outputs(monkeypatch, 1024, taped)
+    assert len(blocked) == (6 if taped else 2)
+    for a, b in zip(blocked, one_gemm):
+        assert a.dtype == np.float32 and np.array_equal(a, b)
+
 
 def test_forward_determinism():
     rng = np.random.default_rng(0)

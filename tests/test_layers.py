@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import asum, grad_check, to_float64
+from conftest import asum, grad_check, init_attention, init_bilstm, init_dense, to_float64
 
 from daanet import autodiff as ad
 from daanet import layers
@@ -54,7 +54,7 @@ class TestEmbed:
     def test_duplicate_ids_share_rows_and_sum_grads(self, rng):
         # ids [2, 2] read one row, whose gradient is the sum of what ids
         # [2, 3] send to two rows holding the same vector
-        params = layers.init_bilstm(rng, 4, 3)
+        params = init_bilstm(rng, 4, 3)
         weights = rng.normal(size=(1, 2, 6))
         emb = layers.random_embedding(5, 4, rng)
         emb.table.value[3] = emb.table.value[2]
@@ -104,31 +104,31 @@ class TestEmbed:
 
 class TestBiLstm:
     def test_zero_input_zero_biases_gives_zero_activations(self, rng):
-        params = layers.init_bilstm(rng, 3, 4)
+        params = init_bilstm(rng, 3, 4)
         x = positions(np.zeros((1, 5, 3)))
         acts = layers.bilstm(params, x, np.ones((1, 5)))
         assert np.array_equal(acts.value, np.zeros((1, 5, 8)))
 
     def test_single_position_shapes(self, rng):
-        params = layers.init_bilstm(rng, 3, 4)
+        params = init_bilstm(rng, 3, 4)
         x = positions(rng.normal(size=(1, 1, 3)))
         acts = layers.bilstm(params, x, np.ones((1, 1)))
         assert acts.value.shape == (1, 1, 8)
 
     def test_single_example_without_batch_axis_rejected(self, rng):
-        params = layers.init_bilstm(rng, 3, 4)
+        params = init_bilstm(rng, 3, 4)
         with pytest.raises(DimensionError):
             layers.bilstm(params, (ad.Var(rng.normal(size=(5, 3))), np.arange(5)), np.ones(5))
 
     def test_masked_positions_emit_zeros(self, rng):
-        params = layers.init_bilstm(rng, 3, 4)
+        params = init_bilstm(rng, 3, 4)
         x = positions(rng.normal(size=(1, 5, 3)))
         acts = layers.bilstm(params, x, np.array([[1, 1, 1, 0, 0]]))
         assert np.array_equal(acts.value[0, 3:], np.zeros((2, 8)))
         assert not np.allclose(acts.value[0, :3], 0.0)
 
     def test_masked_equals_shorter_sequence(self, rng):
-        params = layers.init_bilstm(rng, 3, 4)
+        params = init_bilstm(rng, 3, 4)
         raw = rng.normal(size=(3, 6, 3))
         lengths = (6, 3, 1)
         mask = np.array([[1.0] * n + [0.0] * (6 - n) for n in lengths])
@@ -139,20 +139,20 @@ class TestBiLstm:
             assert np.allclose(full[r, :n], alone[0], atol=1e-12)
 
     def test_forward_records_one_node(self, rng):
-        params = layers.init_bilstm(rng, 3, 4)
+        params = init_bilstm(rng, 3, 4)
         x = positions(rng.normal(size=(2, 5, 3)))
         with ad.Tape() as tape:
             layers.bilstm(params, x, np.array([[1, 1, 1, 1, 1], [1, 1, 0, 0, 0]]))
         assert len(tape.nodes) == 1
 
     def test_non_prefix_mask_rejected(self, rng):
-        params = layers.init_bilstm(rng, 3, 4)
+        params = init_bilstm(rng, 3, 4)
         x = positions(rng.normal(size=(1, 4, 3)))
         with pytest.raises(ContractError):
             layers.bilstm(params, x, np.array([[1, 0, 1, 0]]))
 
     def test_forward_direction_causality(self, rng):
-        params = layers.init_bilstm(rng, 3, 4)
+        params = init_bilstm(rng, 3, 4)
         base = rng.normal(size=(1, 6, 3))
         changed = base.copy()
         changed[0, 4:] = rng.normal(size=(2, 3))
@@ -164,7 +164,7 @@ class TestBiLstm:
         assert not np.allclose(a1[:4, 4:], a2[:4, 4:])
 
     def test_five_step_unroll_matches_finite_differences(self, rng):
-        params = layers.init_bilstm(rng, 2, 3)
+        params = init_bilstm(rng, 2, 3)
         to_float64(var for _, var in params.variables())
         x = positions(rng.normal(size=(1, 5, 2)))
         mask = np.array([[1, 1, 1, 1, 0]])
@@ -179,14 +179,14 @@ class TestBiLstm:
 
 class TestAttentionHead:
     def test_identical_activations_give_uniform_alpha(self, rng):
-        params = layers.init_attention(rng, 6, 4)
+        params = init_attention(rng, 6, 4)
         row = rng.normal(size=6)
         acts = ad.Var(np.tile(row, (1, 5, 1)))
         _, alpha = layers.attention_head(params, acts, np.ones((1, 5)))
         assert np.allclose(alpha.value, np.full((1, 5), 0.2), atol=1e-12)
 
     def test_single_survivor_context_equals_activation(self, rng):
-        params = layers.init_attention(rng, 6, 4)
+        params = init_attention(rng, 6, 4)
         acts_v = rng.normal(size=(1, 4, 6))
         context, alpha = layers.attention_head(
             params, ad.Var(acts_v), np.array([[1, 0, 0, 0]])
@@ -195,7 +195,7 @@ class TestAttentionHead:
         assert np.allclose(context.value, acts_v[:, 0], atol=1e-15)
 
     def test_context_matches_brute_force(self, rng):
-        params = layers.init_attention(rng, 6, 4)
+        params = init_attention(rng, 6, 4)
         acts_v = rng.normal(size=(1, 7, 6))
         mask = np.array([[1, 1, 1, 1, 1, 0, 0]])
         context, alpha = layers.attention_head(params, ad.Var(acts_v), mask)
@@ -205,7 +205,7 @@ class TestAttentionHead:
         assert np.max(np.abs(context.value[0] - brute)) < 1e-12
 
     def test_context_in_convex_hull(self, rng):
-        params = layers.init_attention(rng, 8, 4)
+        params = init_attention(rng, 8, 4)
         for trial in range(25):
             t_x = int(rng.integers(2, 9))
             length = int(rng.integers(1, t_x + 1))
@@ -218,7 +218,7 @@ class TestAttentionHead:
             assert np.all(context.value[0] <= kept.max(axis=0) + 1e-12)
 
     def test_alpha_contract_batched(self, rng):
-        params = layers.init_attention(rng, 6, 4)
+        params = init_attention(rng, 6, 4)
         acts_v = rng.normal(size=(3, 5, 6))
         mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1], [1, 0, 0, 0, 0]])
         _, alpha = layers.attention_head(params, ad.Var(acts_v), mask)
@@ -227,7 +227,7 @@ class TestAttentionHead:
         assert np.all(alpha.value[mask == 0] == 0.0)
 
     def test_grad_check(self, rng):
-        params = layers.init_attention(rng, 4, 3)
+        params = init_attention(rng, 4, 3)
         to_float64(var for _, var in params.variables())
         acts = ad.Var(rng.normal(size=(1, 5, 4)))
         mask = np.array([[1, 1, 1, 1, 0]])
@@ -248,13 +248,13 @@ class TestDense:
         assert np.allclose(out.value, np.tile([1.0, -2.0, 0.5], (6, 1)))
 
     def test_unknown_kind(self, rng):
-        params = layers.init_dense(rng, 3, 2)
+        params = init_dense(rng, 3, 2)
         for kind in ("gelu", "softmax"):
             with pytest.raises(ParameterError):
                 layers.dense(params, ad.Var(np.ones((1, 3))), activation=kind)
 
     def test_grad_check(self, rng):
-        params = layers.init_dense(rng, 4, 3)
+        params = init_dense(rng, 4, 3)
         to_float64(var for _, var in params.variables())
         x = ad.Var(rng.normal(size=(2, 4)))
         weights = rng.normal(size=(2, 3))

@@ -1,9 +1,13 @@
 import ast
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +43,9 @@ from daanet.models import (
     mt_daan_loss,
     save_model,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def log_softmax(z):
@@ -482,6 +489,51 @@ class TestPersistence:
         assert loaded == spec
         assert (type(loaded.t_x), type(loaded.adversarial), type(loaded.lam)) == (int, bool, float)
 
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        model = make_micro_model(m=2, adversarial=True, n_domains=3, seed=5)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_model drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        loaded = load_model(path)
+        originals = {s.name: s.var.value for s in model.parameters()}
+        for slot in loaded.parameters():
+            assert np.array_equal(slot.var.value, originals[slot.name]), slot.name
+
+    def test_serving_never_imports_numpy_random(self, tmp_path):
+        # load_model then one evaluate, in a fresh interpreter
+        path = tmp_path / "model.npz"
+        save_model(make_micro_model(m=2, adversarial=True, n_domains=3, seed=5), path)
+        script = (
+            "import sys\n"
+            "from daanet.data import Example, tokenize\n"
+            "from daanet.models import load_model\n"
+            "from daanet.training import evaluate\n"
+            "model = load_model(sys.argv[1])\n"
+            "texts = ['w1 w2 w3', 'w4 w0', 'w5 w6 w7 w8 w9 w2']\n"
+            "examples = [\n"
+            "    Example('e', t, tokenize(t), {'task0': i % 2}) for i, t in enumerate(texts)\n"
+            "]\n"
+            "evaluate(model, examples, batch_size=2)\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_forward_identical_after_round_trip(self, tmp_path):
         model = make_micro_model(m=2, adversarial=True, n_domains=2, seed=6)
         batch = make_micro_batch(model, n=4, seed=6, with_domain=True)
@@ -559,7 +611,9 @@ class TestArchiveErrors:
             message = self.load_rewritten(saved, tmp_path, drop=(entry,))
         assert f"missing {entry}" in message
 
-    @pytest.mark.parametrize("case", ["meta_not_object", "spec_not_object", "locked", "table"])
+    @pytest.mark.parametrize(
+        "case", ["meta_not_object", "spec_not_object", "locked", "table", "table_1d"]
+    )
     def test_malformed_entry(self, saved, tmp_path, case):
         meta = saved[1]
         with np.load(saved[0]) as archive:
@@ -569,9 +623,38 @@ class TestArchiveErrors:
             "spec_not_object": {"meta": {**meta, "spec": []}},
             "locked": {"extra": {"embedding.locked": np.zeros(rows - 1, dtype=np.uint8)}},
             "table": {"extra": {"param/embedding.table": np.zeros((rows, d - 1))}},
+            "table_1d": {"extra": {"param/embedding.table": np.zeros(rows, dtype=np.float32)}},
         }[case]
         message = self.load_rewritten(saved, tmp_path, **rewrite)
         assert ("JSON objects" if case.endswith("object") else "embedding") in message
+
+    def test_missing_parameter(self, saved, tmp_path):
+        message = self.load_rewritten(saved, tmp_path, drop=("param/encoder.fwd.w",))
+        assert "archive is missing parameter encoder.fwd.w" in message
+
+    def test_misshapen_parameter(self, saved, tmp_path):
+        with np.load(saved[0]) as archive:
+            rows, cols = archive["param/head0.out.w"].shape
+        bad = {"param/head0.out.w": np.zeros((rows, cols + 1), dtype=np.float32)}
+        message = self.load_rewritten(saved, tmp_path, extra=bad)
+        expected = f"parameter head0.out.w has shape {(rows, cols + 1)}, expected {(rows, cols)}"
+        assert expected in message
+
+    @pytest.mark.parametrize(
+        "tokens, message",
+        [
+            (5, "list of strings"),
+            (None, "list of strings"),
+            ([1, 2, 3], "list of strings"),
+            (["a", "a"], "duplicate tokens"),
+            ("abc", "list of strings"),
+        ],
+        ids=["number", "null", "numbers", "duplicates", "string"],
+    )
+    def test_bad_vocab_tokens(self, saved, tmp_path, tokens, message):
+        meta = saved[1]
+        meta["vocab_tokens"] = tokens
+        assert message in self.load_rewritten(saved, tmp_path, meta=meta)
 
     @pytest.mark.parametrize("name", ["embedding.table", "encoder.fwd.w", "head1.out.b"])
     def test_float64_parameter_rejected(self, saved, tmp_path, name):

@@ -88,10 +88,76 @@ def top_level_bindings(tree):
     return names
 
 
+FUNCTION_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+SCOPES = FUNCTION_SCOPES + (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def scope_bindings(scope):
+    """The names a function, lambda or comprehension binds in its own
+    scope: its parameters; its assignment, loop, `with`, `except`, import
+    and comprehension targets; and the functions and classes it defines.
+    Names it declares `global` are left out."""
+    names, declared_global = set(), set()
+    if isinstance(scope, FUNCTION_SCOPES):
+        args = scope.args
+        every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        names |= {arg.arg for arg in every if arg is not None}
+    pending = list(ast.iter_child_nodes(scope))
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+            continue
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(alias.asname or alias.name).partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        elif isinstance(node, ast.Global):
+            declared_global |= set(node.names)
+        if not isinstance(node, SCOPES):
+            pending.extend(ast.iter_child_nodes(node))
+    return names - declared_global
+
+
+def top_level_reads(tree):
+    """The names a module's code reads from its top level: every load of a
+    name that no enclosing function, lambda or comprehension binds."""
+    reads = set()
+
+    def visit(node, shadowed):
+        if isinstance(node, SCOPES):
+            shadowed = shadowed | scope_bindings(node)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in shadowed:
+                reads.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            visit(child, shadowed)
+
+    visit(tree, frozenset())
+    return reads
+
+
+def test_top_level_reads_skip_local_names():
+    tree = ast.parse(
+        "def train(): pass\n"
+        "def split(xs):\n"
+        "    train, val = [], []\n"
+        "    for x in xs:\n"
+        "        (val if x else train).append(x)\n"
+        "    return [run for run in xs], lambda evaluate: evaluate\n"
+        "def caller():\n"
+        "    return build()\n"
+    )
+    assert top_level_reads(tree) == {"build"}
+
+
 def test_every_top_level_name_has_a_caller_or_a_declared_place():
     # a function or class that no module of the package refers to by name is
     # public API, listed in its module's `__all__`, or code to delete; and
-    # an `__all__` entry must name something the module defines
+    # an `__all__` entry must name something the module defines. A local
+    # variable that shares a top-level name is not a caller of it.
     trees = package_trees()
     problems = []
     for path, tree in trees.items():
@@ -101,11 +167,7 @@ def test_every_top_level_name_has_a_caller_or_a_declared_place():
             continue
         stale = [name for name in surface if name not in top_level_bindings(tree)]
         problems += [f"{path.name}: __all__ lists undefined {name!r}" for name in stale]
-        used = names_taken_from(path.stem, trees) | {
-            node.id
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-        }
+        used = names_taken_from(path.stem, trees) | top_level_reads(tree)
         problems += [
             f"{path.name}:{node.lineno}: {node.name} is neither called in the package nor in __all__"
             for node in tree.body

@@ -691,6 +691,13 @@ class TestMetrics:
             assert m1.per_task[task].accuracy == m2.per_task[task].accuracy
             assert m1.per_task[task].f1 == m2.per_task[task].f1
 
+    def test_evaluate_same_metrics_at_any_batch_size(self):
+        split, vocab, tasks = tiny_split(per_event=40)
+        model = build_model(tiny_spec(vocab, tasks), vocab, seed=6)
+        results = [evaluate(model, split.test, batch_size=size) for size in (1, 7, 256)]
+        assert results[0].per_task[tasks[0]].n == len(split.test)
+        assert results[1] == results[0] and results[2] == results[0]
+
     def test_evaluate_without_task_labels_raises(self):
         split, vocab, tasks = tiny_split(per_event=20)
         model = build_model(tiny_spec(vocab, tasks), vocab, seed=6)
@@ -703,8 +710,9 @@ class TestMetrics:
     def test_evaluate_rejects_zero_batch_size(self):
         split, vocab, tasks = tiny_split(per_event=20)
         model = build_model(tiny_spec(vocab, tasks), vocab, seed=6)
-        with pytest.raises(ParameterError, match="batch size"):
-            evaluate(model, split.test, batch_size=0)
+        for examples in (split.test, []):
+            with pytest.raises(ParameterError, match="batch size"):
+                evaluate(model, examples, batch_size=0)
 
     def test_mean_accessors(self):
         from daanet.training import TaskMetrics
