@@ -25,12 +25,14 @@ domain rows of a joint encoder pass, one node per part), `mul` (dropout),
 (dense layers), `softmax_cross_entropy` (both losses) and `weighted_sum`
 (their combination). Their differentiable operands are Vars. The
 constants, which get no gradient, are plain arrays or numbers: either
-operand of `mul`, the ids and row mask of `gather_rows`, the split point
-of `split_rows`, the ids and mask of `bilstm`, the mask of `attention`,
-the lengths of `masked_mean`, the targets and weights of
-`softmax_cross_entropy` and `weighted_sum`, and the strength of
-`gradient_reversal`. Row ids must be integers and in range: otherwise
-`ContractError` or `DimensionError`.
+operand of `mul`, the distinct, increasing ids and the row mask of
+`gather_rows`, the split point of `split_rows`, the ids and mask of
+`bilstm`, the mask of `attention`, the lengths of `masked_mean`, the
+targets and weights of `softmax_cross_entropy` and `weighted_sum`, and the
+strength of `gradient_reversal`. Row ids must be integers and in range:
+otherwise `ContractError` or `DimensionError`. Each op keeps one code
+path: `gather_rows` rejects repeated or unsorted ids (`ContractError`)
+rather than summing them on a second one.
 
 Dtype rule: a Var holds a float32 or float64 array as given and turns any
 other input into float64; its gradient has the value's dtype. Every op
@@ -490,38 +492,29 @@ def _row_index(ids, n_rows, op):
     return ids
 
 
-def gather_rows(table, ids, row_grad_mask=None):
-    """Row lookup `table[ids]`; the backward pass scatter-adds into the table.
+def gather_rows(table, ids, row_grad_mask):
+    """Row lookup `table[ids]` of distinct rows; the backward pass adds
+    into the table's gradient rows.
 
-    The pullback sums the incoming rows per distinct id into a block of
-    only the touched rows, in `ids` order, and adds that block into the
-    table's gradient rows with `Var.add_grad_rows`, which records them;
-    untouched rows are never written. The sum is one `np.add.at` over the
-    flattened block, which adds in the same order as a row-wise
-    `np.add.at` but runs on numpy's 1-D indexed path. When the ids are
-    strictly increasing (as `layers.embed` passes them) each row is its
-    own sum, so the incoming rows are added as they are.
-    `row_grad_mask`, when given, is a {0,1} vector over rows; rows with 0
-    receive no gradient (locked embedding rows), and their ids are dropped
-    before the sum.
+    `ids` is a 1-D array of strictly increasing row ids, as `layers.embed`
+    passes them; other ids raise `ContractError`, after `_row_index` has
+    checked their dtype and range. `row_grad_mask` is a {0,1} vector over
+    rows: rows with 0 receive no gradient (locked embedding rows). The
+    pullback drops their ids and adds the incoming rows of the others as
+    they are with `Var.add_grad_rows`, which records them, so untouched
+    rows are never written. Each id names its own row, so no row needs a
+    sum: `add_grad_rows` would drop all but one of a repeated id's rows.
     """
     ids = _row_index(ids, table.value.shape[0], "gather_rows")
+    if ids.ndim != 1 or np.any(ids[1:] <= ids[:-1]):
+        raise ContractError(
+            f"gather_rows: row ids must be 1-D and strictly increasing, got shape {ids.shape}"
+        )
     out = Var(table.value[ids])
 
     def pullback(g):
-        dim = table.value.shape[1]
-        flat_ids = ids.reshape(-1)
-        flat_g = g.reshape(-1, dim)
-        increasing = bool(np.all(flat_ids[1:] > flat_ids[:-1]))
-        if row_grad_mask is not None:
-            kept = row_grad_mask[flat_ids] != 0
-            flat_ids, flat_g = flat_ids[kept], flat_g[kept]
-        if not increasing:
-            rows, slots = np.unique(flat_ids, return_inverse=True)
-            block = np.zeros((rows.size, dim), dtype=table.value.dtype)
-            np.add.at(block.reshape(-1), _flat_slots(slots, dim), flat_g.reshape(-1))
-            flat_ids, flat_g = rows, block
-        table.add_grad_rows(flat_ids, flat_g)
+        kept = row_grad_mask[ids] != 0
+        table.add_grad_rows(ids[kept], g[kept])
 
     return _record(out, (table,), pullback)
 

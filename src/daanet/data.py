@@ -31,7 +31,7 @@ from .errors import (
     SplitError,
     require_counts,
 )
-from .layers import MODEL_DTYPE, EmbeddingMatrix
+from .layers import EMBEDDING_INIT_SCALE, MODEL_DTYPE, EmbeddingMatrix, uniform_init
 from . import autodiff as ad
 
 __all__ = [
@@ -135,9 +135,6 @@ class Vocab:
     def __len__(self):
         return len(self.tokens)
 
-    def id_of(self, token):
-        return self.index.get(token, UNK_ID)
-
     def encode(self, tokens, t_x):
         """Ids of the first t_x tokens, unknown ones as UNK_ID, as an unpadded list."""
         index = self.index
@@ -197,7 +194,8 @@ def load_embeddings(path, vocab, dim, seed=0):
     """Load pretrained vectors for `vocab`.
 
     In-vocabulary tokens found in the file get their file vector and are
-    locked; missing tokens get a seeded uniform(-0.25, 0.25) row and stay
+    locked; missing tokens get a seeded uniform(-EMBEDDING_INIT_SCALE,
+    EMBEDDING_INIT_SCALE) row, as `layers.random_embedding` draws, and stay
     tunable. Row 0 (padding) is zero and locked. The table is float32, so a
     component that is not finite in float32 (nan, inf, or beyond float32's
     range) raises DataError naming it and the line of its row's last vector.
@@ -256,7 +254,8 @@ def load_embeddings(path, vocab, dim, seed=0):
     matched = int(locked.sum())
     missing = np.flatnonzero(~locked[UNK_ID + 1 :]) + UNK_ID + 1
     # one draw in row order is the same stream as one draw per row
-    table[missing] = np.random.default_rng(seed).uniform(-0.25, 0.25, size=(missing.size, dim))
+    rng = np.random.default_rng(seed)
+    table[missing] = uniform_init(rng, (missing.size, dim), EMBEDDING_INIT_SCALE)
     locked[PAD_ID] = True
     # checked once over the table: a check per line cost a tenth of the parse
     finite = np.isfinite(table)
@@ -464,9 +463,10 @@ def make_batches(examples, vocab, t_x, batch_size=32, rng=None, *, tasks, domain
     Each batch carries the labels of `tasks` (none for ``tasks=()``) and,
     when `domains` maps event ids to domain indices (a split's
     `domain_index`), `Batch.domain`: each row's ``domains[ex.event_id]``.
-    An event outside `domains` raises ContractError naming it. A `t_x` or
-    `batch_size` that is not an integer of at least 1, or a bare string for
-    `tasks`, raises ParameterError.
+    An event outside `domains` raises ContractError naming it, and a label
+    other than 0 or 1 raises LabelError naming the example's position in
+    `examples` and the task. A `t_x` or `batch_size` that is not an integer
+    of at least 1, or a bare string for `tasks`, raises ParameterError.
     """
     require_counts("t_x and batch size", t_x=t_x, batch_size=batch_size)
     if isinstance(tasks, str):
@@ -477,7 +477,8 @@ def make_batches(examples, vocab, t_x, batch_size=32, rng=None, *, tasks, domain
         order = rng.permutation(len(examples))
     batches = []
     for start in range(0, len(examples), batch_size):
-        chunk = [examples[i] for i in order[start : start + batch_size]]
+        positions = order[start : start + batch_size]
+        chunk = [examples[i] for i in positions]
         n = len(chunk)
         ids = np.zeros((n, t_x), dtype=np.int64)
         lengths = np.zeros(n, dtype=np.int64)
@@ -490,6 +491,13 @@ def make_batches(examples, vocab, t_x, batch_size=32, rng=None, *, tasks, domain
         for task in tasks:
             cells = np.array([ex.labels.get(task, np.nan) for ex in chunk], dtype=np.float64)
             present = ~np.isnan(cells)
+            bad = present & (cells != 0.0) & (cells != 1.0)
+            if bad.any():
+                r = int(np.argmax(bad))
+                raise LabelError(
+                    f"example {positions[r]}: label for {task!r} must be 0 or 1, "
+                    f"found {chunk[r].labels[task]!r}"
+                )
             labels[task] = (np.where(present, cells, 0.0), present.astype(np.float64))
         domain = None
         if domains is not None:

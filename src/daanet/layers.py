@@ -127,7 +127,7 @@ def embed(matrix, ids):
     Returns (rows, index): `rows` is a Var [U x d] holding the U distinct
     ids' rows in ascending id order, and `index` is an integer array shaped
     like `ids` naming the row of `rows` each position reads, so
-    rows.value[index] is the table lookup `table[ids]`. Gradients scatter
+    rows.value[index] is the table lookup `table[ids]`. Gradients are added
     only into unlocked rows (see `autodiff.gather_rows`).
 
     The distinct ids come from a flag per vocabulary row rather than a
@@ -156,17 +156,11 @@ class LstmParams:
     w: ad.Var
     b: ad.Var
 
-    def variables(self, prefix):
-        return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
-
 
 @dataclass
 class BiLstmParams:
     fwd: LstmParams
     bwd: LstmParams
-
-    def variables(self, prefix="bilstm"):
-        return self.fwd.variables(f"{prefix}.fwd") + self.bwd.variables(f"{prefix}.bwd")
 
 
 def bilstm(params, x, mask):
@@ -196,9 +190,6 @@ class AttentionHeadParams:
     b: ad.Var  # [s]
     v: ad.Var  # [s]
 
-    def variables(self, prefix="attn"):
-        return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b), (f"{prefix}.v", self.v)]
-
 
 def attention_head(params, acts, mask):
     """Score positions of [N x T x 2h] activations, normalize with the
@@ -218,9 +209,6 @@ def attention_head(params, acts, mask):
 class DenseParams:
     w: ad.Var  # [out x in]
     b: ad.Var  # [out]
-
-    def variables(self, prefix="dense"):
-        return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
 
 
 def dense(params, x, activation=None):

@@ -174,13 +174,6 @@ class TaskHead:
     hidden: DenseParams
     out: DenseParams
 
-    def variables(self, prefix):
-        return (
-            self.attention.variables(f"{prefix}.attn")
-            + self.hidden.variables(f"{prefix}.hidden")
-            + self.out.variables(f"{prefix}.out")
-        )
-
 
 @dataclass
 class DomainBranch:
@@ -188,9 +181,6 @@ class DomainBranch:
 
     hidden: DenseParams
     out: DenseParams
-
-    def variables(self, prefix="domain"):
-        return self.hidden.variables(f"{prefix}.hidden") + self.out.variables(f"{prefix}.out")
 
 
 @dataclass
@@ -200,22 +190,14 @@ class TrainedModel:
     embedding: EmbeddingMatrix
     encoder: BiLstmParams
     heads: list
+    slots: list  # every parameter but the embedding table, as `_assemble` made them
     domain: DomainBranch | None = None
 
     def parameters(self):
-        """Every trainable tensor, with the embedding's locked-row mask."""
-        slots = [
-            ParamSlot("embedding.table", self.embedding.table, self.embedding.unlocked_mask()[:, None])
-        ]
-        for name, var in self.encoder.variables("encoder"):
-            slots.append(ParamSlot(name, var, None))
-        for k, head in enumerate(self.heads):
-            for name, var in head.variables(f"head{k}"):
-                slots.append(ParamSlot(name, var, None))
-        if self.domain is not None:
-            for name, var in self.domain.variables():
-                slots.append(ParamSlot(name, var, None))
-        return slots
+        """Every trainable tensor: the embedding table, with a locked-row
+        mask read from `embedding.locked` at each call, then `slots`."""
+        mask = self.embedding.unlocked_mask()[:, None]
+        return [ParamSlot("embedding.table", self.embedding.table, mask), *self.slots]
 
 
 def _check_embedding(spec, vocab, embedding):
@@ -232,17 +214,21 @@ def _assemble(spec, vocab, embedding, fill):
     """The model for `spec` around `embedding`, with every other parameter
     laid out by its `ParamSlot` name and shape.
 
-    Each array comes from `fill(name, shape, stream, init)`, called in
-    `TrainedModel.parameters()` order. `stream` is the component's seed
-    stream (1 for the encoder, 10 + k for head k, 1000 for the domain
-    branch), and `init` says how a fresh array is drawn: `init(rng, shape)`,
-    or None for zeros. `build_model` draws by them; `load_model` reads the
-    archive and ignores them.
+    Each array comes from `fill(name, shape, stream, init)`. `stream` is
+    the component's seed stream (1 for the encoder, 10 + k for head k, 1000
+    for the domain branch), and `init` says how a fresh array is drawn:
+    `init(rng, shape)`, or None for zeros. `build_model` draws by them;
+    `load_model` reads the archive and ignores them. Each parameter's slot
+    is recorded as it is made, in `TrainedModel.slots`, so the order of the
+    calls below is the order of `parameters()` and of the archive.
     """
     d, h, two_h = spec.d, spec.h, 2 * spec.h
+    slots = []
 
     def param(name, shape, stream, init=None):
-        return ad.Var(fill(name, shape, stream, init))
+        var = ad.Var(fill(name, shape, stream, init))
+        slots.append(ParamSlot(name, var, None))
+        return var
 
     def lstm(prefix):
         return LstmParams(
@@ -278,9 +264,7 @@ def _assemble(spec, vocab, embedding, fill):
             hidden=dense_params("domain.hidden", two_h, spec.domain_hidden, 1000),
             out=dense_params("domain.out", spec.domain_hidden, spec.n_domains, 1000),
         )
-    return TrainedModel(
-        spec=spec, vocab=vocab, embedding=embedding, encoder=encoder, heads=heads, domain=domain
-    )
+    return TrainedModel(spec, vocab, embedding, encoder, heads, slots, domain)
 
 
 def build_model(spec, vocab, embedding=None, seed=0):
@@ -465,8 +449,8 @@ def load_model(path):
     `build_model` lays it out, and nothing is drawn. A file that is not a
     readable .npz archive, and a malformed archive, raise DataError naming
     the path: a missing, misshapen or unexpected parameter, one that is
-    not float32, a vocabulary that is not a list of distinct strings, or an
-    embedding that does not fit the spec."""
+    not float32 or not finite, a vocabulary that is not a list of distinct
+    strings, or an embedding that does not fit the spec."""
     try:
         archive = np.load(path, allow_pickle=False)
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
@@ -523,6 +507,8 @@ def load_model(path):
                 f"parameter {name} is {value.dtype}, expected {np.dtype(MODEL_DTYPE)}",
                 path=str(path),
             )
+        if not np.isfinite(value).all():
+            raise DataError(f"parameter {name} holds a value that is not finite", path=str(path))
         return value
 
     table = params["embedding.table"]

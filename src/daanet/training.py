@@ -437,19 +437,18 @@ class Metrics:
 
 
 def binary_f1(y_true, y_pred):
-    """Positive-class F1; degenerate cases (no positives present or
-    predicted) score 0 and are flagged."""
+    """Positive-class F1; with no true positive (no positives present,
+    none predicted, or no predicted one right) it scores 0 and is flagged
+    degenerate."""
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     tp = np.sum((y_pred == 1) & (y_true == 1))
+    if tp == 0:
+        return 0.0, True
     fp = np.sum((y_pred == 1) & (y_true != 1))
     fn = np.sum((y_pred != 1) & (y_true == 1))
-    if tp + fp == 0 or tp + fn == 0:
-        return 0.0, True
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
-    if precision + recall == 0:
-        return 0.0, True
     return 2 * precision * recall / (precision + recall), False
 
 
@@ -459,7 +458,7 @@ def _task_metrics(task, y_true, y_pred):
     acc = float(np.mean(y_true == y_pred)) if y_true.size else 0.0
     f1, degenerate = binary_f1(y_true, y_pred)
     if degenerate:
-        log.warning("degenerate F1 for task %r (no positives predicted or present)", task)
+        log.warning("degenerate F1 for task %r (no true positive)", task)
     return TaskMetrics(accuracy=acc, f1=float(f1), n=int(y_true.size), degenerate=degenerate)
 
 

@@ -231,9 +231,9 @@ def synth_separable_embedding_corpus(seed=0):
     table = np.zeros((len(vocab), dim), dtype=MODEL_DTYPE)
     centre = SEPARABLE_SEPARATION / 2 * direction
     for word in pos_words:
-        table[vocab.id_of(word)] = centre + 0.5 * rng.normal(size=dim)
+        table[vocab.index[word]] = centre + 0.5 * rng.normal(size=dim)
     for word in neg_words:
-        table[vocab.id_of(word)] = -centre + 0.5 * rng.normal(size=dim)
+        table[vocab.index[word]] = -centre + 0.5 * rng.normal(size=dim)
     locked = np.ones(len(vocab), dtype=bool)
     embedding = EmbeddingMatrix(table=ad.Var(table), locked=locked)
 

@@ -284,15 +284,6 @@ class TestGradCheck:
 
 
 class TestStructuralOps:
-    def test_gather_rows_accumulates_duplicates(self):
-        table = ad.Var(np.arange(8.0).reshape(4, 2))
-        with ad.Tape() as tape:
-            out = ad.gather_rows(table, np.array([2, 2]))
-            loss = asum(out)
-            ad.backward(tape, loss)
-        assert np.array_equal(table.grad[2], [2.0, 2.0])
-        assert np.array_equal(table.grad[0], [0.0, 0.0])
-
     def test_gather_rows_respects_row_mask(self):
         table = ad.Var(np.ones((3, 2)))
         keep = np.array([0.0, 1.0, 1.0])
@@ -304,10 +295,11 @@ class TestStructuralOps:
         assert np.array_equal(table.grad[1], [1.0, 1.0])
 
     def test_gather_rows_two_calls_match_dense_scatter(self):
+        # two gathers on one tape that share rows 2 and 4 and the locked row 0
         rng = np.random.default_rng(29)
         table = ad.Var(rng.normal(size=(7, 3)))
         keep = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
-        ids = [np.array([[2, 3, 2, 0], [5, 2, 3, 3]]), np.array([[4, 4, 3], [2, 0, 4]])]
+        ids = [np.array([0, 2, 3, 5]), np.array([2, 4])]
         weights = [rng.normal(size=i.shape + (3,)) for i in ids]
         with ad.Tape() as tape:
             parts = [
@@ -320,33 +312,10 @@ class TestStructuralOps:
         ref = np.zeros((7, 3))
         for i, w in zip(ids, weights):
             buf = np.zeros((7, 3))
-            np.add.at(buf, i.reshape(-1), w.reshape(-1, 3))
+            buf[i] = w
             ref += buf * keep[:, None]
         assert np.array_equal(table.grad, ref)
         assert np.array_equal(table.grad[[0, 1, 3, 6]], np.zeros((4, 3)))
-
-    def test_gather_rows_float32_duplicates_match_row_wise_add_at(self):
-        # many repeated ids and gradients of very different sizes, so that a
-        # different order of addition would change the float32 sums
-        rng = np.random.default_rng(31)
-        table = ad.Var(np.zeros((50, 7), dtype=np.float32))
-        keep = (rng.random(50) < 0.8).astype(np.float64)
-        ids = rng.integers(0, 50, size=(40, 30))
-        scale = rng.choice([1e-4, 1.0, 1e4], size=ids.shape + (1,))
-        weights = (rng.normal(size=ids.shape + (7,)) * scale).astype(np.float32)
-        with ad.Tape() as tape:
-            out = ad.gather_rows(table, ids, row_grad_mask=keep)
-            ad.backward(tape, asum(ad.mul(out, weights)))
-
-        flat_ids, flat_g = ids.reshape(-1), weights.reshape(-1, 7)
-        kept = keep[flat_ids] != 0
-        rows, slots = np.unique(flat_ids[kept], return_inverse=True)
-        block = np.zeros((rows.size, 7), dtype=np.float32)
-        np.add.at(block, slots, flat_g[kept])
-        ref = np.zeros((50, 7), dtype=np.float32)
-        ref[rows] += block
-        assert table.grad.dtype == np.float32
-        assert table.grad.tobytes() == ref.tobytes()
 
     def test_gather_rows_increasing_ids_match_dense_scatter(self):
         # strictly increasing ids, as layers.embed passes them, over two
@@ -383,7 +352,19 @@ class TestStructuralOps:
         table = ad.Var(np.arange(6.0).reshape(3, 2))
         for bad in (3, -1):
             with pytest.raises(DimensionError, match=f"row index {bad} "):
-                ad.gather_rows(table, np.array([0, bad]))
+                ad.gather_rows(table, np.array([0, bad]), np.ones(3))
+
+    @pytest.mark.parametrize(
+        "ids",
+        [np.array([1, 2, 2]), np.array([2, 1]), np.array([[0, 1], [2, 3]])],
+        ids=["repeated", "unsorted", "2-D"],
+    )
+    def test_gather_rows_rejects_ids_that_are_not_distinct_and_increasing(self, ids):
+        # a repeated row would lose all but one of its gradient rows in
+        # Var.add_grad_rows, so the gather takes distinct rows only
+        table = ad.Var(np.arange(8.0).reshape(4, 2))
+        with pytest.raises(ContractError, match="1-D and strictly increasing"):
+            ad.gather_rows(table, ids, np.ones(4))
 
     def test_attend_matches_brute_force(self):
         # the whole float64 attention forward against the plain-numpy reference
@@ -528,14 +509,14 @@ class TestRowTrackedGradient:
     def gather_backward(table, ids, seed=0):
         w = np.random.default_rng(seed).normal(size=(len(ids), table.shape[1]))
         with ad.Tape() as tape:
-            out = ad.gather_rows(table, np.array(ids))
+            out = ad.gather_rows(table, np.array(ids), np.ones(table.shape[0]))
             ad.backward(tape, asum(ad.mul(out, w.astype(table.value.dtype))))
         return w
 
     def test_records_rows_and_zero_grad_clears_the_reused_buffer(self):
         table = ad.Var(np.ones((6, 3), dtype=np.float32))
         self.gather_backward(table, [1, 4], seed=1)
-        self.gather_backward(table, [4, 2, 4], seed=2)  # duplicate ids
+        self.gather_backward(table, [2, 4], seed=2)  # row 4 again, in a second gather
         assert sorted(set(table.grad_rows().tolist())) == [1, 2, 4]
         buf = table._grad
         table.zero_grad()
@@ -865,7 +846,7 @@ def test_misfit_operands_rejected(case):
 def test_bad_row_ids_rejected(op, ids, error):
     x, _, w_f, b_f, w_b, b_b = bilstm_operands()  # x has 4 rows
     call = {
-        "gather_rows": lambda: ad.gather_rows(x, ids),
+        "gather_rows": lambda: ad.gather_rows(x, ids, np.ones(4)),
         "bilstm": lambda: ad.bilstm(x, ids, np.ones((1, 4)), w_f, b_f, w_b, b_b),
     }[op]
     with pytest.raises(error):

@@ -341,10 +341,10 @@ class TestLoadEmbeddings:
         vocab = Vocab(["storm", "flood"])
         path = self.write_file(tmp_path, ["storm 1.5 -2.0 0.25"])
         emb = load_embeddings(path, vocab, dim=3, seed=1)
-        idx = vocab.id_of("storm")
+        idx = vocab.index["storm"]
         assert np.array_equal(emb.table.value[idx], [1.5, -2.0, 0.25])
         assert emb.locked[idx]
-        assert not emb.locked[vocab.id_of("flood")]
+        assert not emb.locked[vocab.index["flood"]]
         assert np.array_equal(emb.table.value[0], np.zeros(3))
         assert emb.locked[0]
 
@@ -352,7 +352,7 @@ class TestLoadEmbeddings:
         vocab = Vocab(["storm"])
         path = self.write_file(tmp_path, ["storm 1 2 3"], header="1 3")
         emb = load_embeddings(path, vocab, dim=3)
-        assert np.array_equal(emb.table.value[vocab.id_of("storm")], [1, 2, 3])
+        assert np.array_equal(emb.table.value[vocab.index["storm"]], [1, 2, 3])
 
     def test_missing_token_rows_are_seeded_and_repeatable(self, tmp_path):
         vocab = Vocab(["storm", "flood"])
@@ -360,7 +360,7 @@ class TestLoadEmbeddings:
         e1 = load_embeddings(path, vocab, dim=3, seed=9)
         e2 = load_embeddings(path, vocab, dim=3, seed=9)
         assert np.array_equal(e1.table.value, e2.table.value)
-        row = e1.table.value[vocab.id_of("flood")]
+        row = e1.table.value[vocab.index["flood"]]
         assert np.all(np.abs(row) <= 0.25) and np.any(row != 0)
 
     def test_coverage_matches_set_intersection(self, tmp_path):
@@ -383,7 +383,7 @@ class TestLoadEmbeddings:
         path = self.write_file(tmp_path, ["storm 0.1 2 3"])
         emb = load_embeddings(path, vocab, dim=3)
         assert emb.table.value.dtype == np.float32
-        assert np.array_equal(emb.table.value[vocab.id_of("storm")], np.float32([0.1, 2, 3]))
+        assert np.array_equal(emb.table.value[vocab.index["storm"]], np.float32([0.1, 2, 3]))
 
     @pytest.mark.parametrize("component", ["nan", "inf", "-inf", "1e39"])
     def test_component_not_finite_in_float32_reports_line(self, tmp_path, component):
@@ -718,6 +718,15 @@ class TestMakeBatches:
         examples, vocab = self.build(5)
         with pytest.raises(ParameterError, match="tasks must be a sequence"):
             make_batches(examples, vocab, t_x=5, tasks="t0")
+
+    @pytest.mark.parametrize("label", [2, 0.5, -1])
+    def test_label_other_than_0_or_1_rejected(self, label):
+        # bce_loss trained on such targets, and evaluate scored 2 as negative
+        examples, vocab = self.build(6)
+        examples[4].labels["t"] = label
+        message = f"example 4: label for 't' must be 0 or 1, found {label}"
+        with pytest.raises(LabelError, match=message):
+            make_batches(examples, vocab, t_x=5, batch_size=4, tasks=("t",))
 
     def test_tasks_from_an_iterator_label_every_batch(self):
         # a generator of task names was used up by the first batch

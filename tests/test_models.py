@@ -254,7 +254,7 @@ class TestStDaanLoss:
         to_float64(slot.var for slot in model.parameters())
         batch = make_micro_batch(model, n=4, seed=9, with_domain=True)
         y, present = batch.labels["task0"]
-        encoder_vars = [var for _, var in model.encoder.variables()]
+        encoder_vars = [s.var for s in model.parameters() if s.name.startswith("encoder.")]
 
         def run(pass_):
             for slot in model.parameters():
@@ -286,11 +286,10 @@ class TestStDaanLoss:
 class TestMtDaanForward:
     def test_identical_heads_give_identical_outputs(self):
         model = make_micro_model(m=2, adversarial=True, n_domains=3)
-        for name in ("attention", "hidden", "out"):
-            src = getattr(model.heads[0], name)
-            dst = getattr(model.heads[1], name)
-            for (_, sv), (_, dv) in zip(src.variables("a"), dst.variables("b")):
-                dv.value = sv.value.copy()
+        params = {slot.name: slot.var for slot in model.parameters()}
+        for name, var in params.items():
+            if name.startswith("head0."):
+                params["head1." + name[len("head0.") :]].value = var.value.copy()
         batch = make_micro_batch(model, n=4, with_domain=True)
         out = forward_both(model, batch)
         logits, alphas = out.task_logits, out.alphas
@@ -419,14 +418,17 @@ class TestHeadIsolationAndDetachment:
             loss = bce_loss(logits[0], *batch.labels["task0"])
             ad.backward(tape, loss)
         for k in (1, 2):
-            for _, var in model.heads[k].variables(f"head{k}"):
-                assert np.array_equal(var.grad, np.zeros_like(var.value))
+            for slot in model.parameters():
+                if slot.name.startswith(f"head{k}."):
+                    assert np.array_equal(slot.var.grad, np.zeros_like(slot.var.value))
 
     def test_zero_lambda_matches_branch_free_encoder_grads(self):
         model = make_micro_model(adversarial=True, n_domains=3, lam=0.0, seed=7)
         batch = make_micro_batch(model, n=4, seed=7, with_domain=True)
         y, present = batch.labels["task0"]
-        shared = [("embedding", model.embedding.table)] + model.encoder.variables()
+        shared = [
+            s.var for s in model.parameters() if s.name.startswith(("embedding.", "encoder."))
+        ]
 
         def run(with_domain):
             for slot in model.parameters():
@@ -438,7 +440,7 @@ class TestHeadIsolationAndDetachment:
                     d_loss = domain_cce_loss(out.domain_logits, batch.domain)
                     loss = mt_daan_loss([loss], (1.0,), d_loss, model.spec.w_domain)
                 ad.backward(tape, loss)
-            return [var.grad.copy() for _, var in shared]
+            return [var.grad.copy() for var in shared]
 
         with_branch = run(True)
         without_branch = run(False)
@@ -471,6 +473,48 @@ class TestPersistence:
         for slot in loaded.parameters():
             assert slot.var.value.dtype == np.float32, slot.name
             assert np.array_equal(slot.var.value, originals[slot.name]), slot.name
+
+    def test_parameter_names_are_the_archive_layout(self, tmp_path):
+        model = make_micro_model(m=2, adversarial=True, n_domains=3, seed=5)
+        names = [slot.name for slot in model.parameters()]
+        assert names == [
+            "embedding.table",
+            "encoder.fwd.w",
+            "encoder.fwd.b",
+            "encoder.bwd.w",
+            "encoder.bwd.b",
+            "head0.attn.w",
+            "head0.attn.b",
+            "head0.attn.v",
+            "head0.hidden.w",
+            "head0.hidden.b",
+            "head0.out.w",
+            "head0.out.b",
+            "head1.attn.w",
+            "head1.attn.b",
+            "head1.attn.v",
+            "head1.hidden.w",
+            "head1.hidden.b",
+            "head1.out.w",
+            "head1.out.b",
+            "domain.hidden.w",
+            "domain.hidden.b",
+            "domain.out.w",
+            "domain.out.b",
+        ]
+        assert [slot.update_mask is None for slot in model.parameters()] == [False] + [True] * 22
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        with np.load(path) as archive:
+            keys = [name[len("param/") :] for name in archive.files if name.startswith("param/")]
+        assert keys == names
+        assert [slot.name for slot in load_model(path).parameters()] == names
+
+    def test_embedding_mask_reads_locked_at_call_time(self):
+        model = make_micro_model(seed=5)
+        model.embedding.locked[3] = True
+        mask = model.parameters()[0].update_mask
+        assert mask.shape == (len(model.vocab), 1) and mask[3, 0] == 0.0 and mask[2, 0] == 1.0
 
     def test_numpy_number_spec_round_trips(self, tmp_path):
         spec = ModelSpec(
@@ -655,6 +699,15 @@ class TestArchiveErrors:
         meta = saved[1]
         meta["vocab_tokens"] = tokens
         assert message in self.load_rewritten(saved, tmp_path, meta=meta)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_parameter_rejected(self, saved, tmp_path, bad):
+        # such a model loaded, and evaluate predicted every example negative
+        with np.load(saved[0]) as archive:
+            w = archive["param/head0.out.w"].copy()
+        w[1, 0] = bad
+        message = self.load_rewritten(saved, tmp_path, extra={"param/head0.out.w": w})
+        assert "parameter head0.out.w holds a value that is not finite" in message
 
     @pytest.mark.parametrize("name", ["embedding.table", "encoder.fwd.w", "head1.out.b"])
     def test_float64_parameter_rejected(self, saved, tmp_path, name):

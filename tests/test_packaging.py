@@ -1,8 +1,9 @@
 """The package metadata promises only what exists, and all that the
 package needs: every declared dependency imports, the package imports
 nothing undeclared, and every console-script target resolves. Each module
-declares its surface in `__all__`, and every top-level function or class
-has a caller in the package or a place there."""
+declares its surface in `__all__`, every top-level function or class
+has a caller in the package or a place there, and every method and
+property of a package class is read by the package or a benchmark."""
 
 import ast
 import importlib
@@ -175,3 +176,36 @@ def test_every_top_level_name_has_a_caller_or_a_declared_place():
             and node.name not in used | set(surface)
         ]
     assert not problems, "\n".join(problems)
+
+
+def attribute_reads(trees):
+    """Every name that the code of `trees` reads as an attribute (`x.name`)."""
+    return {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_method_is_read_in_the_package_or_a_benchmark():
+    # a method or property that no package module and no benchmark script
+    # reads as an attribute is served to no one: only tests could call it.
+    # Dunder methods are called by the language, not by name.
+    trees = package_trees()
+    benchmarks = [
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted((ROOT / "benchmarks").glob("*.py"))
+    ]
+    read = attribute_reads([*trees.values(), *benchmarks])
+    unread = [
+        f"{path.name}:{item.lineno}: {cls.name}.{item.name}"
+        for path, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+        and item.name not in read
+    ]
+    assert not unread, "methods that nothing reads: " + ", ".join(unread)

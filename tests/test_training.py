@@ -163,17 +163,19 @@ class TestAdam:
         mask = (~locked).astype(np.float64)[:, None]
         w0 = rng.normal(size=(2, rows, d)).astype(np.float32)
         # per step, the gather_rows calls on table 0, each its own backward
-        # call as (ids, through the lock mask?); rows first touched at steps
-        # 1, 2 and 4, unlocked row 8 never, and locked row 3 at step 3
+        # call as (ids, through the lock mask or an all-ones one?); rows
+        # first touched at steps 1, 2 and 4, unlocked row 8 never, and
+        # locked row 3 at step 3. Step 2 gathers row 5 three times, so its
+        # grad_rows() repeat ids.
         plan = [
             [([1, 2], True)],
-            [([2, 4, 5], True), ([5, 7, 5], True)],
+            [([2, 4, 5], True), ([5, 7], True), ([5], True)],
             [([3, 4], False)],
             [([9], True)],
             [],
             [([1], True)],
         ]
-        weights = rng.normal(size=(len(plan), 2, 3, d)).astype(np.float32)
+        weights = rng.normal(size=(len(plan), 3, 3, d)).astype(np.float32)
         dense = rng.normal(size=(rows, d)).astype(np.float32)
 
         def run(opt_class):
@@ -185,7 +187,7 @@ class TestAdam:
                 for c, (ids, masked) in enumerate(calls):
                     with ad.Tape() as tape:
                         out = ad.gather_rows(
-                            tables[0], np.array(ids), row_grad_mask=mask[:, 0] if masked else None
+                            tables[0], np.array(ids), mask[:, 0] if masked else np.ones(rows)
                         )
                         ad.backward(tape, asum(ad.mul(out, weights[step, c, : len(ids)])))
                 if step == 1:  # table 1: rows 2 and 5, then one dense gradient
@@ -666,6 +668,15 @@ class TestMetrics:
 
     def test_all_negative_predictions_without_positives_flags_degenerate(self):
         f1, degenerate = binary_f1([0, 0, 0], [0, 0, 0])
+        assert f1 == 0.0 and degenerate
+
+    @pytest.mark.parametrize(
+        "y_true, y_pred",
+        [([0, 0, 0], [0, 1, 0]), ([1, 0, 1], [0, 0, 0]), ([1, 0, 0], [0, 1, 1])],
+        ids=["no positives present", "none predicted", "predicted but disjoint"],
+    )
+    def test_no_true_positive_scores_zero_and_flags_degenerate(self, y_true, y_pred):
+        f1, degenerate = binary_f1(y_true, y_pred)
         assert f1 == 0.0 and degenerate
 
     def test_confusion_matrix_oracle(self):
