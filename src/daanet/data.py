@@ -489,16 +489,16 @@ def make_batches(examples, vocab, t_x, batch_size=32, rng=None, *, tasks, domain
         mask = (np.arange(t_x) < lengths[:, None]).astype(np.float64)
         labels = {}
         for task in tasks:
-            cells = np.array([ex.labels.get(task, np.nan) for ex in chunk], dtype=np.float64)
-            present = ~np.isnan(cells)
-            bad = present & (cells != 0.0) & (cells != 1.0)
-            if bad.any():
-                r = int(np.argmax(bad))
-                raise LabelError(
-                    f"example {positions[r]}: label for {task!r} must be 0 or 1, "
-                    f"found {chunk[r].labels[task]!r}"
-                )
-            labels[task] = (np.where(present, cells, 0.0), present.astype(np.float64))
+            # write_corpus's rule: True and 1.0 pass, "1" and NaN do not
+            present = [task in ex.labels for ex in chunk]
+            cells = [ex.labels.get(task, 0) for ex in chunk]
+            for r, cell in enumerate(cells):
+                if cell not in (0, 1):
+                    raise LabelError(
+                        f"example {positions[r]}: label for {task!r} must be 0 or 1, "
+                        f"found {cell!r}"
+                    )
+            labels[task] = (np.array(cells, dtype=np.float64), np.array(present, dtype=np.float64))
         domain = None
         if domains is not None:
             try:

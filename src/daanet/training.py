@@ -1,11 +1,18 @@
-"""Adam optimization, the training loop with early stopping, evaluation
-metrics, and the logistic-regression baseline over averaged embeddings."""
+"""Adam optimization, training with early stopping, evaluation metrics,
+and the logistic-regression baseline over averaged embeddings.
+
+Training has one epoch loop, the private generator `_epochs`: it runs the
+optimizer steps and the validation pass of each epoch and yields one
+`_Epoch` record after it. `train` consumes it. It stops after `patience`
+epochs in a row without a strictly lower validation monitor, and then
+restores the parameters of the best epoch."""
 
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +31,6 @@ from .models import _forward, bce_loss, domain_cce_loss, mt_daan_loss
 
 __all__ = [
     "Adam",
-    "EarlyStopper",
     "History",
     "Metrics",
     "TaskMetrics",
@@ -48,6 +54,14 @@ LR_MAX_EPOCHS = 500
 
 @dataclass
 class TrainConfig:
+    """How `train` runs. Training stops after `patience` epochs in a row
+    without a strictly lower validation monitor, or after `max_epochs`.
+    `seed` seeds four independent streams: `[seed, 101]` shuffles the
+    training batches, `[seed, 102]` draws dropout masks, `[seed, 103]`
+    splits off the validation set and `[seed, 104]` shuffles the domain
+    batches. The model's initial parameters come from `build_model`'s own
+    seed, not from this one."""
+
     max_epochs: int = 50
     patience: int = 3
     batch_size: int = 32
@@ -172,35 +186,27 @@ class Adam:
             slot.var.zero_grad()
 
 
-class EarlyStopper:
-    """Stop after `patience` consecutive epochs without improvement; the
-    best-so-far epoch is tracked for checkpoint restore."""
-
-    def __init__(self, patience):
-        self.patience = patience
-        self.best = np.inf
-        self.best_epoch = -1
-        self.bad_epochs = 0
-
-    def update(self, loss, epoch):
-        """Returns 'improved', 'continue', or 'stop'."""
-        if loss < self.best:
-            self.best = loss
-            self.best_epoch = epoch
-            self.bad_epochs = 0
-            return "improved"
-        self.bad_epochs += 1
-        return "stop" if self.bad_epochs >= self.patience else "continue"
-
-
 @dataclass
 class History:
+    """Per-epoch mean training loss, validation monitor and domain loss
+    (empty without a domain branch), and the epoch whose parameters
+    `train` restored."""
+
     train_loss: list = field(default_factory=list)
     val_loss: list = field(default_factory=list)
-    val_task_loss: dict = field(default_factory=dict)  # task -> list
     domain_loss: list = field(default_factory=list)
     best_epoch: int = -1
-    stopped_epoch: int = -1
+
+
+class _Epoch(NamedTuple):
+    """What `_epochs` yields after each epoch: the mean training loss, the
+    mean domain loss (None without a domain branch) and the validation
+    monitor."""
+
+    epoch: int
+    train_loss: float
+    domain_loss: float | None
+    val_loss: float
 
 
 def stratified_val_split(examples, val_split, rng):
@@ -298,21 +304,20 @@ def _restore(snapshot):
         var.value[rows] = saved
 
 
-def train(model, split, cfg):
-    """Train `model` in place on a leave-one-event-out split.
+def _epochs(model, split, cfg):
+    """Train `model` in place, one epoch after another, up to
+    `cfg.max_epochs`, yielding an `_Epoch` after each.
 
     Each optimizer step consumes one labeled task batch and, when the
     adversarial branch is active, one domain batch; the two share one
     encoder pass, and their losses are combined with the model's
     task/domain weights. A domain batch holds source texts, read without
-    their task labels, and each row's source-event index. Validation loss
-    (task terms only) drives early stopping, and the best-epoch parameters
-    are restored before returning. The best-epoch checkpoint holds only
-    what training can change: the unlocked rows of the embedding table and
-    every other parameter whole, so with U of V table rows unlocked it
-    copies U·d table entries, not V·d. It is written back into the live
-    arrays in place, so every parameter keeps its array object.
-    """
+    their task labels, and each row's source-event index. The validation
+    monitor is the mean over tasks of the validation loss (task terms
+    only). At each yield the model is in that epoch's state and holds no
+    gradient buffer. A non-finite training or validation loss raises
+    NumericalAbort. Like any generator it runs nothing, its input checks
+    included, until the first `next`."""
     spec = model.spec
     if not split.train_labeled:
         raise ContractError("empty training set")
@@ -350,11 +355,7 @@ def train(model, split, cfg):
             )
 
     domain_batches = domain_stream()
-
     optimizer = Adam(model.parameters(), lr=cfg.learning_rate)
-    stopper = EarlyStopper(cfg.patience)
-    history = History(val_task_loss={t: [] for t in spec.task_names})
-    best_params = None  # epoch 1 always improves: a non-finite monitor raises
 
     for epoch in range(1, cfg.max_epochs + 1):
         task_batches = make_batches(
@@ -388,31 +389,54 @@ def train(model, split, cfg):
                     epoch_domain += float(domain_term.value)
         finally:
             # Free the gradient buffers that zero_grad keeps for the next
-            # step, so that validation and the best-epoch snapshot do not
-            # run on top of them, and so that train leaves none on the
-            # model, also when a step raises.
+            # step, so that validation and the caller's work at the yield
+            # do not run on top of them, and so that no step leaves one on
+            # the model, also when it raises.
             for slot in optimizer.slots:
                 slot.var.drop_grad()
 
-        history.train_loss.append(epoch_loss / max(len(task_batches), 1))
-        if use_domain:
-            history.domain_loss.append(epoch_domain / max(len(task_batches), 1))
+        n_batches = max(len(task_batches), 1)
         monitor, per_task = _validation_losses(model, val_batches)
         if not np.isfinite(monitor):
             raise NumericalAbort("non-finite validation loss", epoch=epoch, loss_parts=per_task)
-        history.val_loss.append(monitor)
-        for t in spec.task_names:
-            history.val_task_loss[t].append(per_task.get(t, float("nan")))
+        yield _Epoch(
+            epoch=epoch,
+            train_loss=epoch_loss / n_batches,
+            domain_loss=epoch_domain / n_batches if use_domain else None,
+            val_loss=monitor,
+        )
 
-        verdict = stopper.update(monitor, epoch)
-        if verdict == "improved":
+
+def train(model, split, cfg):
+    """Train `model` in place on a leave-one-event-out split, and return
+    its `History`.
+
+    It runs the epochs of `_epochs` and stops after `cfg.patience` epochs
+    in a row without a strictly lower validation monitor than the best so
+    far (an equal monitor is no improvement), or after `cfg.max_epochs`.
+    The parameters of the best epoch are then restored. The best-epoch
+    checkpoint holds only what training can change: the unlocked rows of
+    the embedding table and every other parameter whole, so with U of V
+    table rows unlocked it copies U·d table entries, not V·d. It is
+    written back into the live arrays in place, so every parameter keeps
+    its array object.
+    """
+    history = History()
+    best = math.inf
+    best_epoch = -1
+    best_params = None  # epoch 1 always improves: a non-finite monitor raises
+    for record in _epochs(model, split, cfg):
+        history.train_loss.append(record.train_loss)
+        if record.domain_loss is not None:
+            history.domain_loss.append(record.domain_loss)
+        history.val_loss.append(record.val_loss)
+        if record.val_loss < best:
+            best, best_epoch = record.val_loss, record.epoch
             best_params = _snapshot(model)
-        elif verdict == "stop":
-            history.stopped_epoch = epoch
+        elif record.epoch - best_epoch >= cfg.patience:
             break
-
     _restore(best_params)
-    history.best_epoch = stopper.best_epoch
+    history.best_epoch = best_epoch
     return history
 
 

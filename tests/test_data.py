@@ -719,14 +719,26 @@ class TestMakeBatches:
         with pytest.raises(ParameterError, match="tasks must be a sequence"):
             make_batches(examples, vocab, t_x=5, tasks="t0")
 
-    @pytest.mark.parametrize("label", [2, 0.5, -1])
+    @pytest.mark.parametrize("label", [2, 0.5, -1, "1", "yes", float("nan")])
     def test_label_other_than_0_or_1_rejected(self, label):
-        # bce_loss trained on such targets, and evaluate scored 2 as negative
+        # bce_loss trained on such targets, and evaluate scored 2 as negative;
+        # "1" batched as 1.0, "yes" raised a bare ValueError, NaN read as absent
         examples, vocab = self.build(6)
         examples[4].labels["t"] = label
-        message = f"example 4: label for 't' must be 0 or 1, found {label}"
+        message = re.escape(f"example 4: label for 't' must be 0 or 1, found {label!r}")
         with pytest.raises(LabelError, match=message):
             make_batches(examples, vocab, t_x=5, batch_size=4, tasks=("t",))
+
+    @pytest.mark.parametrize(
+        "label, value", [(True, 1.0), (False, 0.0), (1.0, 1.0), (np.int64(0), 0.0)]
+    )
+    def test_bool_and_float_labels_of_0_or_1_accepted(self, label, value):
+        # write_corpus's rule, label in (0, 1)
+        examples, vocab = self.build(2)
+        examples[1].labels["t"] = label
+        (batch,) = make_batches(examples, vocab, t_x=5, tasks=("t",))
+        y, present = batch.labels["t"]
+        assert (y.tolist(), present.tolist()) == ([0.0, value], [1.0, 1.0])
 
     def test_tasks_from_an_iterator_label_every_batch(self):
         # a generator of task names was used up by the first batch

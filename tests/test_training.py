@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 import sys
@@ -9,6 +10,7 @@ from conftest import (
     asum,
     make_micro_batch,
     make_micro_model,
+    package_trees,
     synth_separable_embedding_corpus,
     to_float64,
 )
@@ -28,7 +30,6 @@ from daanet.models import (
 from daanet.synth import synth_domains
 from daanet.training import (
     Adam,
-    EarlyStopper,
     Metrics,
     TrainConfig,
     binary_f1,
@@ -290,24 +291,80 @@ class TestJointStep:
         assert state == ref_state
 
 
-class TestEarlyStopper:
-    def test_worsening_from_epoch_two_stops_at_five(self):
-        stopper = EarlyStopper(patience=3)
-        losses = {1: 1.0, 2: 0.8, 3: 0.9, 4: 1.0, 5: 1.1}
-        outcome = {}
-        for epoch in range(1, 6):
-            outcome[epoch] = stopper.update(losses[epoch], epoch)
-        assert outcome[2] == "improved"
-        assert outcome[3] == "continue"
-        assert outcome[4] == "continue"
-        assert outcome[5] == "stop"
-        assert stopper.best_epoch == 2
+class TestPatience:
+    """`train` stops after `patience` epochs in a row without a strictly
+    lower validation monitor, and restores the best epoch. The monitor is
+    scripted here; the model trains for real."""
 
-    def test_recovery_resets_patience(self):
-        stopper = EarlyStopper(patience=2)
-        seq = [1.0, 0.9, 0.95, 0.85, 0.9, 0.95]
-        results = [stopper.update(loss, i + 1) for i, loss in enumerate(seq)]
-        assert results == ["improved", "improved", "continue", "improved", "continue", "stop"]
+    @staticmethod
+    def run(monkeypatch, monitors, patience):
+        split, vocab, tasks = tiny_split(n_events=3, per_event=12)
+        scripted = iter(monitors)
+        monkeypatch.setattr(training, "_validation_losses", lambda *args: (next(scripted), {}))
+        model = build_model(tiny_spec(vocab, tasks), vocab, seed=0)
+        cfg = TrainConfig(max_epochs=len(monitors), patience=patience, batch_size=16)
+        history = train(model, split, cfg)
+        assert history.val_loss == monitors[: len(history.val_loss)]
+        return len(history.val_loss), history.best_epoch
+
+    def test_worsening_from_epoch_two_stops_at_five(self, monkeypatch):
+        monitors = [1.0, 0.8, 0.9, 1.0, 1.1, 0.1, 0.1]
+        assert self.run(monkeypatch, monitors, patience=3) == (5, 2)
+
+    def test_recovery_resets_patience(self, monkeypatch):
+        monitors = [1.0, 0.9, 0.95, 0.85, 0.9, 0.95, 0.1]
+        assert self.run(monkeypatch, monitors, patience=2) == (6, 4)
+
+    def test_equal_monitor_is_no_improvement(self, monkeypatch):
+        monitors = [1.0, 0.9, 0.9, 0.9, 0.1]
+        assert self.run(monkeypatch, monitors, patience=2) == (4, 2)
+
+
+class TestEpochs:
+    def test_yields_each_epoch_without_gradient_buffers_as_train_records_it(self):
+        # patience = max_epochs - 1, so train runs every epoch
+        split, vocab, tasks = tiny_split()
+        spec = tiny_spec(vocab, tasks, adversarial=True, n_domains=split.n_domains, dropout=0.2)
+        cfg = TrainConfig(max_epochs=3, patience=2, batch_size=16, seed=6)
+        model = build_model(spec, vocab, seed=6)
+        records, states = [], []
+        for record in training._epochs(model, split, cfg):
+            for slot in model.parameters():
+                assert slot.var._grad is None and slot.var._spare is None, slot.name
+            records.append(record)
+            states.append([slot.var.value.tobytes() for slot in model.parameters()])
+
+        trained = build_model(spec, vocab, seed=6)
+        history = train(trained, split, cfg)
+        assert [r.epoch for r in records] == [1, 2, 3]
+        assert [r.train_loss for r in records] == history.train_loss
+        assert [r.val_loss for r in records] == history.val_loss
+        assert [r.domain_loss for r in records] == history.domain_loss
+        best = history.best_epoch
+        assert history.val_loss[best - 1] == min(history.val_loss)
+        assert [slot.var.value.tobytes() for slot in trained.parameters()] == states[best - 1]
+
+
+def test_one_epoch_loop():
+    # every backward pass and every optimizer in the package sits in
+    # training._epochs, so train and any later caller that acts between
+    # epochs consume that one loop
+    callers = set()
+    for path, tree in package_trees().items():
+
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = node.name
+            if isinstance(node, ast.Call):
+                fn = node.func
+                called = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if called in {"backward", "Adam"}:
+                    callers.add((path.stem, where, called))
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(tree, None)
+    assert callers == {("training", "_epochs", "backward"), ("training", "_epochs", "Adam")}
 
 
 class TestTrainConfig:
