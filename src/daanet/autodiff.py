@@ -25,14 +25,16 @@ domain rows of a joint encoder pass, one node per part), `mul` (dropout),
 (dense layers), `softmax_cross_entropy` (both losses) and `weighted_sum`
 (their combination). Their differentiable operands are Vars. The
 constants, which get no gradient, are plain arrays or numbers: either
-operand of `mul`, the distinct, increasing ids and the row mask of
-`gather_rows`, the split point of `split_rows`, the ids and mask of
-`bilstm`, the mask of `attention`, the lengths of `masked_mean`, the
-targets and weights of `softmax_cross_entropy` and `weighted_sum`, and the
-strength of `gradient_reversal`. Row ids must be integers and in range:
-otherwise `ContractError` or `DimensionError`. Each op keeps one code
-path: `gather_rows` rejects repeated or unsorted ids (`ContractError`)
-rather than summing them on a second one.
+operand of `mul`, the distinct, increasing ids of `gather_rows`, the split
+point of `split_rows`, the ids and mask of `bilstm`, the mask of
+`attention`, the lengths of `masked_mean`, the targets and weights of
+`softmax_cross_entropy` and `weighted_sum`, and the strength of
+`gradient_reversal`. Row ids must be integers and in range: otherwise
+`ContractError` or `DimensionError`. Each op keeps one code path:
+`gather_rows` rejects repeated or unsorted ids (`ContractError`) rather
+than summing them on a second one. Every op but `gradient_reversal`
+returns the derivative of its output: which rows may change is the
+optimizer's decision, so a locked embedding row gets its true gradient.
 
 Dtype rule: a Var holds a float32 or float64 array as given and turns any
 other input into float64; its gradient has the value's dtype. Every op
@@ -492,15 +494,13 @@ def _row_index(ids, n_rows, op):
     return ids
 
 
-def gather_rows(table, ids, row_grad_mask):
+def gather_rows(table, ids):
     """Row lookup `table[ids]` of distinct rows; the backward pass adds
-    into the table's gradient rows.
+    the true gradient of every gathered row into the table's gradient.
 
     `ids` is a 1-D array of strictly increasing row ids, as `layers.embed`
     passes them; other ids raise `ContractError`, after `_row_index` has
-    checked their dtype and range. `row_grad_mask` is a {0,1} vector over
-    rows: rows with 0 receive no gradient (locked embedding rows). The
-    pullback drops their ids and adds the incoming rows of the others as
+    checked their dtype and range. The pullback adds the incoming rows as
     they are with `Var.add_grad_rows`, which records them, so untouched
     rows are never written. Each id names its own row, so no row needs a
     sum: `add_grad_rows` would drop all but one of a repeated id's rows.
@@ -513,8 +513,7 @@ def gather_rows(table, ids, row_grad_mask):
     out = Var(table.value[ids])
 
     def pullback(g):
-        kept = row_grad_mask[ids] != 0
-        table.add_grad_rows(ids[kept], g[kept])
+        table.add_grad_rows(ids, g)
 
     return _record(out, (table,), pullback)
 

@@ -207,9 +207,11 @@ def load_embeddings(path, vocab, dim, seed=0):
     parsed `EMBEDDING_CHUNK` lines at a time with np.loadtxt, with a
     per-line float() fallback, and errors are raised in file order. A
     leading UTF-8 byte-order mark is skipped. A `dim` that is not an
-    integer of at least 1 raises ParameterError before the file is opened.
+    integer of at least 1, or a `seed` that is not an integer of at least
+    0, raises ParameterError before the file is opened.
     """
     require_counts("embedding dim", dim=dim)
+    require_counts("seed", least=0, seed=seed)
     v = len(vocab)
     table = np.zeros((v, dim), dtype=MODEL_DTYPE)
     last_line = {}  # table row -> line number of its last vector

@@ -97,13 +97,13 @@ def require_ints(what, **values):
     _require_numbers(numbers.Integral, "integers", what, values)
 
 
-def require_counts(what, **values):
+def require_counts(what, least=1, **values):
     """Raise ParameterError naming each of `values` that is not an integer
-    (`require_ints`) or is below 1."""
+    (`require_ints`) or is below `least`; a seed takes `least=0`."""
     require_ints(what, **values)
-    bad = [f"{name}={value!r}" for name, value in values.items() if value < 1]
+    bad = [f"{name}={value!r}" for name, value in values.items() if value < least]
     if bad:
-        raise ParameterError(f"{what} must be at least 1, got {', '.join(bad)}")
+        raise ParameterError(f"{what} must be at least {least}, got {', '.join(bad)}")
 
 
 def require_reals(what, **values):

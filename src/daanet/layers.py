@@ -74,7 +74,7 @@ class EmbeddingMatrix:
     """Token-vector table with per-row lock flags.
 
     Row 0 is the reserved all-zeros padding row and is always locked;
-    locked rows receive no gradient and no optimizer update.
+    locked rows get a gradient, never an update (see `models.ParamSlot`).
     """
 
     table: ad.Var
@@ -101,11 +101,6 @@ class EmbeddingMatrix:
     def dim(self):
         return self.table.value.shape[1]
 
-    def unlocked_mask(self):
-        """A {0, 1} float vector over rows, 1 where a row trains. It reads
-        `locked` at each call, so a flag changed after construction holds."""
-        return (~self.locked).astype(np.float64)
-
 
 def random_embedding(vocab_size, dim, rng):
     """Fresh tunable embedding table drawn from uniform(-EMBEDDING_INIT_SCALE,
@@ -127,8 +122,8 @@ def embed(matrix, ids):
     Returns (rows, index): `rows` is a Var [U x d] holding the U distinct
     ids' rows in ascending id order, and `index` is an integer array shaped
     like `ids` naming the row of `rows` each position reads, so
-    rows.value[index] is the table lookup `table[ids]`. Gradients are added
-    only into unlocked rows (see `autodiff.gather_rows`).
+    rows.value[index] is the table lookup `table[ids]`. Every gathered row,
+    locked or not, gets its true gradient (see `autodiff.gather_rows`).
 
     The distinct ids come from a flag per vocabulary row rather than a
     sort: on a 256 x 30 request batch of 65 distinct ids (2-core x86) that
@@ -140,7 +135,7 @@ def embed(matrix, ids):
     distinct = np.flatnonzero(seen)
     slot = np.empty(matrix.vocab_size, dtype=np.intp)
     slot[distinct] = np.arange(distinct.size)
-    rows = ad.gather_rows(matrix.table, distinct, row_grad_mask=matrix.unlocked_mask())
+    rows = ad.gather_rows(matrix.table, distinct)
     return rows, slot[ids]
 
 

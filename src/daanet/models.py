@@ -38,6 +38,7 @@ from .errors import (
     DimensionError,
     LabelError,
     ParameterError,
+    require_counts,
     require_ints,
     require_reals,
 )
@@ -81,9 +82,10 @@ ARCHIVE_FORMAT = 4  # 4: float32 parameters
 class ParamSlot(NamedTuple):
     """A named trainable tensor as the optimizer sees it.
 
-    `update_mask` is None, or a {0,1} column [rows x 1] over a 2-D
-    parameter: rows marked 0 are locked, and `training.Adam` neither
-    updates them nor keeps moments for them.
+    `update_mask` is None, or a bool or {0, 1} column [rows x 1] over a
+    2-D parameter. It is the one place locked rows are decided: rows marked
+    0 carry their true gradient, but `training.Adam` neither updates them
+    nor keeps moments for them, and checkpoints skip them.
     """
 
     name: str
@@ -194,9 +196,9 @@ class TrainedModel:
     domain: DomainBranch | None = None
 
     def parameters(self):
-        """Every trainable tensor: the embedding table, with a locked-row
-        mask read from `embedding.locked` at each call, then `slots`."""
-        mask = self.embedding.unlocked_mask()[:, None]
+        """Every trainable tensor: the embedding table, with an update mask
+        built from `embedding.locked` at each call, then `slots`."""
+        mask = ~self.embedding.locked[:, None]
         return [ParamSlot("embedding.table", self.embedding.table, mask), *self.slots]
 
 
@@ -270,7 +272,9 @@ def _assemble(spec, vocab, embedding, fill):
 def build_model(spec, vocab, embedding=None, seed=0):
     """Initialize a model. Components draw from independent seed streams
     (`[seed, 0]` for a fresh embedding, then the streams of `_assemble`),
-    so e.g. adding a domain branch does not shift task-head initialization."""
+    so e.g. adding a domain branch does not shift task-head initialization.
+    A seed that is not an integer of at least 0 raises ParameterError."""
+    require_counts("seed", least=0, seed=seed)
     if embedding is None:
         embedding = random_embedding(len(vocab), spec.d, np.random.default_rng([seed, 0]))
     _check_embedding(spec, vocab, embedding)
@@ -297,7 +301,7 @@ class ForwardResult:
     domain_logits: object = None  # Var [N - n_task x n_domains], or None without domain rows
 
 
-def _forward(model, ids, mask, rng=None, n_task=None, reverse_domain=True):
+def _forward(model, ids, mask, rng=None, n_task=None):
     """Embed and encode the [N x T_x] `ids` once, then send rows [:n_task]
     to the task heads and rows [n_task:] to the domain branch.
 
@@ -306,8 +310,8 @@ def _forward(model, ids, mask, rng=None, n_task=None, reverse_domain=True):
     `ContractError`. When both parts have rows, `autodiff.split_rows` hands
     them to their branches. Dropout runs only when `rng` is given, drawing
     for the task rows, then each head's context, then the domain rows.
-    `reverse_domain=False` bypasses the gradient reversal, so that finite
-    differences can check the true derivative.
+    The domain branch sits behind `autodiff.gradient_reversal`, looked up
+    at each call, so a test may replace it to read the true derivative.
     """
     spec = model.spec
     if np.shape(ids)[1:] != (spec.t_x,):
@@ -342,9 +346,7 @@ def _forward(model, ids, mask, rng=None, n_task=None, reverse_domain=True):
     domain_logits = None
     if n_task < n:
         acts = dropout(domain_states, spec.dropout_rate, rng)
-        pooled = ad.masked_mean(acts, lengths[n_task:])
-        if reverse_domain:
-            pooled = ad.gradient_reversal(pooled, spec.lam)
+        pooled = ad.gradient_reversal(ad.masked_mean(acts, lengths[n_task:]), spec.lam)
         hidden = dense(model.domain.hidden, pooled, "relu")
         domain_logits = dense(model.domain.out, hidden)
     return ForwardResult(task_logits=task_logits, alphas=alphas, domain_logits=domain_logits)
@@ -421,7 +423,8 @@ def covid_relevance(priority_pred, irrelevant_pred):
 
 def save_model(model, path):
     """Write a single self-describing .npz archive: spec, vocabulary (plus
-    hash), and every parameter tensor (float32). Round-trips are bit-exact."""
+    hash), and every parameter tensor (float32), at exactly `path` (given a
+    name, `np.savez` would append ``.npz``). Round-trips are bit-exact."""
     arrays = {}
     for slot in model.parameters():
         arrays["param/" + slot.name] = slot.var.value
@@ -433,7 +436,8 @@ def save_model(model, path):
         "vocab_sha256": model.vocab.sha256(),
     }
     arrays["meta.json"] = np.array(json.dumps(meta))
-    np.savez(path, **arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def _require(entries, names, what, path):

@@ -71,12 +71,12 @@ class TrainConfig:
 
     def __post_init__(self):
         require_ints(
-            "epochs, patience, batch size and seed",
+            "epochs, patience and batch size",
             max_epochs=self.max_epochs,
             patience=self.patience,
             batch_size=self.batch_size,
-            seed=self.seed,
         )
+        require_counts("seed", least=0, seed=self.seed)
         require_reals(
             "validation split and learning rate",
             val_split=self.val_split,
@@ -84,8 +84,6 @@ class TrainConfig:
         )
         if min(self.max_epochs, self.patience, self.batch_size) < 1:
             raise ParameterError("epochs, patience, and batch size must be positive")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.patience >= self.max_epochs:
             raise ParameterError("patience must be smaller than max_epochs")
         if not 0.0 < self.val_split < 1.0:
@@ -96,7 +94,8 @@ class TrainConfig:
 
 def _update_rows(slot):
     """Row selector for a slot's updates: the unlocked rows of a masked
-    2-D parameter, or the whole array (`...`) when there is no mask."""
+    2-D parameter, or the whole array (`...`) when there is no mask.
+    `Adam` and `_snapshot` read it: no other code keeps a locked row still."""
     mask = slot.update_mask
     if mask is None:
         return ...
@@ -120,10 +119,11 @@ class Adam:
     some step (`Var.grad_rows`; a dense gradient reaches every row). Its
     moments m and v hold the active rows alone, in order of activation; a
     row gets zero moments appended when it first becomes active. Locked
-    rows never get moments, and rows not yet reached cost no time. Adam is
-    elementwise, and a row whose gradient and moments are all zero moves
-    by exactly 0, so this gives the same numbers, bit for bit, as a
-    full-table step that zeroes locked rows.
+    rows never get moments, and the gradient they carry is never read;
+    rows not yet reached cost no time. Adam is elementwise, and a row
+    whose gradient and moments are all zero moves by exactly 0, so this
+    gives the same numbers, bit for bit, as a full-table step that skips
+    locked rows.
     """
 
     beta1 = 0.9
@@ -228,7 +228,7 @@ def stratified_val_split(examples, val_split, rng):
     return train, val
 
 
-def _batch_losses(model, batch, rng=None, domain_batch=None, reverse_domain=True):
+def _batch_losses(model, batch, rng=None, domain_batch=None):
     """Per-task losses and label counts of `batch`, and the domain loss of
     `domain_batch` (None without one). With a domain batch, both batches
     run through the encoder in one joint pass. Dropout draws from `rng`
@@ -236,17 +236,12 @@ def _batch_losses(model, batch, rng=None, domain_batch=None, reverse_domain=True
     missing = [t for t in model.spec.task_names if t not in batch.labels]
     if missing:
         raise ContractError(f"batch is missing labels for tasks {missing}")
-    if domain_batch is None:
-        out = _forward(model, batch.ids, batch.mask, rng=rng)
-    else:
-        out = _forward(
-            model,
-            np.concatenate([batch.ids, domain_batch.ids]),
-            np.concatenate([batch.mask, domain_batch.mask]),
-            rng=rng,
-            n_task=batch.size,
-            reverse_domain=reverse_domain,
-        )
+    ids, mask, n_task = batch.ids, batch.mask, None
+    if domain_batch is not None:
+        ids = np.concatenate([ids, domain_batch.ids])
+        mask = np.concatenate([mask, domain_batch.mask])
+        n_task = batch.size
+    out = _forward(model, ids, mask, rng=rng, n_task=n_task)
     losses = []
     counts = []
     for k, task in enumerate(model.spec.task_names):

@@ -4,6 +4,7 @@ logistic-regression baseline, and the parsed package for the structure
 tests."""
 
 import ast
+import contextlib
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,13 @@ SEPARABLE_N_TEST = 100
 SEPARABLE_DIM = 16
 SEPARABLE_SEPARATION = 4.0
 SEPARABLE_WORDS = 10
+# seeds that every seeded entry point rejects, with the message it raises
+BAD_SEEDS = pytest.mark.parametrize(
+    "seed, message",
+    [(-1, "seed must be at least 0"), (1.5, "must be integers"), (True, "must be integers"),
+     ("3", "must be integers"), (None, "must be integers")],
+    ids=["negative", "float", "bool", "str", "none"],
+)
 
 
 def asum(x):
@@ -195,22 +203,33 @@ def make_verification_model(m=3, adversarial=True, n_domains=3, seed=0):
     return model
 
 
-def full_loss(model, batch, domain_batch, reverse_domain=False):
+@contextlib.contextmanager
+def reversal_bypassed():
+    """Run the block with `autodiff.gradient_reversal` replaced by the
+    identity. `models` looks the op up at each call, so a loss built inside
+    the block has the true derivative, which finite differences measure."""
+    reversal = ad.gradient_reversal
+    ad.gradient_reversal = lambda x, lam: x
+    try:
+        yield
+    finally:
+        ad.gradient_reversal = reversal
+
+
+def full_loss(model, batch, domain_batch):
     """The complete multi-task adversarial training loss of one step, as
     `training.train` builds it: the task losses of `batch` plus, when the
     model has a domain branch, the domain loss of `domain_batch` (None
     otherwise), with both batches through the encoder in one joint pass.
 
-    For gradient checking the reversal layer is bypassed by default:
-    finite differences measure the true derivative, while the reversal
+    For gradient checking, build it under `reversal_bypassed`: finite
+    differences measure the true derivative, while the reversal
     deliberately propagates its negation into the shared encoder, so the
     two can only agree on the surrogate without the flip. The reversal
     edge itself has an exact contract (forward identity, backward equals
     -lam x upstream) and is verified separately.
     """
-    task_losses, _, domain_term = _batch_losses(
-        model, batch, domain_batch=domain_batch, reverse_domain=reverse_domain
-    )
+    task_losses, _, domain_term = _batch_losses(model, batch, domain_batch=domain_batch)
     spec = model.spec
     return mt_daan_loss(task_losses, spec.w_tasks, domain_term, spec.w_domain)
 

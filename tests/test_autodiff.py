@@ -284,54 +284,39 @@ class TestGradCheck:
 
 
 class TestStructuralOps:
-    def test_gather_rows_respects_row_mask(self):
-        table = ad.Var(np.ones((3, 2)))
-        keep = np.array([0.0, 1.0, 1.0])
-        with ad.Tape() as tape:
-            out = ad.gather_rows(table, np.array([0, 1]), row_grad_mask=keep)
-            loss = asum(out)
-            ad.backward(tape, loss)
-        assert np.array_equal(table.grad[0], [0.0, 0.0])
-        assert np.array_equal(table.grad[1], [1.0, 1.0])
-
     def test_gather_rows_two_calls_match_dense_scatter(self):
-        # two gathers on one tape that share rows 2 and 4 and the locked row 0
+        # two gathers on one tape that share rows 2 and 4, row 0 included
         rng = np.random.default_rng(29)
         table = ad.Var(rng.normal(size=(7, 3)))
-        keep = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
         ids = [np.array([0, 2, 3, 5]), np.array([2, 4])]
         weights = [rng.normal(size=i.shape + (3,)) for i in ids]
         with ad.Tape() as tape:
-            parts = [
-                asum(ad.mul(ad.gather_rows(table, i, row_grad_mask=keep), w))
-                for i, w in zip(ids, weights)
-            ]
+            parts = [asum(ad.mul(ad.gather_rows(table, i), w)) for i, w in zip(ids, weights)]
             ad.backward(tape, ad.weighted_sum(parts, [1.0, 1.0]))
 
-        # dense reference: scatter each call into a full-table buffer, then mask
+        # dense reference: scatter each call into a full-table buffer
         ref = np.zeros((7, 3))
         for i, w in zip(ids, weights):
             buf = np.zeros((7, 3))
             buf[i] = w
-            ref += buf * keep[:, None]
+            ref += buf
         assert np.array_equal(table.grad, ref)
-        assert np.array_equal(table.grad[[0, 1, 3, 6]], np.zeros((4, 3)))
+        assert np.array_equal(table.grad[[1, 6]], np.zeros((2, 3)))
 
     def test_gather_rows_increasing_ids_match_dense_scatter(self):
         # strictly increasing ids, as layers.embed passes them, over two
         # backward calls that share rows
         rng = np.random.default_rng(41)
         table = ad.Var(rng.normal(size=(8, 3)).astype(np.float32))
-        keep = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0])
         ids = [np.array([0, 2, 3, 5]), np.array([1, 2, 5, 7])]
         weights = [rng.normal(size=(4, 3)).astype(np.float32) for _ in ids]
         for i, w in zip(ids, weights):
             with ad.Tape() as tape:
-                out = ad.gather_rows(table, i, row_grad_mask=keep)
+                out = ad.gather_rows(table, i)
                 ad.backward(tape, asum(ad.mul(out, w)))
         ref = np.zeros((8, 3), dtype=np.float32)
         for i, w in zip(ids, weights):
-            ref[i] += w * keep[i, None].astype(np.float32)
+            ref[i] += w
         assert table.grad.tobytes() == ref.tobytes()
 
     def test_split_rows_views_and_one_gradient_buffer(self):
@@ -352,7 +337,7 @@ class TestStructuralOps:
         table = ad.Var(np.arange(6.0).reshape(3, 2))
         for bad in (3, -1):
             with pytest.raises(DimensionError, match=f"row index {bad} "):
-                ad.gather_rows(table, np.array([0, bad]), np.ones(3))
+                ad.gather_rows(table, np.array([0, bad]))
 
     @pytest.mark.parametrize(
         "ids",
@@ -364,7 +349,7 @@ class TestStructuralOps:
         # Var.add_grad_rows, so the gather takes distinct rows only
         table = ad.Var(np.arange(8.0).reshape(4, 2))
         with pytest.raises(ContractError, match="1-D and strictly increasing"):
-            ad.gather_rows(table, ids, np.ones(4))
+            ad.gather_rows(table, ids)
 
     def test_attend_matches_brute_force(self):
         # the whole float64 attention forward against the plain-numpy reference
@@ -509,7 +494,7 @@ class TestRowTrackedGradient:
     def gather_backward(table, ids, seed=0):
         w = np.random.default_rng(seed).normal(size=(len(ids), table.shape[1]))
         with ad.Tape() as tape:
-            out = ad.gather_rows(table, np.array(ids), np.ones(table.shape[0]))
+            out = ad.gather_rows(table, np.array(ids))
             ad.backward(tape, asum(ad.mul(out, w.astype(table.value.dtype))))
         return w
 
@@ -767,8 +752,15 @@ def test_every_op_passes_grad_check_on_random_shapes():
     pooled_weights = rng.normal(size=(2, 4))
     split_weights = [rng.normal(size=(1, 4, 3)), rng.normal(size=(2, 4, 3))]
     lstm_rows = ad.Var(rng.normal(size=(4, 3)))
+    # strictly increasing ids that skip rows 1 and 4 of the table
+    gather_table = ad.Var(rng.normal(size=(5, 4)))
+    gather_ids = np.array([0, 2, 3])
+    gather_weights = rng.normal(size=(3, 4))
 
     cases = {
+        "gather_rows": lambda: asum(
+            ad.mul(ad.gather_rows(gather_table, gather_ids), gather_weights)
+        ),
         "mul": lambda: asum(ad.mul(a, b)),
         "affine": lambda: asum(ad.mul(ad.affine(a, aff_w, aff_b), aff_weights)),
         "bilstm": lambda: asum(
@@ -793,9 +785,13 @@ def test_every_op_passes_grad_check_on_random_shapes():
             [0.6, 1.7],
         ),
     }
+    # every op returns its derivative but the reversal, whose exact
+    # contract TestGradientReversal pins; an op added without a case fails
+    assert sorted(cases) == sorted(op_set() - {"gradient_reversal"})
     for name, f in cases.items():
         params = [a, b, acts, seq, lstm_rows, lstm_w, lstm_b, lstm_w_rev, lstm_b_rev]
-        err = grad_check(f, params + [aff_w, aff_b, att_w, att_b, att_v])
+        params += [gather_table, aff_w, aff_b, att_w, att_b, att_v]
+        err = grad_check(f, params)
         assert err < 1e-4, f"{name}: grad check error {err}"
 
 
@@ -803,16 +799,21 @@ def test_every_op_passes_grad_check_on_random_shapes():
 OP_SET_EXEMPT = {"Var", "Tape", "backward", "scratch"}
 
 
-def test_every_op_is_used_by_the_package():
-    # autodiff holds the model's op set: an op no module of the package
-    # uses is a general-purpose op to delete, not to keep
-    ops = {
+def op_set():
+    """The public functions `autodiff` defines, less `OP_SET_EXEMPT`."""
+    names = {
         name
         for name, obj in vars(ad).items()
         if callable(obj) and not name.startswith("_") and obj.__module__ == ad.__name__
     }
+    return names - OP_SET_EXEMPT
+
+
+def test_every_op_is_used_by_the_package():
+    # autodiff holds the model's op set: an op no module of the package
+    # uses is a general-purpose op to delete, not to keep
     used = names_taken_from("autodiff", package_trees())
-    assert sorted(ops - OP_SET_EXEMPT - used) == []
+    assert sorted(op_set() - used) == []
 
 
 @pytest.mark.parametrize(
@@ -846,7 +847,7 @@ def test_misfit_operands_rejected(case):
 def test_bad_row_ids_rejected(op, ids, error):
     x, _, w_f, b_f, w_b, b_b = bilstm_operands()  # x has 4 rows
     call = {
-        "gather_rows": lambda: ad.gather_rows(x, ids, np.ones(4)),
+        "gather_rows": lambda: ad.gather_rows(x, ids),
         "bilstm": lambda: ad.bilstm(x, ids, np.ones((1, 4)), w_f, b_f, w_b, b_b),
     }[op]
     with pytest.raises(error):

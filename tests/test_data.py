@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import BAD_SEEDS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -425,6 +426,12 @@ class TestLoadEmbeddings:
         # a dim of 0 was blamed on line 1 of the file; the file need not exist
         with pytest.raises(ParameterError, match=f"embedding dim {message}, got dim="):
             load_embeddings(tmp_path / "missing.txt", Vocab(["storm"]), dim=dim)
+
+    @BAD_SEEDS
+    def test_bad_seed_rejected_before_reading(self, tmp_path, seed, message):
+        # None drew the missing rows from OS entropy; the file need not exist
+        with pytest.raises(ParameterError, match=message):
+            load_embeddings(tmp_path / "missing.txt", Vocab(["storm"]), dim=2, seed=seed)
 
 
 class TestCorpusIO:

@@ -19,7 +19,9 @@ from conftest import (
     make_verification_model,
     micro_spec,
     micro_vocab,
+    BAD_SEEDS,
     package_trees,
+    reversal_bypassed,
     to_float64,
 )
 
@@ -275,11 +277,13 @@ class TestStDaanLoss:
             return [v.grad.copy() for v in encoder_vars]
 
         # the joint pass reads the batch twice: once for the heads, once
-        # for the domain branch
+        # for the domain branch, whose true gradient the reversal at lam=1
+        # negates exactly
         full = run(lambda: forward_both(model, batch))
         task_only = run(lambda: forward(model, batch))
-        domain_only = run(lambda: forward(model, batch, n_task=0, reverse_domain=False))
-        for g_full, g_task, g_dom in zip(full, task_only, domain_only):
+        domain_reversed = run(lambda: forward(model, batch, n_task=0))
+        for g_full, g_task, g_rev in zip(full, task_only, domain_reversed):
+            g_dom = -g_rev
             assert np.allclose(g_full, g_task - g_dom, atol=1e-12)
 
 
@@ -318,7 +322,7 @@ class TestMtDaanForward:
         batch = make_micro_batch(model, n=6, seed=[0, 78], with_domain=True)
         domain_batch = make_micro_batch(model, n=4, seed=[1, 78], with_domain=True)
         with ad.Tape() as tape:
-            ad.backward(tape, full_loss(model, batch, domain_batch, reverse_domain=True))
+            ad.backward(tape, full_loss(model, batch, domain_batch))
         dead = [slot.name for slot in model.parameters() if not np.any(slot.var.grad)]
         assert dead == []
 
@@ -330,14 +334,15 @@ class TestMtDaanForward:
             training._batch_losses(model, batch)
 
     def test_full_loss_passes_grad_check(self):
-        # the reversal edge is bypassed inside full_loss: finite differences
-        # measure the true derivative, which the flip deliberately negates;
-        # task and domain rows differ, and so do their counts
+        # the reversal edge is bypassed: finite differences measure the
+        # true derivative, which the flip deliberately negates; task and
+        # domain rows differ, and so do their counts
         model = make_verification_model(m=3, adversarial=True, n_domains=3, seed=4)
         batch = make_micro_batch(model, n=3, seed=[4, 78], with_domain=True)
         domain_batch = make_micro_batch(model, n=2, seed=[5, 78], with_domain=True)
         params = [slot.var for slot in model.parameters()]
-        assert grad_check(lambda: full_loss(model, batch, domain_batch), params) < 1e-4
+        with reversal_bypassed():
+            assert grad_check(lambda: full_loss(model, batch, domain_batch), params) < 1e-4
 
 
 class TestFloat32Model:
@@ -473,6 +478,19 @@ class TestPersistence:
         for slot in loaded.parameters():
             assert slot.var.value.dtype == np.float32, slot.name
             assert np.array_equal(slot.var.value, originals[slot.name]), slot.name
+
+    @pytest.mark.parametrize("name", ["model", "model.bin"])
+    def test_archive_lands_at_exactly_the_path(self, tmp_path, name):
+        # np.savez given a name would write model.npz or model.bin.npz
+        model = make_micro_model(m=2, adversarial=True, n_domains=3, seed=5)
+        path = tmp_path / name
+        save_model(model, path)
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        loaded = load_model(path)
+        originals = {s.name: s.var.value for s in model.parameters()}
+        for slot in loaded.parameters():
+            assert slot.var.value.tobytes() == originals[slot.name].tobytes(), slot.name
+        assert np.array_equal(loaded.embedding.locked, model.embedding.locked)
 
     def test_parameter_names_are_the_archive_layout(self, tmp_path):
         model = make_micro_model(m=2, adversarial=True, n_domains=3, seed=5)
@@ -767,6 +785,16 @@ class TestArchiveErrors:
         meta["format"] = models.ARCHIVE_FORMAT - 1
         message = self.load_rewritten(saved, tmp_path, meta=meta)
         assert f"format {models.ARCHIVE_FORMAT - 1}" in message
+
+
+@BAD_SEEDS
+def test_build_model_rejects_bad_seed_before_drawing(monkeypatch, seed, message):
+    def no_draw(*args):
+        raise AssertionError("drew before checking the seed")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ParameterError, match=message):
+        build_model(micro_spec(), micro_vocab(), seed=seed)
 
 
 class TestModelSpecValidation:

@@ -164,17 +164,17 @@ class TestAdam:
         mask = (~locked).astype(np.float64)[:, None]
         w0 = rng.normal(size=(2, rows, d)).astype(np.float32)
         # per step, the gather_rows calls on table 0, each its own backward
-        # call as (ids, through the lock mask or an all-ones one?); rows
+        # call, and each the true gradient of its rows, locked or not; rows
         # first touched at steps 1, 2 and 4, unlocked row 8 never, and
-        # locked row 3 at step 3. Step 2 gathers row 5 three times, so its
-        # grad_rows() repeat ids.
+        # locked rows 3 and 6 at steps 3 and 2. Step 2 gathers row 5 three
+        # times, so its grad_rows() repeat ids.
         plan = [
-            [([1, 2], True)],
-            [([2, 4, 5], True), ([5, 7], True), ([5], True)],
-            [([3, 4], False)],
-            [([9], True)],
+            [[1, 2]],
+            [[2, 4, 5], [5, 6, 7], [5]],
+            [[3, 4]],
+            [[9]],
             [],
-            [([1], True)],
+            [[1]],
         ]
         weights = rng.normal(size=(len(plan), 3, 3, d)).astype(np.float32)
         dense = rng.normal(size=(rows, d)).astype(np.float32)
@@ -185,15 +185,13 @@ class TestAdam:
                 [ParamSlot(f"table{k}", t, mask) for k, t in enumerate(tables)], lr=0.05
             )
             for step, calls in enumerate(plan):
-                for c, (ids, masked) in enumerate(calls):
+                for c, ids in enumerate(calls):
                     with ad.Tape() as tape:
-                        out = ad.gather_rows(
-                            tables[0], np.array(ids), mask[:, 0] if masked else np.ones(rows)
-                        )
+                        out = ad.gather_rows(tables[0], np.array(ids))
                         ad.backward(tape, asum(ad.mul(out, weights[step, c, : len(ids)])))
                 if step == 1:  # table 1: rows 2 and 5, then one dense gradient
                     with ad.Tape() as tape:
-                        out = ad.gather_rows(tables[1], np.array([2, 5]), row_grad_mask=mask[:, 0])
+                        out = ad.gather_rows(tables[1], np.array([2, 5]))
                         ad.backward(tape, asum(ad.mul(out, weights[step, 0, :2])))
                 if step == 2:
                     tables[1].add_grad(dense)
